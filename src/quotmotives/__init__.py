@@ -20,7 +20,7 @@ from .quot import (UnsupportedDimensionError, compare_affine_plane_vs_framed,
                    jordan_product_series, nakajima_framed_series,
                    punctual_quot_series, quot_affine_plane_series, quot_series,
                    verify_class1_closed, verify_duality, verify_product_vs_exp)
-from .specialize import (point_count_series, poincare_poly, zeta_series,
+from .specialize import (point_count_series, zeta_series,
                          verify_zeta_product_curve, verify_zeta_product_surface)
 from .oracle import (BudgetError, active_backend, count_global_affine,
                      count_punctual, gl_order, is_stable, raw_stable_count)
@@ -37,8 +37,8 @@ __all__ = [
     "is_stable", "jordan_product_series", "log_pleth", "nakajima_dim",
     "nakajima_framed_series", "nakajima_motive_series",
     "nakajima_partition_sum", "nilpotent_motive_series",
-    "partition_collections", "partitions_of", "poincare_poly",
-    "point_count_series", "power_structure", "projective_class",
+    "partition_collections", "partitions_of", "point_count_series",
+    "power_structure", "projective_class",
     "punctual_quot_series", "q_pochhammer", "quot_affine_plane_series",
     "quot_series", "raw_stable_count", "series_exp", "series_log",
     "symmetric_power", "t_pochhammer", "verify_class1_closed",

@@ -2,7 +2,8 @@
 comparison, and count tables, with machine-readable output.
 
 Exit codes: 0 = success / all checks pass, 1 = verification mismatch,
-2 = usage error.
+2 = usage error, 3 = internal error (a failed self-check or an inexact
+exact-arithmetic step, i.e. a bug rather than bad input).
 """
 
 from __future__ import annotations
@@ -191,6 +192,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -6,25 +6,29 @@ Exp(t) = 1/(1-t) and the symmetric-power pre-lambda-structure on
 Z[L, L^-1], in which S^k(A^1) = A^k.  Two independent evaluation paths
 are implemented:
 
-* the Adams path  Exp(f) = exp(sum_{k>=1} psi_k(f)/k)  with exact
-  rational intermediates and a final integrality assertion, and
+* the Euler path: with E the Euler operator (the total-degree-n part
+  times n), Exp(f) = exp(sum_{k>=1} psi_k(f)/k) satisfies
+  E(Exp f) = g Exp(f) for the integral series g = sum_k psi_k(E f), so
+  n h_n = sum_{d<=n} g_d h_{n-d} with an exact division by n, and
 * the product path  Exp(sum_m f_m x^m) = prod_m sigma_{x^m}(f_m)  built
-  from geometric series only, entirely in integer arithmetic.
+  from geometric series only.
 
-``Log`` inverts Exp via Moebius inversion of the Adams sum, and the
-power structure is f^a = Exp(a Log f).  The Adams path also works for
-series with RationalFn coefficients (where psi_k sends q to q^k), which
-is what q-series identities like the Heine formula need.
+Both run entirely in integer arithmetic over Z[L, L^-1].  ``Log``
+inverts the Euler path: E(Log h) = sum_k mu(k) psi_k(E(h)/h), followed
+by an exact division by the total degree.  The power structure is
+f^a = Exp(a Log f).  The Euler path also works for series with
+RationalFn coefficients (where psi_k sends q to q^k), which is what
+q-series identities like the Heine formula need.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .rings import ExactnessError, LaurentPoly, RationalFn
 from .report import CheckReport
-from .series import TruncatedSeries, series_exp, series_log, geometric_series
+from .series import (TruncatedSeries, _divide_by_degree, _euler, _exp_of_euler,
+                     geometric_series)
 
 
 def _mobius(n: int) -> int:
@@ -42,24 +46,15 @@ def _mobius(n: int) -> int:
     return out
 
 
-def _lower_integral(s: TruncatedSeries) -> TruncatedSeries:
-    """Convert rational intermediates back to exact integral coefficients.
-
-    Raises ExactnessError when a coefficient fails to be integral, which
-    signals an implementation bug rather than bad input.
-    """
+def _adams_sum(s: TruncatedSeries, sign) -> TruncatedSeries:
+    """sum_{k>=1} sign(k) psi_k(s) truncated at the order of s, for
+    sign(k) in {-1, 0, 1}."""
     out = {}
-    for m, c in s._coeffs.items():
-        if isinstance(c, LaurentPoly):
-            if not c.is_integral:
-                raise ExactnessError(f"non-integral plethystic coefficient {c} at {m}")
-        elif isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ExactnessError(f"non-integral plethystic coefficient {c} at {m}")
-            c = LaurentPoly({0: int(c)})
-        elif isinstance(c, int):
-            c = LaurentPoly({0: c})
-        out[m] = c
+    for k in range(1, s.order + 1):
+        w = sign(k)
+        if w:
+            for m, c in s.adams(k)._coeffs.items():
+                out[m] = out.get(m, 0) + c if w > 0 else out.get(m, 0) - c
     return TruncatedSeries(out, s.order, s.arity)
 
 
@@ -72,19 +67,16 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     """Plethystic exponential of a series with zero constant term.
 
     Coefficients may be LaurentPoly (or plain integers, which are
-    promoted) or RationalFn.  The computation runs exp(sum psi_k(f)/k)
-    exactly; for Laurent coefficients the result is assert-checked to be
-    integral again.
+    promoted) or RationalFn.  Solves n h_n = sum_{d<=n} g_d h_{n-d} with
+    g = sum_k psi_k(E f); over Z[L, L^-1] each division by n is exact
+    (an inexact one raises ExactnessError).
     """
     if not (f.constant_term() == 0):
         raise ValueError("plethystic exponential requires zero constant term")
     f = _coerce_laurent_coeffs(f)
-    rational = any(isinstance(c, RationalFn) for _, c in f._coeffs.items())
-    g = TruncatedSeries.constant(RationalFn.zero() if rational else 0,
-                                 f.order, f.arity)
-    for k in range(1, f.order + 1):
-        g = g + f.adams(k).map_coefficients(lambda c, k=k: c / k)
-    return _lower_integral(series_exp(g)) if not rational else series_exp(g)
+    # h_0 is the unit of the coefficient ring (LaurentPoly or RationalFn)
+    one = next((type(c).one() for c in f._coeffs.values()), LaurentPoly.one())
+    return _exp_of_euler(_adams_sum(_euler(f), lambda k: 1), one)
 
 
 def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
@@ -92,31 +84,23 @@ def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
-    rational = any(isinstance(c, RationalFn) for _, c in g._coeffs.items())
-    h = series_log(g)
-    f = TruncatedSeries.constant(RationalFn.zero() if rational else 0,
-                                 g.order, g.arity)
-    for k in range(1, g.order + 1):
-        mu = _mobius(k)
-        if mu:
-            f = f + h.adams(k).map_coefficients(lambda c, k=k, mu=mu: (c * mu) / k)
-    return _lower_integral(f) if not rational else f
+    return _divide_by_degree(_adams_sum(_euler(g) * g.invert(), _mobius))
 
 
 def exp_pleth_product(f: TruncatedSeries) -> TruncatedSeries:
     """Product-form plethystic exponential, prod_m sigma_{x^m}(f_m).
 
-    Independent of the Adams path: built entirely from geometric series,
-    integer powers and series inversion, with no rational intermediates.
-    Requires integral LaurentPoly (or integer) coefficients.
+    Independent of the Euler path: built entirely from geometric series,
+    integer powers and series inversion.  Requires LaurentPoly (or
+    integer) coefficients.
     """
     if not (f.constant_term() == 0):
         raise ValueError("plethystic exponential requires zero constant term")
     f = _coerce_laurent_coeffs(f)
     out = TruncatedSeries.constant(1, f.order, f.arity)
     for m, c in f.coefficients():
-        if not isinstance(c, LaurentPoly) or not c.is_integral:
-            raise ExactnessError("product form needs integral Laurent coefficients")
+        if not isinstance(c, LaurentPoly):
+            raise ExactnessError("product form needs Laurent coefficients")
         step = sum(m)
         index = next(i for i, e in enumerate(m) if e)
         if len([e for e in m if e]) == 1 and m[index] == step:

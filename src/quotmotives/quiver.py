@@ -71,9 +71,7 @@ def euler_form(quiver: Quiver, v, w) -> int:
 
 def nakajima_dim(quiver: Quiver, v, w) -> int:
     """Dimension 2(v.w - chi(v, v)) of the smooth variety M(v, w); always even."""
-    d = 2 * (sum(a * b for a, b in zip(v, w)) - euler_form(quiver, v, v))
-    assert d % 2 == 0
-    return d
+    return 2 * (sum(a * b for a, b in zip(v, w)) - euler_form(quiver, v, v))
 
 
 # ---------------------------------------------------------------------------

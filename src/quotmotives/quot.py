@@ -40,8 +40,9 @@ def _check_rd(r: int, d: int):
         raise UnsupportedDimensionError(d)
 
 
-def _punctual_argument(r: int, d: int, order: int) -> TruncatedSeries:
-    arg = TruncatedSeries.variable(order, coeff=projective_class(r - 1))
+def _exp_argument(c: LaurentPoly, r: int, d: int, order: int) -> TruncatedSeries:
+    """The argument of Exp: c t for d = 1, c t / (1 - L^r t) for d = 2."""
+    arg = TruncatedSeries.variable(order, coeff=c)
     if d == 2:
         arg = arg * geometric_series(LaurentPoly.lefschetz(r), order)
     return arg
@@ -51,7 +52,7 @@ def punctual_quot_series(r: int, d: int, order: int) -> TruncatedSeries:
     """Motive series of punctual Quot schemes of a trivial rank-r sheaf
     at a point of a smooth d-fold (d in {1, 2})."""
     _check_rd(r, d)
-    return exp_pleth(_punctual_argument(r, d, order))
+    return exp_pleth(_exp_argument(projective_class(r - 1), r, d, order))
 
 
 def quot_series(x_class: LaurentPoly, d: int, r: int, order: int) -> TruncatedSeries:
@@ -64,7 +65,7 @@ def quot_series(x_class: LaurentPoly, d: int, r: int, order: int) -> TruncatedSe
     _check_rd(r, d)
     if isinstance(x_class, int):
         x_class = LaurentPoly({0: x_class})
-    closed = exp_pleth(_punctual_argument(r, d, order) * x_class)
+    closed = exp_pleth(_exp_argument(projective_class(r - 1) * x_class, r, d, order))
     powered = power_structure(punctual_quot_series(r, d, order), x_class)
     if closed != powered:
         raise AssertionError(
@@ -83,10 +84,8 @@ def nakajima_framed_series(r: int, order: int) -> TruncatedSeries:
     r-dimensional framing (framed torsion-free sheaves on the plane)."""
     if r < 0:
         raise ValueError(f"rank must be >= 0, got {r}")
-    arg = (TruncatedSeries.variable(order,
-                                    coeff=projective_class(r - 1) * LaurentPoly.lefschetz(r + 1))
-           * geometric_series(LaurentPoly.lefschetz(r), order))
-    return exp_pleth(arg)
+    return exp_pleth(_exp_argument(projective_class(r - 1) * LaurentPoly.lefschetz(r + 1),
+                                   r, 2, order))
 
 
 def quot_affine_plane_series(r: int, order: int) -> TruncatedSeries:
@@ -94,10 +93,8 @@ def quot_affine_plane_series(r: int, order: int) -> TruncatedSeries:
     Quot schemes of the trivial rank-r sheaf on the affine plane."""
     if r < 0:
         raise ValueError(f"rank must be >= 0, got {r}")
-    arg = (TruncatedSeries.variable(order,
-                                    coeff=projective_class(r - 1) * LaurentPoly.lefschetz(2))
-           * geometric_series(LaurentPoly.lefschetz(r), order))
-    return exp_pleth(arg)
+    return exp_pleth(_exp_argument(projective_class(r - 1) * LaurentPoly.lefschetz(2),
+                                   r, 2, order))
 
 
 def compare_affine_plane_vs_framed(r: int, order: int):

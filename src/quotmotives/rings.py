@@ -7,6 +7,9 @@ Two rings are used throughout the package:
   Every variety class manipulated here (affine and projective spaces,
   their products, all series coefficients) lives in this subring of the
   Grothendieck ring, which keeps arithmetic exact and equality decidable.
+  Coefficients are ints only: division by an integer either divides
+  exactly or raises :class:`ExactnessError`, so no rational number is
+  ever stored in a class.
 * :class:`RationalFn` -- reduced fractions of integer polynomials in a
   single symbol q.  This is the coefficient field in which quiver
   partition sums are assembled before they collapse to Laurent
@@ -33,26 +36,15 @@ class ExactnessError(ArithmeticError):
 class LaurentPoly:
     """Laurent polynomial in the Lefschetz class L.
 
-    Coefficients are arbitrary-precision integers.  Rational coefficients
-    (``fractions.Fraction``) are tolerated as transient values inside
-    plethystic computations; any Fraction that reduces to an integer is
-    stored as an int, and :attr:`is_integral` reports whether the value is
-    back in Z[L, L^{-1}].
+    Coefficients are arbitrary-precision integers and nothing else:
+    scalars are ints, and division by an int is exact or raises
+    :class:`ExactnessError`.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = int(c)
-                if c:
-                    clean[e] = clean.get(e, 0) + c
-                    if not clean[e]:
-                        del clean[e]
-        self._terms = clean
+        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -73,7 +65,7 @@ class LaurentPoly:
     def _coerce(cls, x):
         if isinstance(x, cls):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
             return cls({0: x})
         return NotImplemented
 
@@ -88,10 +80,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._terms.values())
 
     @property
     def is_effective(self) -> bool:
@@ -134,7 +122,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return LaurentPoly()
             return LaurentPoly({e: c * other for e, c in self._terms.items()})
@@ -150,10 +138,17 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        """Division by a nonzero integer; may introduce Fraction coefficients."""
+        """Exact division by a nonzero integer; raises ExactnessError when
+        some coefficient is not divisible by k."""
         if not isinstance(k, int):
             return NotImplemented
-        return LaurentPoly({e: Fraction(c, k) for e, c in self._terms.items()})
+        out = {}
+        for e, c in self._terms.items():
+            q, r = divmod(c, k)
+            if r:
+                raise ExactnessError(f"{self} is not divisible by {k}")
+            out[e] = q
+        return LaurentPoly(out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -213,11 +208,10 @@ class LaurentPoly:
         parts = []
         for e, c in sorted(self._terms.items(), reverse=True):
             if e == 0:
-                mono = str(abs(c) if isinstance(c, int) else c)
+                mono = str(abs(c))
             else:
                 var = "L" if e == 1 else f"L^{e}"
-                a = abs(c) if isinstance(c, int) else c
-                mono = var if a == 1 else f"{a}*{var}"
+                mono = var if abs(c) == 1 else f"{abs(c)}*{var}"
             if not parts:
                 parts.append(mono if c > 0 else f"-{mono}")
             else:
@@ -465,8 +459,6 @@ class RationalFn:
         """Embed Z[L, L^{-1}] into Q(q) by L |-> q."""
         if not f:
             return cls.zero()
-        if not f.is_integral:
-            raise ExactnessError("cannot embed non-integral Laurent polynomial")
         shift = max(0, -f.min_exp())
         num = [0] * (f.max_exp() + shift + 1)
         for e, c in f.terms():

@@ -10,6 +10,9 @@ variables (arity = number of vertices), graded by total degree.
 Coefficients may be ints, ``fractions.Fraction``, :class:`LaurentPoly`
 or :class:`RationalFn`; the arithmetic is duck-typed and mixing
 genuinely incompatible rings fails in the coefficient operations.
+Inversion, ``exp`` and ``log`` all solve one recurrence layered by total
+degree (:func:`_solve_layers`); ``exp`` and ``log`` divide only by
+degrees, so over Z[L, L^-1] they stay integral throughout.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -164,22 +167,9 @@ class TruncatedSeries:
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         i0 = _invert_coeff(c0)
-        zero = _zero_key(self.arity)
-        layers = self._layers()
-        inv_layers = [{zero: i0}] + [dict() for _ in range(self.order)]
-        for n in range(1, self.order + 1):
-            acc = {}
-            for d in range(1, n + 1):
-                for m1, c1 in layers[d]:
-                    for m2, c2 in inv_layers[n - d].items():
-                        m = tuple(a + b for a, b in zip(m1, m2))
-                        p = c1 * c2
-                        acc[m] = acc.get(m, 0) + p
-            inv_layers[n] = {m: -(i0 * c) for m, c in acc.items() if not (c == 0)}
-        out = {}
-        for layer in inv_layers:
-            out.update(layer)
-        return TruncatedSeries(out, self.order, self.arity)
+        # c0 u_n + sum_{d>=1} a_d u_{n-d} = 0 for n >= 1
+        return _solve_layers(self, i0,
+                             lambda n, acc: {m: -(i0 * c) for m, c in acc.items() if c})
 
     def pow_int(self, k: int) -> "TruncatedSeries":
         """Integer power; negative k inverts first."""
@@ -299,8 +289,54 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Ordinary exp / log with exact rational intermediates
+# The layered recurrence behind invert, exp and log
 # ---------------------------------------------------------------------------
+
+def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
+    """The series u with constant term ``first`` whose total-degree-n part,
+    for n = 1..order, is ``step(n, acc)``, where ``acc`` maps exponent
+    vectors to the coefficients of sum_{d=1..n} a_d u_{n-d} and a_d is
+    the total-degree-d part of ``a``.
+
+    ``step`` must return the degree-n layer without zero coefficients.
+    """
+    order, arity = a.order, a.arity
+    a_layers = a._layers()
+    u = [{_zero_key(arity): first} if first else {}]
+    for n in range(1, order + 1):
+        acc = {}
+        for d in range(1, n + 1):
+            for m1, c1 in a_layers[d]:
+                for m2, c2 in u[n - d].items():
+                    m = tuple(x + y for x, y in zip(m1, m2))
+                    acc[m] = acc.get(m, 0) + c1 * c2
+        u.append(step(n, acc))
+    out = {}
+    for layer in u:
+        out.update(layer)
+    return TruncatedSeries(out, order, arity)
+
+
+def _euler(s: TruncatedSeries) -> TruncatedSeries:
+    """The Euler operator E: the total-degree-n part multiplied by n."""
+    return TruncatedSeries({m: c * sum(m) for m, c in s._coeffs.items()},
+                           s.order, s.arity)
+
+
+def _divide_by_degree(s: TruncatedSeries) -> TruncatedSeries:
+    """Inverse of E on series with zero constant term.  The coefficient
+    division by an int is exact in Z[L, L^-1] or raises ExactnessError."""
+    return TruncatedSeries({m: c / sum(m) for m, c in s._coeffs.items()},
+                           s.order, s.arity)
+
+
+def _exp_of_euler(eg: TruncatedSeries, one) -> TruncatedSeries:
+    """exp(g) from eg = E(g): h_0 = one and n h_n = sum_{d=1..n} eg_d h_{n-d}.
+
+    Each division by n is exact whenever exp(g) has coefficients in the
+    ring of ``eg``; ``one`` is that ring's unit."""
+    return _solve_layers(eg, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
+
 
 def series_exp(g: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term.
@@ -311,39 +347,14 @@ def series_exp(g: TruncatedSeries) -> TruncatedSeries:
     """
     if not (g.constant_term() == 0):
         raise ValueError("series_exp requires zero constant term")
-    order, arity = g.order, g.arity
-    eg_layers = [[] for _ in range(order + 1)]
-    for m, c in g._coeffs.items():
-        eg_layers[sum(m)].append((m, c * sum(m)))
-    h_layers = [{_zero_key(arity): 1}] + [dict() for _ in range(order)]
-    for n in range(1, order + 1):
-        acc = {}
-        for d in range(1, n + 1):
-            for m1, c1 in eg_layers[d]:
-                for m2, c2 in h_layers[n - d].items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    p = c1 * c2
-                    acc[m] = acc.get(m, 0) + p
-        h_layers[n] = {m: c / n for m, c in acc.items() if not (c == 0)}
-    out = {}
-    for layer in h_layers:
-        out.update(layer)
-    return TruncatedSeries(out, order, arity)
+    return _exp_of_euler(_euler(g), 1)
 
 
 def series_log(h: TruncatedSeries) -> TruncatedSeries:
     """log of a series with constant term 1 (inverse of :func:`series_exp`)."""
     if not (h.constant_term() == 1):
         raise ValueError("series_log requires constant term 1")
-    u = h.invert()
-    eg = {}
-    for m, c in h._coeffs.items():
-        d = sum(m)
-        if d:
-            eg[m] = c * d
-    ef = TruncatedSeries(eg, h.order, h.arity) * u
-    out = {m: c / sum(m) for m, c in ef._coeffs.items()}
-    return TruncatedSeries(out, h.order, h.arity)
+    return _divide_by_degree(_euler(h) * h.invert())
 
 
 def geometric_series(ratio_coeff, order: int, step: int = 1, arity: int = 1,

@@ -1,5 +1,4 @@
-"""Specializations of motive series: point counts, zeta functions,
-virtual Poincare polynomials.
+"""Specializations of motive series: point counts and zeta functions.
 
 A class that is a polynomial in L counts points over finite fields by
 the substitution L = q, and its zeta function over F_q,
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import LaurentPoly, dual
+from .rings import LaurentPoly
 from .report import CheckReport
 from .series import TruncatedSeries, geometric_series, series_exp
 from . import quot
@@ -62,7 +61,9 @@ def zeta_series(x_class: LaurentPoly, q: int, order: int) -> TruncatedSeries:
     counts = [x_class.evaluate(Fraction(q) ** n) for n in range(1, order + 1)]
     log_arg = TruncatedSeries({(n,): counts[n - 1] / n for n in range(1, order + 1)},
                               order)
-    assert out == series_exp(log_arg), "zeta product form disagrees with exp form"
+    if out != series_exp(log_arg):
+        raise AssertionError(
+            f"zeta product form disagrees with exp form (X={x_class}, q={q})")
     return out
 
 
@@ -99,13 +100,3 @@ def verify_zeta_product_surface(x_class: LaurentPoly, r: int, q: int,
               else f"first difference at {lhs.first_difference(rhs)}")
     return CheckReport("zeta-surface", ok, detail)
 
-
-def poincare_poly(f: LaurentPoly) -> LaurentPoly:
-    """Virtual Poincare polynomial of a class polynomial in L: the same
-    coefficients read in the Poincare variable.  Satisfies
-    P(dual(f); t) = P(f; 1/t)."""
-    return LaurentPoly({e: c for e, c in f.terms()})
-
-
-def poincare_dual_check(f: LaurentPoly) -> bool:
-    return poincare_poly(dual(f)) == poincare_poly(f).dual()

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from quotmotives import quot
 from quotmotives.cli import main
+from quotmotives.rings import ExactnessError
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +95,16 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "not-an-identity"])
         assert exc.value.code == 2
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(r, order):
+            raise ExactnessError("inexact division")
+
+        monkeypatch.setattr(quot, "verify_product_vs_exp", broken)
+        code, out, err = run_cli(capsys, "verify", "product-vs-exp", "--order", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: inexact division")
 
 
 class TestOracle:

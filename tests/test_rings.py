@@ -85,10 +85,12 @@ class TestLaurentPoly:
         assert obj["terms"] == [[-2, "3"], [0, "-1"], [5, "7"]]
         assert LaurentPoly.from_json_obj(obj) == f
 
-    def test_division_by_int_gives_fractions(self):
-        f = projective_class(1) / 2
-        assert not f.is_integral
-        assert f * 2 == projective_class(1)
+    def test_integer_only_coefficients(self):
+        with pytest.raises(ExactnessError):
+            projective_class(1) / 2
+        assert (2 * projective_class(1)) / 2 == projective_class(1)
+        with pytest.raises(TypeError):
+            projective_class(1) * Fraction(1, 2)
 
 
 class TestRationalFn:

@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from quotmotives.rings import LaurentPoly, affine_class, dual, projective_class
+from quotmotives.rings import LaurentPoly, affine_class, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import symmetric_power
 from quotmotives.quot import punctual_quot_series, quot_series
-from quotmotives.specialize import (point_count_series, poincare_poly,
-                                    verify_zeta_product_curve,
+from quotmotives.specialize import (point_count_series, verify_zeta_product_curve,
                                     verify_zeta_product_surface, zeta_series)
 
 L = LaurentPoly.lefschetz()
@@ -83,17 +82,6 @@ class TestZetaProducts:
 
 
 class TestPoincare:
-    def test_renaming(self):
-        assert poincare_poly(projective_class(1)) == LaurentPoly({0: 1, 1: 1})
-
-    def test_dual_round_trip(self):
-        f = LaurentPoly({0: 1, 2: 3, 5: 1})
-        assert poincare_poly(dual(f)) == poincare_poly(f).dual()
-
-    def test_value_at_one_matches(self):
-        f = LaurentPoly({0: 2, 3: 4})
-        assert poincare_poly(f).evaluate(1) == f.evaluate(1)
-
     def test_normalized_curve_moduli_identity(self):
         # sum_n L^{-n} [Quot(O^r, n) over A^1] t^n = prod_{i<r} 1/(1 - L^i t)
         r, order = 2, 6
