@@ -4,18 +4,19 @@ over small finite fields.
 
 All arithmetic is exact: classes are integer Laurent polynomials in the
 Lefschetz class L, series are truncated at an explicit order, and quiver
-partition sums run over reduced fractions of integer polynomials.
+partition sums run over integer Laurent series in q known to a precision
+that is derived from the inputs and large enough to make them exact.
 """
 
-from .rings import (ExactnessError, LaurentPoly, RationalFn, affine_class,
-                    dual, eval_int, projective_class)
+from .rings import (ExactnessError, LaurentPoly, QSeries, affine_class, dual,
+                    eval_int, projective_class)
 from .series import TruncatedSeries, geometric_series, series_exp, series_log
 from .plethystic import (exp_pleth, exp_pleth_product, log_pleth,
                          power_structure, symmetric_power, verify_power_axioms)
 from .quiver import (Quiver, euler_form, nakajima_dim, nakajima_motive_series,
                      nakajima_partition_sum, nilpotent_motive_series,
                      partition_collections, partitions_of, q_pochhammer,
-                     t_pochhammer, verify_heine)
+                     verify_heine)
 from .quot import (UnsupportedDimensionError, compare_affine_plane_vs_framed,
                    jordan_product_series, nakajima_framed_series,
                    punctual_quot_series, quot_affine_plane_series, quot_series,
@@ -29,8 +30,8 @@ from .report import CheckReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError", "CheckReport", "ExactnessError", "LaurentPoly", "Quiver",
-    "RationalFn", "TruncatedSeries", "UnsupportedDimensionError",
+    "BudgetError", "CheckReport", "ExactnessError", "LaurentPoly", "QSeries",
+    "Quiver", "TruncatedSeries", "UnsupportedDimensionError",
     "active_backend", "affine_class", "compare_affine_plane_vs_framed",
     "count_global_affine", "count_punctual", "dual", "euler_form", "eval_int",
     "exp_pleth", "exp_pleth_product", "geometric_series", "gl_order",
@@ -41,7 +42,7 @@ __all__ = [
     "power_structure", "projective_class",
     "punctual_quot_series", "q_pochhammer", "quot_affine_plane_series",
     "quot_series", "raw_stable_count", "series_exp", "series_log",
-    "symmetric_power", "t_pochhammer", "verify_class1_closed",
+    "symmetric_power", "verify_class1_closed",
     "verify_duality", "verify_heine", "verify_power_axioms",
     "verify_product_vs_exp", "verify_zeta_product_curve",
     "verify_zeta_product_surface", "zeta_series",

@@ -17,15 +17,16 @@ Both run entirely in integer arithmetic over Z[L, L^-1].  ``Log``
 inverts the Euler path: E(Log h) = sum_k mu(k) psi_k(E(h)/h), followed
 by an exact division by the total degree.  The power structure is
 f^a = Exp(a Log f).  The Euler path also works for series with
-RationalFn coefficients (where psi_k sends q to q^k), which is what
-q-series identities like the Heine formula need.
+QSeries coefficients (where psi_k sends q to q^k and scales the
+precision), which is what q-series identities like the Heine formula
+need.
 """
 
 from __future__ import annotations
 
 import random
 
-from .rings import ExactnessError, LaurentPoly, RationalFn
+from .rings import ExactnessError, LaurentPoly, QSeries
 from .report import CheckReport
 from .series import (TruncatedSeries, _divide_by_degree, _euler, _exp_of_euler,
                      geometric_series)
@@ -60,21 +61,21 @@ def _adams_sum(s: TruncatedSeries, sign) -> TruncatedSeries:
 
 def _coerce_laurent_coeffs(f: TruncatedSeries) -> TruncatedSeries:
     return f.map_coefficients(
-        lambda c: c if isinstance(c, (LaurentPoly, RationalFn)) else LaurentPoly({0: c}))
+        lambda c: c if isinstance(c, (LaurentPoly, QSeries)) else LaurentPoly({0: c}))
 
 
 def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     """Plethystic exponential of a series with zero constant term.
 
     Coefficients may be LaurentPoly (or plain integers, which are
-    promoted) or RationalFn.  Solves n h_n = sum_{d<=n} g_d h_{n-d} with
+    promoted) or QSeries.  Solves n h_n = sum_{d<=n} g_d h_{n-d} with
     g = sum_k psi_k(E f); over Z[L, L^-1] each division by n is exact
     (an inexact one raises ExactnessError).
     """
     if not (f.constant_term() == 0):
         raise ValueError("plethystic exponential requires zero constant term")
     f = _coerce_laurent_coeffs(f)
-    # h_0 is the unit of the coefficient ring (LaurentPoly or RationalFn)
+    # h_0 is the unit of the coefficient ring (LaurentPoly or QSeries)
     one = next((type(c).one() for c in f._coeffs.values()), LaurentPoly.one())
     return _exp_of_euler(_adams_sum(_euler(f), lambda k: 1), one)
 

@@ -10,10 +10,11 @@ Two rings are used throughout the package:
   Coefficients are ints only: division by an integer either divides
   exactly or raises :class:`ExactnessError`, so no rational number is
   ever stored in a class.
-* :class:`RationalFn` -- reduced fractions of integer polynomials in a
-  single symbol q.  This is the coefficient field in which quiver
-  partition sums are assembled before they collapse to Laurent
-  polynomials.
+* :class:`QSeries` -- Laurent series in a symbol q with int coefficients,
+  known modulo q^N for a precision N that the arithmetic tracks.  Quiver
+  partition sums and the Heine identity run in this ring; their results
+  are Laurent polynomials of bounded degree, so a large enough N gives
+  them exactly (the bounds are in :mod:`quotmotives.quiver`).
 
 Values of both classes are immutable after construction and all
 operations are pure, so they are safe to share between threads.
@@ -90,11 +91,6 @@ class LaurentPoly:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return min(self._terms)
-
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
 
     # -- ring operations ----------------------------------------------
 
@@ -247,420 +243,101 @@ def eval_int(f: LaurentPoly, q) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Dense integer polynomial helpers (coefficient tuples, lowest degree first)
+# Laurent series in q known to a finite precision
 # ---------------------------------------------------------------------------
 
-def _pstrip(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
+class QSeries:
+    """Laurent series in the symbol q with int coefficients, known modulo q^prec.
 
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _pstrip([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                    for i in range(n)])
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ci in enumerate(a):
-        if ci:
-            for j, cj in enumerate(b):
-                out[i + j] += ci * cj
-    return _pstrip(out)
-
-
-def _pscale(a, k):
-    return _pstrip([c * k for c in a])
-
-
-def _pcontent(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
-def _pprimitive(a):
-    """(content, primitive part) with the primitive part's sign matching a's leading sign."""
-    if not a:
-        return 0, ()
-    g = _pcontent(a)
-    return g, tuple(c // g for c in a)
-
-
-def _pdivexact(a, b):
-    """Exact quotient a / b in Z[q]; raises ExactnessError when not exact."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ()
-    if len(a) < len(b):
-        raise ExactnessError("inexact polynomial division")
-    rem = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(b) - 1]
-        if c % lead:
-            raise ExactnessError("inexact polynomial division")
-        qc = c // lead
-        out[i] = qc
-        if qc:
-            for j, bj in enumerate(b):
-                rem[i + j] -= qc * bj
-    if any(rem):
-        raise ExactnessError("inexact polynomial division")
-    return _pstrip(out)
-
-
-def _prem(a, b):
-    """Pseudo-remainder of a by b (both nonzero, deg a >= deg b)."""
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    for i in range(len(a) - 1 - db, -1, -1):
-        top = rem[i + db]
-        if top:
-            for j in range(len(rem)):
-                rem[j] *= lead
-            for j, bj in enumerate(b):
-                rem[i + j] -= top * bj
-        # rem[i + db] is now exactly zero
-        del rem[i + db]
-    return _pstrip(rem)
-
-
-_GCD_PROBE_P = (1 << 61) - 1  # Mersenne prime; used to detect coprimality fast
-
-
-def _modular_gcd_degree(a, b):
-    """Degree of gcd(a, b) mod a large prime, or None when the probe is unusable."""
-    p = _GCD_PROBE_P
-    if a[-1] % p == 0 or b[-1] % p == 0:
-        return None
-    ra = [c % p for c in a]
-    rb = [c % p for c in b]
-    while any(rb):
-        while rb and rb[-1] == 0:
-            rb.pop()
-        if not rb:
-            break
-        inv = pow(rb[-1], p - 2, p)
-        rb = [c * inv % p for c in rb]
-        while len(ra) >= len(rb):
-            top = ra[-1]
-            if top:
-                off = len(ra) - len(rb)
-                for j in range(len(rb)):
-                    ra[off + j] = (ra[off + j] - top * rb[j]) % p
-            ra.pop()
-        ra, rb = rb, ra
-    while ra and ra[-1] == 0:
-        ra.pop()
-    return len(ra) - 1
-
-
-def _pgcd(a, b):
-    """Gcd in Z[q] (content included), normalized to positive leading coefficient."""
-    a, b = _pstrip(a), _pstrip(b)
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        ca, pa = _pprimitive(a)
-        cb, pb = _pprimitive(b)
-        c = math.gcd(ca, cb)
-        if len(pa) < len(pb):
-            pa, pb = pb, pa
-        deg = _modular_gcd_degree(pa, pb)
-        if deg == 0:
-            return (c,)
-        # primitive PRS; the modular probe already told us the gcd is nontrivial
-        while pb:
-            r = _prem(pa, pb)
-            pa, pb = pb, _pprimitive(r)[1]
-        g = _pscale(pa, c)
-    if g and g[-1] < 0:
-        g = _pneg(g)
-    return g
-
-
-def _peval(a, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Rational functions in q
-# ---------------------------------------------------------------------------
-
-class RationalFn:
-    """Reduced ratio of integer polynomials in the symbol q.
-
-    Canonical form: numerator and denominator are coprime in Z[q]
-    (including integer content) and the denominator has positive leading
-    coefficient, so equality is a structural check.
+    The value is ``known + O(q^prec)``, where ``known`` is a LaurentPoly in
+    the symbol q whose exponents are all below ``prec``, and ``prec`` is
+    ``math.inf`` for an exactly known Laurent polynomial.  The arithmetic
+    tracks the precision: a sum is known to min(N_a, N_b), a product to
+    min(v_a + N_b, v_b + N_a), where v is :meth:`valuation`, q |-> q^k
+    multiplies N by k, and division by an int is exact or raises
+    :class:`ExactnessError`.  Ints are exact constants.  Equality compares
+    the coefficients below the common precision.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("known", "prec")
 
-    def __init__(self, num, den=(1,)):
-        if isinstance(num, int):
-            num = (num,)
-        if isinstance(den, int):
-            den = (den,)
-        num, den = _pstrip(num), _pstrip(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self._num, self._den = (), (1,)
-            return
-        g = _pgcd(num, den)
-        if g != (1,):
-            num = _pdivexact(num, g)
-            den = _pdivexact(den, g)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        self._num, self._den = num, den
-
-    # -- constructors ----------------------------------------------------
+    def __init__(self, known: LaurentPoly, prec):
+        self.prec = prec
+        self.known = LaurentPoly({e: c for e, c in known._terms.items() if e < prec})
 
     @classmethod
-    def zero(cls) -> "RationalFn":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RationalFn":
-        return cls((1,))
-
-    @classmethod
-    def q_power(cls, k: int) -> "RationalFn":
-        """q^k as a rational function (k may be negative)."""
-        if k >= 0:
-            return cls((0,) * k + (1,))
-        return cls((1,), (0,) * (-k) + (1,))
-
-    @classmethod
-    def from_laurent(cls, f: LaurentPoly) -> "RationalFn":
-        """Embed Z[L, L^{-1}] into Q(q) by L |-> q."""
-        if not f:
-            return cls.zero()
-        shift = max(0, -f.min_exp())
-        num = [0] * (f.max_exp() + shift + 1)
-        for e, c in f.terms():
-            num[e + shift] = c
-        return cls(tuple(num), (0,) * shift + (1,))
+    def one(cls) -> "QSeries":
+        return cls(LaurentPoly.one(), math.inf)
 
     @classmethod
     def _coerce(cls, x):
         if isinstance(x, cls):
             return x
         if isinstance(x, int):
-            return cls((x,))
-        if isinstance(x, LaurentPoly):
-            return cls.from_laurent(x)
+            return cls(LaurentPoly({0: x}), math.inf)
         return NotImplemented
 
-    # -- structure --------------------------------------------------------
+    def terms(self):
+        """Sorted (exponent, coefficient) pairs of the known part."""
+        return self.known.terms()
 
-    @property
-    def numerator(self):
-        return self._num
+    def valuation(self):
+        """Lowest known exponent, or prec if none: a bound for the valuation."""
+        return min(self.known._terms, default=self.prec)
 
-    @property
-    def denominator(self):
-        return self._den
-
-    def __bool__(self):
-        return bool(self._num)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self._den == (1,)
-
-    def __eq__(self, other):
-        other = RationalFn._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._num == other._num and self._den == other._den
-
-    __hash__ = None
-
-    # -- field operations --------------------------------------------------
+    def __bool__(self) -> bool:
+        """False only for an exact zero: O(q^N) may be a nonzero series."""
+        return bool(self.known) or self.prec != math.inf
 
     def __add__(self, other):
-        other = RationalFn._coerce(other)
+        other = QSeries._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num = _padd(_pmul(self._num, other._den), _pmul(other._num, self._den))
-        return RationalFn(num, _pmul(self._den, other._den))
+        return QSeries(self.known + other.known, min(self.prec, other.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFn.__new__(RationalFn)
-        out._num, out._den = _pneg(self._num), self._den
-        return out
+        return QSeries(-self.known, self.prec)
 
     def __sub__(self, other):
-        other = RationalFn._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = RationalFn._coerce(other)
+        other = QSeries._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # cross-cancel before multiplying to keep degrees small
-        g1 = _pgcd(self._num, other._den)
-        g2 = _pgcd(other._num, self._den)
-        n1 = self._num if g1 == (1,) else _pdivexact(self._num, g1)
-        d2 = other._den if g1 == (1,) else _pdivexact(other._den, g1)
-        n2 = other._num if g2 == (1,) else _pdivexact(other._num, g2)
-        d1 = self._den if g2 == (1,) else _pdivexact(self._den, g2)
-        num, den = _pmul(n1, n2), _pmul(d1, d2)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        out = RationalFn.__new__(RationalFn)
-        if num:
-            out._num, out._den = num, den
-        else:
-            out._num, out._den = (), (1,)
-        return out
+        prec = min(self.valuation() + other.prec, other.valuation() + self.prec)
+        right = other.terms()
+        out = {}
+        for e1, c1 in self.known._terms.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                if e >= prec:
+                    break
+                out[e] = out.get(e, 0) + c1 * c2
+        return QSeries(LaurentPoly(out), prec)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = RationalFn((other,))
-        elif not isinstance(other, RationalFn):
+    def __truediv__(self, k):
+        """Exact division by a nonzero integer, or ExactnessError."""
+        if not isinstance(k, int):
             return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return self * other.reciprocal()
+        return QSeries(self.known / k, self.prec)
 
-    def __rtruediv__(self, other):
-        other = RationalFn._coerce(other)
+    def adams(self, k: int) -> "QSeries":
+        """The Adams operation q |-> q^k; the precision scales by k."""
+        return QSeries(self.known.adams(k), self.prec * k)
+
+    def __eq__(self, other):
+        other = QSeries._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        prec = min(self.prec, other.prec)
+        return QSeries(self.known, prec).known == QSeries(other.known, prec).known
 
-    def reciprocal(self) -> "RationalFn":
-        if not self._num:
-            raise ZeroDivisionError("zero has no reciprocal")
-        num, den = self._den, self._num
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        out = RationalFn.__new__(RationalFn)
-        out._num, out._den = num, den
-        return out
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.reciprocal() ** (-k)
-        out = RationalFn.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- substitutions ------------------------------------------------------
-
-    def adams(self, k: int) -> "RationalFn":
-        """Substitute q |-> q^k (the Adams operation on the coefficient field)."""
-        if k < 1:
-            raise ValueError("Adams operations are indexed by positive integers")
-
-        def stretch(a):
-            out = [0] * ((len(a) - 1) * k + 1) if a else []
-            for i, c in enumerate(a):
-                out[i * k] = c
-            return tuple(out)
-
-        out = RationalFn.__new__(RationalFn)
-        out._num, out._den = stretch(self._num), stretch(self._den)
-        return out
-
-    def subst_recip(self) -> "RationalFn":
-        """Substitute q |-> q^{-1}."""
-        if not self._num:
-            return self
-        dn, dd = len(self._num) - 1, len(self._den) - 1
-        num = tuple(reversed(self._num))
-        den = tuple(reversed(self._den))
-        if dd >= dn:
-            num = (0,) * (dd - dn) + num
-        else:
-            den = (0,) * (dn - dd) + den
-        return RationalFn(num, den)
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        d = _peval(self._den, x)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return _peval(self._num, x) / d
-
-    def to_laurent(self) -> LaurentPoly:
-        """Exact conversion to Z[L, L^{-1}] (requires a monomial denominator)."""
-        if not self._num:
-            return LaurentPoly.zero()
-        nz = [i for i, c in enumerate(self._den) if c]
-        if len(nz) != 1:
-            raise ExactnessError(f"denominator {self._den} is not a monomial")
-        k, c = nz[0], self._den[nz[0]]
-        terms = {}
-        for i, a in enumerate(self._num):
-            if a:
-                if a % c:
-                    raise ExactnessError("coefficient not divisible by denominator content")
-                terms[i - k] = a // c
-        return LaurentPoly(terms)
-
-    # -- display -------------------------------------------------------------
+    __hash__ = None
 
     def __repr__(self):
-        return f"RationalFn({self._num!r}, {self._den!r})"
-
-    def __str__(self):
-        def fmt(a):
-            if not a:
-                return "0"
-            parts = []
-            for i in range(len(a) - 1, -1, -1):
-                c = a[i]
-                if not c:
-                    continue
-                mono = "q" if i == 1 else (f"q^{i}" if i else str(abs(c)))
-                if i and abs(c) != 1:
-                    mono = f"{abs(c)}*{mono}"
-                if not parts:
-                    parts.append(mono if c > 0 else f"-{mono}")
-                else:
-                    parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
-            return " ".join(parts)
-
-        if self.is_polynomial:
-            return fmt(self._num)
-        return f"({fmt(self._num)}) / ({fmt(self._den)})"
+        return f"QSeries({self.known!r}, {self.prec!r})"

@@ -8,11 +8,12 @@ univariate in t (arity 1) or live in a vertex-indexed family of
 variables (arity = number of vertices), graded by total degree.
 
 Coefficients may be ints, ``fractions.Fraction``, :class:`LaurentPoly`
-or :class:`RationalFn`; the arithmetic is duck-typed and mixing
-genuinely incompatible rings fails in the coefficient operations.
-Inversion, ``exp`` and ``log`` all solve one recurrence layered by total
-degree (:func:`_solve_layers`); ``exp`` and ``log`` divide only by
-degrees, so over Z[L, L^-1] they stay integral throughout.
+or :class:`QSeries`; the arithmetic is duck-typed and mixing genuinely
+incompatible rings fails in the coefficient operations.  A coefficient
+is dropped only when it is falsy, i.e. an exact zero.  Inversion,
+``exp`` and ``log`` all solve one recurrence layered by total degree
+(:func:`_solve_layers`); ``exp`` and ``log`` divide only by degrees, so
+over Z[L, L^-1] they stay integral throughout.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import ExactnessError, LaurentPoly, RationalFn
+from .rings import ExactnessError, LaurentPoly, QSeries
 
 
 def _zero_key(arity: int):
@@ -41,8 +42,9 @@ def _invert_coeff(c):
             raise ExactnessError(f"constant term {c} is not a unit of Z[L, L^-1]")
         e, a = t[0]
         return LaurentPoly({-e: a})
-    if isinstance(c, RationalFn):
-        return c.reciprocal()
+    if isinstance(c, QSeries):
+        # 1/(a q^e + O(q^N)) = a q^-e (1 + O(q^(N-e))) for a = +-1
+        return QSeries(_invert_coeff(c.known), c.prec - 2 * c.valuation())
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
 
 
@@ -66,7 +68,7 @@ class TruncatedSeries:
                 raise ValueError(f"exponent {m} has wrong arity (expected {arity})")
             if min(m) < 0:
                 raise ValueError(f"negative exponent vector {m}")
-            if sum(m) <= order and not (c == 0):
+            if sum(m) <= order and c:
                 clean[m] = c
         self._coeffs = clean
 
@@ -205,7 +207,7 @@ class TruncatedSeries:
         for m, c in self._coeffs.items():
             if sum(m) * k > self.order:
                 continue
-            if isinstance(c, (LaurentPoly, RationalFn)):
+            if isinstance(c, (LaurentPoly, QSeries)):
                 c = c.adams(k)
             out[tuple(e * k for e in m)] = c
         return TruncatedSeries(out, self.order, self.arity)
@@ -338,22 +340,28 @@ def _exp_of_euler(eg: TruncatedSeries, one) -> TruncatedSeries:
     return _solve_layers(eg, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
 
 
+def _ints_to_fractions(s: TruncatedSeries) -> TruncatedSeries:
+    return s.map_coefficients(lambda c: Fraction(c) if isinstance(c, int) else c)
+
+
 def series_exp(g: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term.
 
     Uses the Euler-operator recurrence n*h_n = sum_k [E(g)]_k h_{n-k}
     (layered by total degree), so division happens only by layer degrees;
-    coefficients must support division by an int.
+    coefficients must support division by an int.  Int coefficients are
+    promoted to Fraction, so the result holds no float.
     """
     if not (g.constant_term() == 0):
         raise ValueError("series_exp requires zero constant term")
-    return _exp_of_euler(_euler(g), 1)
+    return _exp_of_euler(_euler(_ints_to_fractions(g)), 1)
 
 
 def series_log(h: TruncatedSeries) -> TruncatedSeries:
     """log of a series with constant term 1 (inverse of :func:`series_exp`)."""
     if not (h.constant_term() == 1):
         raise ValueError("series_log requires constant term 1")
+    h = _ints_to_fractions(h)
     return _divide_by_degree(_euler(h) * h.invert())
 
 

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from quotmotives import quot
+from quotmotives import quiver, quot
 from quotmotives.cli import main
 from quotmotives.rings import ExactnessError
 
@@ -105,6 +109,48 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: inexact division")
+
+
+class TestWindowSelfCheck:
+    """A precision window too small to determine the motives must fail
+    loudly (exit code 3), never print a truncated series."""
+
+    TWO_LOOPS = {"vertices": 1, "arrows": [[0, 0], [0, 0]]}
+    ARGV = ["series", "--target", "nakajima-general", "--framing", "1",
+            "--order", "3", "--quiver"]
+
+    def test_small_window_is_internal_error(self, capsys, monkeypatch, tmp_path):
+        qfile = tmp_path / "quiver.json"
+        qfile.write_text(json.dumps(self.TWO_LOOPS))
+        window = quiver._window(quiver.Quiver.from_json_obj(self.TWO_LOOPS), (1,), 3)
+        monkeypatch.setattr(quiver, "_window", lambda *args: window - 1)
+        code, out, err = run_cli(capsys, *self.ARGV, str(qfile))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+
+    def test_check_survives_optimized_mode(self, tmp_path):
+        qfile = tmp_path / "quiver.json"
+        qfile.write_text(json.dumps(self.TWO_LOOPS))
+        script = (
+            "import sys\n"
+            "from quotmotives import cli, quiver\n"
+            "window = quiver._window\n"
+            "quiver._window = lambda *args: window(*args) - int(sys.argv[1])\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        runs = {}
+        for shrink in (0, 1):
+            runs[shrink] = subprocess.run(
+                [sys.executable, "-O", "-c", script, str(shrink), *self.ARGV, str(qfile)],
+                capture_output=True, text=True, env=env, timeout=120)
+        assert runs[0].returncode == 0
+        assert json.loads(runs[0].stdout)["terms"][0] == [[0], {"terms": [[0, "1"]]}]
+        assert runs[1].returncode == 3
+        assert runs[1].stdout == ""
+        assert runs[1].stderr.startswith("internal error:")
 
 
 class TestOracle:

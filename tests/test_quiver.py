@@ -1,14 +1,17 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from quotmotives.rings import LaurentPoly, RationalFn
+from quotmotives.rings import LaurentPoly, QSeries
 from quotmotives.series import TruncatedSeries
 from quotmotives.plethystic import exp_pleth
-from quotmotives.quiver import (Quiver, euler_form, nakajima_dim,
-                                nakajima_motive_series, nakajima_partition_sum,
-                                nilpotent_motive_series, partition_collections,
-                                partitions_of, q_pochhammer, t_pochhammer,
-                                verify_heine)
+from quotmotives.quiver import (Quiver, _inverse_q_pochhammers, euler_form,
+                                nakajima_dim, nakajima_motive_series,
+                                nakajima_partition_sum, nilpotent_motive_series,
+                                partition_collections, partitions_of,
+                                q_pochhammer, verify_heine)
 
 L = LaurentPoly.lefschetz()
 JORDAN = Quiver.jordan()
@@ -64,27 +67,22 @@ class TestDim:
 
 
 class TestPochhammer:
+    # polynomials in q are held as LaurentPoly in the symbol q
     def test_empty_product(self):
-        assert q_pochhammer(0) == RationalFn.one()
+        assert q_pochhammer(0) == LaurentPoly.one()
 
     def test_two(self):
-        expect = (RationalFn.one() - RationalFn.q_power(1)) * \
-                 (RationalFn.one() - RationalFn.q_power(2))
-        assert q_pochhammer(2) == expect
+        q = LaurentPoly.lefschetz()
+        assert q_pochhammer(2) == (1 - q) * (1 - q * q)
 
-    def test_t_pochhammer_one(self):
-        s = t_pochhammer(1, 4)
-        assert s.coefficient(0) == RationalFn.one()
-        assert s.coefficient(1) == -RationalFn.one()
-        assert s.coefficient(2) == 0
-
-    def test_t_pochhammer_at_t_equals_q(self):
-        # substituting t = q into (t;q)_n recovers (q;q)_n
-        n, order = 3, 6
-        s = t_pochhammer(n, order)
-        val = sum((c * RationalFn.q_power(m[0]) for m, c in s.coefficients()),
-                  RationalFn.zero())
-        assert val == q_pochhammer(n)
+    def test_inverses_by_partition_counting(self):
+        for prec in (1, 2, 7, 12):
+            inverse = _inverse_q_pochhammers(5, prec)
+            for m, inv in enumerate(inverse):
+                assert inv.prec == prec
+                poch = QSeries(q_pochhammer(m), math.inf)
+                assert poch * inv == QSeries.one()
+                assert (poch * inv).prec == prec
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -110,26 +108,30 @@ class TestPartitions:
 class TestPartitionSum:
     def test_constant_term_is_one(self):
         for w in [(0,), (1,), (3,)]:
-            s = nakajima_partition_sum(JORDAN, w, 3)
-            assert s.coefficient(0) == RationalFn.one()
+            s = nakajima_partition_sum(JORDAN, w, 3, 4)
+            assert s.coefficient(0) == 1
+            assert s.coefficient(0).prec == math.inf
 
     def test_degree_one_unframed(self):
-        s = nakajima_partition_sum(JORDAN, (0,), 3)
-        assert s.coefficient(1) == q_pochhammer(1).reciprocal()
+        s = nakajima_partition_sum(JORDAN, (0,), 3, 6)
+        assert s.coefficient(1) == QSeries(LaurentPoly({e: 1 for e in range(6)}), 6)
+        assert s.coefficient(1).prec == 6
 
     def test_jordan_closed_form(self):
         # S(r, q, t) = Exp(q^{-r} t / ((1-q)(1-t))) for the one-loop quiver
-        order = 5
+        order, prec = 5, 12
         for r in (0, 1, 2):
-            lhs = nakajima_partition_sum(JORDAN, (r,), order)
-            coeff = RationalFn.q_power(-r) / (RationalFn.one() - RationalFn.q_power(1))
+            lhs = nakajima_partition_sum(JORDAN, (r,), order, prec)
+            coeff = QSeries(LaurentPoly.lefschetz(-r), math.inf) * _inverse_q_pochhammers(1, prec)[1]
             arg = TruncatedSeries(
                 {(m,): coeff for m in range(1, order + 1)}, order)
-            assert lhs == exp_pleth(arg)
+            rhs = exp_pleth(arg)
+            assert lhs == rhs
+            assert min(c.prec for _, c in rhs.coefficients()) >= prec - order * r
 
     def test_two_vertex_quiver_runs(self):
-        s = nakajima_partition_sum(A2_QUIVER, (1, 0), 2)
-        assert s.coefficient((0, 0)) == RationalFn.one()
+        s = nakajima_partition_sum(A2_QUIVER, (1, 0), 2, 3)
+        assert s.coefficient((0, 0)) == 1
         assert s.arity == 2
 
 
@@ -183,3 +185,57 @@ class TestHeine:
     def test_heine_reports_order(self):
         r = verify_heine(4)
         assert "4" in r.detail
+
+
+def _sympy_motive_series(sp, quiver, w, order):
+    """sum_v [M(v, w)] z^v from S(w)/S(0) computed in sympy's field Q(q):
+    an exact reference that shares no arithmetic with QSeries or its window."""
+    q, L = sp.symbols("q L")
+
+    def partition_sum(framing):
+        out = {}
+        for theta in partition_collections(quiver.vertices, order):
+            depth = max((len(p) for p in theta), default=0)
+            parts = [tuple(p[k] if k < len(p) else 0 for p in theta)
+                     for k in range(depth + 1)]
+            term = q ** -sum(x * y for x, y in zip(framing, parts[0]))
+            for k in range(depth):
+                term *= q ** euler_form(quiver, parts[k], parts[k])
+                for m in (x - y for x, y in zip(parts[k], parts[k + 1])):
+                    term /= sp.prod([1 - q ** j for j in range(1, m + 1)])
+            v = tuple(sum(p) for p in theta)
+            out[v] = out.get(v, 0) + term
+        return out
+
+    def below(v):
+        return itertools.product(*(range(x + 1) for x in v))
+
+    sw, s0 = partition_sum(w), partition_sum(tuple(0 for _ in w))
+    keys = sorted(s0, key=lambda v: (sum(v), v))
+    inv = {}
+    for v in keys:
+        inv[v] = 1 if not any(v) else sp.cancel(
+            -sum(s0[u] * inv[tuple(a - b for a, b in zip(v, u))]
+                 for u in below(v) if any(u)))
+    out = {}
+    for v in keys:
+        ratio = sum(sw[u] * inv[tuple(a - b for a, b in zip(v, u))] for u in below(v))
+        half = nakajima_dim(quiver, v, w) // 2
+        motive = sp.Poly(sp.cancel(L ** half * ratio.subs(q, 1 / L)), L)
+        out[v] = LaurentPoly({e: int(c) for (e,), c in motive.terms()})
+    return out
+
+
+class TestSympyReference:
+    @pytest.mark.parametrize("quiver, w", [
+        (JORDAN, (2,)),
+        (Quiver(1, ((0, 0), (0, 0))), (1,)),
+        (Quiver(2, ((0, 1), (1, 1))), (1, 1)),
+    ])
+    def test_motive_series_matches_field_computation(self, quiver, w):
+        sp = pytest.importorskip("sympy")
+        order = 3
+        expect = _sympy_motive_series(sp, quiver, w, order)
+        got = nakajima_motive_series(quiver, w, order)
+        assert {v: got.coefficient(v) for v in expect} == expect
+        assert all(v in expect for v, _ in got.coefficients())

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quotmotives.rings import (ExactnessError, LaurentPoly, RationalFn,
+from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries,
                                affine_class, dual, eval_int, projective_class)
 
 
@@ -11,13 +12,14 @@ laurents = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5)\
     .map(LaurentPoly)
 
 
-def poly_tuples(max_deg=4, max_coeff=6):
-    return st.lists(st.integers(-max_coeff, max_coeff), min_size=1,
-                    max_size=max_deg + 1).map(tuple)
+precisions = st.one_of(st.integers(-4, 8), st.just(math.inf))
 
 
-rationals = st.tuples(poly_tuples(), poly_tuples().filter(lambda a: any(a)))\
-    .map(lambda nd: RationalFn(*nd))
+def qs(terms: dict, prec) -> QSeries:
+    return QSeries(LaurentPoly(terms), prec)
+
+
+qseries = st.builds(QSeries, laurents, precisions)
 
 
 class TestLaurentPoly:
@@ -93,90 +95,67 @@ class TestLaurentPoly:
             projective_class(1) * Fraction(1, 2)
 
 
-class TestRationalFn:
-    def test_canonical_form(self):
-        # 6/(2q) reduces to 3/q
-        f = RationalFn((6,), (0, 2))
-        assert f.numerator == (3,)
-        assert f.denominator == (0, 1)
-        # sign lives in the numerator
-        g = RationalFn((1,), (0, -1))
-        assert g.numerator == (-1,)
-        assert g.denominator == (0, 1)
+class TestQSeries:
+    def test_terms_below_precision(self):
+        f = qs({-1: 2, 0: 0, 3: 1, 4: 5}, 4)
+        assert f.terms() == [(-1, 2), (3, 1)]
+        assert f.known == LaurentPoly({-1: 2, 3: 1})
+        assert f.valuation() == -1
+        assert qs({5: 1}, 4).valuation() == 4
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFn((1,), ())
+    def test_exact_values(self):
+        one = QSeries.one()
+        assert one.prec == math.inf
+        assert qs({3: 1}, math.inf) * qs({-3: 1}, math.inf) == one
+        assert (qs({3: 1}, math.inf) * 0).prec == math.inf
+        assert 2 * one - 1 == one
 
-    def test_reduction(self):
-        # (q^2 - 1)/(q - 1) = q + 1
-        f = RationalFn((-1, 0, 1), (-1, 1))
-        assert f.is_polynomial
-        assert f.numerator == (1, 1)
+    def test_bool(self):
+        # only an exact zero is falsy: O(q^N) may hide a nonzero series
+        assert not qs({}, math.inf)
+        assert qs({}, 3)
+        assert qs({5: 1}, 3)
+        assert qs({0: 1}, math.inf)
 
-    @given(rationals, rationals, rationals)
-    def test_field_axioms(self, a, b, c):
+    def test_precision_tracking(self):
+        a = qs({-2: 1, 0: 1}, 3)     # q^-2 + 1 + O(q^3)
+        b = qs({1: 1}, 5)            # q + O(q^5)
+        assert (a + b).prec == 3
+        assert (a * b).prec == min(-2 + 5, 1 + 3)
+        assert (a * b) == qs({-1: 1, 1: 1}, 3)
+
+    def test_equality_at_common_precision(self):
+        assert qs({0: 1, 2: 7}, 3) == qs({0: 1}, 2)
+        assert qs({0: 1, 2: 7}, 3) != qs({0: 1}, 3)
+        assert qs({}, 0) == qs({0: 9}, 1)
+
+    @given(qseries, qseries, qseries)
+    def test_ring_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a - a == RationalFn.zero()
+        assert a - a == qs({}, a.prec)
 
-    @given(rationals)
-    def test_reciprocal(self, a):
-        if a:
-            assert a * a.reciprocal() == RationalFn.one()
-
-    @given(laurents, laurents)
-    def test_embedding_is_homomorphism(self, f, g):
-        ef, eg = RationalFn.from_laurent(f), RationalFn.from_laurent(g)
-        assert RationalFn.from_laurent(f + g) == ef + eg
-        assert RationalFn.from_laurent(f * g) == ef * eg
-
-    @given(laurents)
-    def test_embedding_round_trip(self, f):
-        assert RationalFn.from_laurent(f).to_laurent() == f
-
-    def test_to_laurent_requires_monomial_denominator(self):
-        f = RationalFn((1,), (-1, 1))  # 1/(q-1)
-        with pytest.raises(ExactnessError):
-            f.to_laurent()
-
-    def test_q_power(self):
-        assert RationalFn.q_power(3).numerator == (0, 0, 0, 1)
-        neg = RationalFn.q_power(-2)
-        assert neg.numerator == (1,)
-        assert neg.denominator == (0, 0, 1)
-        assert RationalFn.q_power(3) * RationalFn.q_power(-3) == RationalFn.one()
+    @given(laurents, laurents, precisions, precisions, st.integers(1, 3))
+    def test_truncation_is_homomorphism(self, f, g, m, n, k):
+        # every coefficient a result claims to know is the true one
+        a, b = QSeries(f, m), QSeries(g, n)
+        assert a + b == QSeries(f + g, math.inf)
+        assert a - b == QSeries(f - g, math.inf)
+        assert a * b == QSeries(f * g, math.inf)
+        assert a.adams(k) == QSeries(f.adams(k), math.inf)
 
     def test_adams(self):
-        # (1+q)/(1-q) under q -> q^2
-        f = RationalFn((1, 1), (1, -1))
+        f = qs({0: 1, 1: 1}, 3)
         g = f.adams(2)
-        assert g == RationalFn((1, 0, 1), (1, 0, -1))
+        assert g.prec == 6
+        assert g == qs({0: 1, 2: 1}, 6)
+        with pytest.raises(ValueError):
+            f.adams(0)
 
-    def test_subst_recip(self):
-        f = RationalFn((0, 1))  # q
-        assert f.subst_recip() == RationalFn.q_power(-1)
-        g = RationalFn((1, 1), (1, -1))  # (1+q)/(1-q)
-        h = g.subst_recip()
-        assert h == RationalFn((1, 1), (-1, 1))
-
-    @given(rationals)
-    def test_subst_recip_involution(self, a):
-        assert a.subst_recip().subst_recip() == a
-
-    @given(rationals, st.integers(1, 3))
-    def test_adams_matches_evaluation(self, a, k):
-        x = Fraction(3, 2)
-        try:
-            lhs = a.adams(k).evaluate(x)
-            rhs = a.evaluate(x ** k)
-        except ZeroDivisionError:
-            return
-        assert lhs == rhs
-
-    def test_evaluate(self):
-        f = RationalFn((1, 1), (1, -1))
-        assert f.evaluate(Fraction(1, 2)) == 3
-        with pytest.raises(ZeroDivisionError):
-            f.evaluate(1)
+    def test_division_by_int_is_exact(self):
+        f = qs({0: 2, 1: 4, 5: 3}, 3)
+        assert f / 2 == qs({0: 1, 1: 2}, 3)
+        with pytest.raises(ExactnessError):
+            qs({0: 3}, 3) / 2

@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quotmotives.rings import LaurentPoly, RationalFn
+from quotmotives.rings import LaurentPoly, QSeries
 from quotmotives.series import (TruncatedSeries, geometric_series, series_exp,
                                 series_log)
 
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6), max_size=4)\
     .map(LaurentPoly)
+
+
+def qs(terms: dict, prec) -> QSeries:
+    return QSeries(LaurentPoly(terms), prec)
 
 
 def univariate(order=6):
@@ -88,10 +93,15 @@ class TestInvert:
         with pytest.raises(ZeroDivisionError):
             TruncatedSeries({(1,): 1}, 3).invert()
 
-    def test_rationalfn_constant_inverts(self):
-        c = RationalFn((1, -1))  # 1 - q is a unit of the fraction field
-        s = TruncatedSeries({(0,): c, (1,): RationalFn.one()}, 4)
-        assert s * s.invert() == TruncatedSeries.constant(RationalFn.one(), 4)
+    def test_qseries_constant_inverts(self):
+        c = qs({-1: -1}, 5)  # -q^-1 + O(q^5), a monomial unit
+        s = TruncatedSeries({(0,): c, (1,): qs({0: 1, 1: 1}, 4)}, 4)
+        inv = s.invert()
+        assert inv.coefficient(0) == qs({1: -1}, 7)
+        assert inv.coefficient(0).prec == 7
+        assert s * inv == TruncatedSeries.constant(QSeries.one(), 4)
+        with pytest.raises(ArithmeticError):
+            TruncatedSeries({(0,): qs({0: 1, 1: 1}, 5)}, 2).invert()
 
 
 class TestSubstitutions:
@@ -132,6 +142,28 @@ def projective(d):
     return LaurentPoly({e: 1 for e in range(d + 1)})
 
 
+class TestZeroCoefficients:
+    def test_zero_test_builds_no_laurent_poly(self, monkeypatch):
+        coeffs = {(0,): LaurentPoly(), (1,): LaurentPoly.lefschetz(), (2,): 0}
+        built = []
+        init = LaurentPoly.__init__
+
+        def counting_init(self, terms=None):
+            built.append(terms)
+            init(self, terms)
+
+        monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+        s = TruncatedSeries(coeffs, 3)
+        assert built == []
+        assert s.coefficients() == [((1,), LaurentPoly.lefschetz())]
+
+    def test_inexact_zero_is_kept(self):
+        unknown = qs({}, 3)          # O(q^3): not known to vanish
+        s = TruncatedSeries({(0,): qs({}, math.inf), (1,): unknown}, 2)
+        assert s.coefficients() == [((1,), unknown)]
+        assert s.coefficient(1).prec == 3
+
+
 class TestMultivariate:
     def test_total_degree_truncation(self):
         s = TruncatedSeries({(1, 2): 1, (2, 2): 1}, 3, arity=2)
@@ -160,6 +192,14 @@ class TestExpLog:
     def test_log_requires_one(self):
         with pytest.raises(ValueError):
             series_log(TruncatedSeries.constant(Fraction(2), 3))
+
+    def test_int_coefficients_give_fractions(self):
+        e = series_exp(TruncatedSeries({(1,): 1}, 3))
+        assert e.coefficient(3) == Fraction(1, 6)
+        assert all(isinstance(c, (int, Fraction)) for _, c in e.coefficients())
+        g = series_log(TruncatedSeries({(0,): 1, (1,): 1, (2,): 3}, 4))
+        assert g.coefficient(4) == Fraction(-7, 4)  # -9/2 + 9/3 - 1/4
+        assert all(isinstance(c, Fraction) for _, c in g.coefficients())
 
     def test_exp_multivariate(self):
         g = TruncatedSeries({(1, 0): Fraction(1), (0, 1): Fraction(1)}, 4, arity=2)
