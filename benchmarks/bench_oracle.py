@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the two enumeration kernels (compiled Cython vs pure Python).
+"""Benchmark the class-sum oracle kernel against the brute-force reference.
 
-Runs a fixed grid of oracle counts on each available backend, checks the
-results agree, and prints a timing table with the speedup.
+Runs a fixed grid of raw stable counts through `oracle.raw_stable_count`
+(conjugacy classes and the submodule DP) and through `_enum_py`
+(every matrix tuple and framing), checks that they agree exactly, and
+prints a timing table.  Exits with status 1 on a mismatch.
 
 Usage:  python3 benchmarks/bench_oracle.py [--quick]
 """
@@ -11,12 +13,7 @@ import argparse
 import sys
 import time
 
-from quotmotives import _enum_py
-
-try:
-    from quotmotives import _enum_cy
-except ImportError:
-    _enum_cy = None
+from quotmotives import _enum_py, oracle
 
 FULL_GRID = [
     # (n, r, q, d, punctual)
@@ -34,9 +31,9 @@ FULL_GRID = [
 QUICK_GRID = FULL_GRID[:3] + [FULL_GRID[5]]
 
 
-def bench(kernel, case):
+def timed(fn, case):
     t0 = time.perf_counter()
-    value = kernel.count_stable(*case)
+    value = fn(*case)
     return value, time.perf_counter() - t0
 
 
@@ -47,35 +44,26 @@ def main() -> int:
     args = parser.parse_args()
     grid = QUICK_GRID if args.quick else FULL_GRID
 
-    if _enum_cy is None:
-        print("compiled kernel not built; timing the pure-Python kernel only\n")
-
-    header = f"{'case (n,r,q,d,punctual)':<28} {'python':>10}"
-    if _enum_cy is not None:
-        header += f" {'compiled':>10} {'speedup':>9}"
+    header = (f"{'case (n,r,q,d,punctual)':<28} {'class-sum':>10} "
+              f"{'brute':>10} {'speedup':>9}")
     print(header)
     print("-" * len(header))
 
     totals = [0.0, 0.0]
     for case in grid:
-        v_py, t_py = bench(_enum_py, case)
-        totals[0] += t_py
-        row = f"{str(case):<28} {t_py:>9.3f}s"
-        if _enum_cy is not None:
-            v_cy, t_cy = bench(_enum_cy, case)
-            totals[1] += t_cy
-            if v_py != v_cy:
-                print(f"MISMATCH on {case}: python={v_py} compiled={v_cy}")
-                return 1
-            row += f" {t_cy:>9.3f}s {t_py / t_cy if t_cy else float('inf'):>8.1f}x"
-        print(row)
+        fast, t_fast = timed(oracle.raw_stable_count, case)
+        brute, t_brute = timed(_enum_py.count_stable, case)
+        if fast != brute:
+            print(f"MISMATCH on {case}: class-sum={fast} brute={brute}")
+            return 1
+        totals[0] += t_fast
+        totals[1] += t_brute
+        print(f"{str(case):<28} {t_fast:>9.3f}s {t_brute:>9.3f}s "
+              f"{t_brute / t_fast if t_fast else float('inf'):>8.1f}x")
 
     print("-" * len(header))
-    summary = f"{'total':<28} {totals[0]:>9.3f}s"
-    if _enum_cy is not None:
-        summary += (f" {totals[1]:>9.3f}s"
-                    f" {totals[0] / totals[1] if totals[1] else float('inf'):>8.1f}x")
-    print(summary)
+    print(f"{'total':<28} {totals[0]:>9.3f}s {totals[1]:>9.3f}s "
+          f"{totals[1] / totals[0] if totals[0] else float('inf'):>8.1f}x")
     return 0
 
 

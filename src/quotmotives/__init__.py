@@ -1,6 +1,6 @@
 """Exact generating series of motivic classes for Quot schemes and
-Nakajima quiver varieties, verified against brute-force point counts
-over small finite fields.
+Nakajima quiver varieties, verified against point counts over
+small finite fields.
 
 All arithmetic is exact: classes are integer Laurent polynomials in the
 Lefschetz class L, series are truncated at an explicit order, and quiver

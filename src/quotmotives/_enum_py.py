@@ -1,6 +1,7 @@
-"""Pure-Python enumeration kernel for the finite-field counting oracle.
+"""Brute-force enumeration for the finite-field counting oracle.
 
-Semantics shared with the compiled kernel (_enum_cy):
+The test reference for the class-sum kernel `_classsum`: it visits
+every matrix tuple and every framing, so it only reaches small cases.
 
 * matrices over F_q are enumerated as base-q digit strings, row-major,
   most significant digit first: index i encodes the matrix whose (row,

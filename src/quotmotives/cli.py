@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="compare a brute-force count with the formula")
+    p = sub.add_parser("oracle", help="compare an exact F_q point count with the formula")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--q", type=int, required=True)

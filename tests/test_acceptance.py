@@ -76,6 +76,7 @@ PUNCTUAL_GRID = (
     [(n, r, 1, q) for n in (0, 1, 2, 3) for r in (1, 2) for q in (2, 3)]
     + [(n, r, 2, q) for n in (0, 1, 2) for r in (1, 2) for q in (2, 3)]
     + [(4, 1, 1, 2), (3, 1, 2, 2)]  # stretch cases
+    + [(3, r, 2, 3) for r in (1, 2)]  # surfaces at q = 3
 )
 
 
@@ -91,7 +92,7 @@ def test_criterion_06_oracle_punctual(capsys):
 
 GLOBAL_GRID = (
     [(n, r, 1, 2) for n in (0, 1, 2, 3) for r in (1, 2)]
-    + [(n, r, 2, 2) for n in (0, 1, 2) for r in (1, 2)]
+    + [(n, r, 2, 2) for n in (0, 1, 2, 3) for r in (1, 2)]
 )
 
 

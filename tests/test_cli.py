@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quotmotives import quiver, quot
+from quotmotives import _classsum, quiver, quot
 from quotmotives.cli import main
 from quotmotives.rings import ExactnessError
 
@@ -182,6 +182,45 @@ class TestOracle:
                                "--q", "2", "--dim", "1")
         assert code == 2
         assert "budget" in err
+
+
+class TestCentralizerSelfCheck:
+    """A wrong centralizer order breaks the class equation, which every
+    oracle count checks: exit code 3, never a wrong count."""
+
+    ARGV = ["oracle", "--n", "3", "--rank", "1", "--q", "2", "--dim", "1",
+            "--punctual"]
+
+    def test_wrong_centralizer_is_internal_error(self, capsys, monkeypatch):
+        order = _classsum._centralizer_order
+        monkeypatch.setattr(_classsum, "_centralizer_order",
+                            lambda *args: 2 * order(*args))
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+
+    def test_check_survives_optimized_mode(self):
+        script = (
+            "import sys\n"
+            "from quotmotives import _classsum, cli\n"
+            "order = _classsum._centralizer_order\n"
+            "factor = 1 + int(sys.argv[1])\n"
+            "_classsum._centralizer_order = lambda *args: factor * order(*args)\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        runs = {}
+        for corrupt in (0, 1):
+            runs[corrupt] = subprocess.run(
+                [sys.executable, "-O", "-c", script, str(corrupt), *self.ARGV],
+                capture_output=True, text=True, env=env, timeout=120)
+        assert runs[0].returncode == 0
+        assert list(csv.reader(io.StringIO(runs[0].stdout)))[1][10] == "pass"
+        assert runs[1].returncode == 3
+        assert runs[1].stdout == ""
+        assert runs[1].stderr.startswith("internal error:")
 
 
 class TestCounts:

@@ -1,17 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from quotmotives import _enum_py
+from quotmotives import _classsum, _enum_py
 from quotmotives.oracle import (BudgetError, count_global_affine,
                                 count_punctual, gl_order, is_stable,
                                 raw_stable_count)
-
-try:
-    from quotmotives import _enum_cy
-    BACKENDS = [("python", _enum_py), ("compiled", _enum_cy)]
-except ImportError:
-    BACKENDS = [("python", _enum_py)]
 
 
 class TestGlOrder:
@@ -113,6 +108,17 @@ class TestBudget:
         with pytest.raises(BudgetError):
             count_punctual(4, 1, 2, 2)
 
+    def test_work_estimate_rejects_before_counting(self, monkeypatch):
+        # within the n/r/q caps, but minutes of work
+        def never(*args):
+            raise AssertionError("the framing DP ran")
+
+        monkeypatch.setattr(_classsum, "_generating_tuples", never)
+        with pytest.raises(BudgetError, match="563500000 work units"):
+            count_global_affine(4, 8, 5, 1)
+        with pytest.raises(BudgetError, match="work units"):
+            count_global_affine(3, 1, 5, 2)
+
     def test_field(self):
         with pytest.raises(BudgetError):
             count_punctual(1, 1, 4, 1)
@@ -120,30 +126,78 @@ class TestBudget:
             count_punctual(1, 1, 7, 1)
 
 
-@pytest.mark.parametrize("name,kernel", BACKENDS)
 class TestKernels:
-    def test_known_small_counts(self, name, kernel):
-        assert kernel.count_stable(1, 2, 2, 1, True) == 3
-        assert kernel.count_stable(2, 1, 2, 2, True) == 3 * gl_order(2, 2)
+    """The brute-force reference kernel itself."""
 
-    def test_range_partition(self, name, kernel):
+    def test_known_small_counts(self):
+        assert _enum_py.count_stable(1, 2, 2, 1, True) == 3
+        assert _enum_py.count_stable(2, 1, 2, 2, True) == 3 * gl_order(2, 2)
+
+    def test_range_partition(self):
         n, r, q, d = 2, 1, 2, 1
         total = q ** (n * n)
-        full = kernel.count_stable(n, r, q, d, False)
+        full = _enum_py.count_stable(n, r, q, d, False)
         mid = total // 3
-        split = (kernel.count_stable(n, r, q, d, False, 0, mid)
-                 + kernel.count_stable(n, r, q, d, False, mid, total))
+        split = (_enum_py.count_stable(n, r, q, d, False, 0, mid)
+                 + _enum_py.count_stable(n, r, q, d, False, mid, total))
         assert split == full
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-class TestBackendAgreement:
-    @pytest.mark.parametrize("n,r,q,d,punctual", [
-        (1, 1, 2, 1, True), (2, 1, 2, 1, True), (2, 2, 2, 1, False),
-        (1, 2, 3, 2, True), (2, 1, 2, 2, True), (2, 2, 2, 2, False),
-        (2, 1, 3, 1, False), (0, 2, 2, 2, True),
-    ])
-    def test_counts_match(self, n, r, q, d, punctual):
-        a = _enum_py.count_stable(n, r, q, d, punctual)
-        b = _enum_cy.count_stable(n, r, q, d, punctual)
-        assert a == b
+# The small-tier cases of perfbench.workloads.oracle_pool() (brute-force
+# work <= 10 000), then larger cases the brute force still finishes.
+BRUTE_FORCE_GRID = [
+    (2, 1, 2, 1, True), (2, 1, 2, 1, False), (2, 1, 2, 2, True),
+    (2, 1, 2, 2, False), (2, 1, 3, 1, True), (2, 1, 3, 1, False),
+    (2, 1, 3, 2, True), (2, 1, 5, 1, True), (2, 2, 2, 1, True),
+    (2, 2, 2, 1, False), (2, 2, 2, 2, True), (2, 2, 2, 2, False),
+    (2, 2, 3, 1, True), (2, 2, 3, 1, False), (2, 3, 2, 1, True),
+    (2, 3, 2, 1, False), (2, 3, 2, 2, True), (2, 3, 3, 1, True),
+    (3, 1, 2, 1, True), (3, 1, 2, 1, False), (3, 2, 2, 1, True),
+    (4, 1, 2, 1, True), (3, 1, 2, 2, True), (2, 2, 3, 2, True),
+    (2, 2, 2, 2, False),
+]
+
+
+class TestClassSum:
+    @pytest.mark.parametrize("n,r,q,d,punctual", BRUTE_FORCE_GRID)
+    def test_matches_brute_force(self, n, r, q, d, punctual):
+        assert (raw_stable_count(n, r, q, d, punctual)
+                == _enum_py.count_stable(n, r, q, d, punctual))
+
+    def test_commuting_pairs_feit_fine(self):
+        # sum over classes of |class| * |C(x)| counts the commuting pairs,
+        # sum_n |C_n| / |GL_n| u^n = prod_{i>=1} prod_{j>=0} (1 - q^(1-j) u^i)^-1
+        known = {(1, 2): 4, (2, 2): 88, (3, 2): 7456,
+                 (1, 3): 9, (2, 3): 945, (3, 3): 809433}
+        for n, q in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (4, 2)]:
+            classes = _classsum.conjugacy_classes(n, q, False)
+            pairs = sum(size * q ** len(basis) for _, size, basis in classes)
+            assert pairs == gl_order(n, q) * _feit_fine(n, q)
+            assert pairs == known.get((n, q), pairs)
+
+    def test_number_of_classes(self):
+        # similarity classes of n x n matrices: sum over partitions of n of
+        # q^(number of parts); nilpotent ones: one per partition
+        for n, q in [(1, 2), (2, 3), (3, 2), (3, 5), (4, 2), (4, 3)]:
+            parts = list(_classsum._partitions(n, n))
+            classes = _classsum.conjugacy_classes(n, q, False)
+            assert len(classes) == sum(q ** len(p) for p in parts)
+            assert len(_classsum.conjugacy_classes(n, q, True)) == len(parts)
+
+
+def _feit_fine(n, q):
+    """u^n coefficient of prod_{i>=1} prod_{j>=0} (1 - q^(1-j) u^i)^-1.
+
+    For fixed i the product over j is sum_k (q x)^k / prod_{l<=k} (1 - q^-l)
+    with x = u^i (Euler)."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * n
+    for i in range(1, n + 1):
+        factor = [Fraction(0)] * (n + 1)
+        term = Fraction(1)
+        for k in range(n // i + 1):
+            if k:
+                term *= Fraction(q) / (1 - Fraction(1, q ** k))
+            factor[i * k] = term
+        coeffs = [sum(coeffs[a] * factor[m - a] for a in range(m + 1))
+                  for m in range(n + 1)]
+    return coeffs[n]
