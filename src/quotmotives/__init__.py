@@ -10,7 +10,7 @@ that is derived from the inputs and large enough to make them exact.
 
 from .rings import (ExactnessError, LaurentPoly, QSeries, affine_class, dual,
                     eval_int, projective_class)
-from .series import TruncatedSeries, geometric_series, series_exp, series_log
+from .series import TruncatedSeries, geometric_series
 from .plethystic import (exp_pleth, exp_pleth_product, log_pleth,
                          power_structure, symmetric_power, verify_power_axioms)
 from .quiver import (Quiver, euler_form, nakajima_dim, nakajima_motive_series,
@@ -41,8 +41,7 @@ __all__ = [
     "partition_collections", "partitions_of", "point_count_series",
     "power_structure", "projective_class",
     "punctual_quot_series", "q_pochhammer", "quot_affine_plane_series",
-    "quot_series", "raw_stable_count", "series_exp", "series_log",
-    "symmetric_power", "verify_class1_closed",
+    "quot_series", "raw_stable_count", "symmetric_power", "verify_class1_closed",
     "verify_duality", "verify_heine", "verify_power_axioms",
     "verify_product_vs_exp", "verify_zeta_product_curve",
     "verify_zeta_product_surface", "zeta_series",

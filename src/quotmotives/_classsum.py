@@ -32,6 +32,7 @@ import itertools
 
 from . import _enum_py
 from .oracle import gl_order
+from .quiver import partitions_of
 
 
 def class_sum(classes: list, n: int, r: int, q: int, d: int, punctual: bool) -> int:
@@ -98,18 +99,9 @@ def _block_data(n: int, irreducibles: list, start: int):
         p = irreducibles[i]
         e = len(p) - 1
         for size in range(1, n // e + 1):
-            for part in _partitions(size, size):
+            for part in partitions_of(size):
                 for rest in _block_data(n - e * size, irreducibles, i + 1):
                     yield [(p, part)] + rest
-
-
-def _partitions(n: int, largest: int):
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
 
 
 def _irreducibles(n: int, q: int) -> list:

@@ -101,11 +101,10 @@ def _formula_count(n: int, r: int, q: int, d: int, punctual: bool) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    raw = oracle.raw_stable_count(args.n, args.rank, args.q, args.dim, args.punctual)
+    raw, count = oracle.orbit_count(args.n, args.rank, args.q, args.dim, args.punctual)
     g = oracle.gl_order(args.n, args.q)
-    count = raw // g
     formula = _formula_count(args.n, args.rank, args.q, args.dim, args.punctual)
-    ok = raw % g == 0 and count == formula
+    ok = count == formula
     writer = csv.writer(sys.stdout)
     writer.writerow(["format", "n", "r", "q", "dim", "punctual",
                      "raw_stable_count", "gl_order", "count", "formula", "status"])

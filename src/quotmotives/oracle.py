@@ -98,23 +98,25 @@ def raw_stable_count(n: int, r: int, q: int, d: int, punctual: bool) -> int:
     return _classsum.class_sum(classes, n, r, q, d, punctual)
 
 
-def _orbit_count(n: int, r: int, q: int, d: int, punctual: bool) -> int:
+def orbit_count(n: int, r: int, q: int, d: int, punctual: bool) -> tuple:
+    """(raw, raw / |GL_n(F_q)|): the raw stable count and the number of
+    points, with the division checked to be exact."""
     raw = raw_stable_count(n, r, q, d, punctual)
     g = gl_order(n, q)
     if raw % g:
         raise ArithmeticError(
             f"stable-instance count {raw} is not divisible by |GL_{n}(F_{q})| = {g}; "
             "this indicates a bug in the stability test")
-    return raw // g
+    return raw, raw // g
 
 
 def count_punctual(n: int, r: int, q: int, d: int) -> int:
     """Number of F_q-points of the punctual Quot scheme (quotients of the
     trivial rank-r sheaf on affine d-space supported at the origin)."""
-    return _orbit_count(n, r, q, d, punctual=True)
+    return orbit_count(n, r, q, d, punctual=True)[1]
 
 
 def count_global_affine(n: int, r: int, q: int, d: int) -> int:
     """Number of F_q-points of the Quot scheme of the trivial rank-r sheaf
     on affine d-space."""
-    return _orbit_count(n, r, q, d, punctual=False)
+    return orbit_count(n, r, q, d, punctual=False)[1]

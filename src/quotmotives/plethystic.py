@@ -28,8 +28,7 @@ import random
 
 from .rings import ExactnessError, LaurentPoly, QSeries
 from .report import CheckReport
-from .series import (TruncatedSeries, _divide_by_degree, _euler, _exp_of_euler,
-                     geometric_series)
+from .series import TruncatedSeries, _solve_layers, geometric_series
 
 
 def _mobius(n: int) -> int:
@@ -45,6 +44,12 @@ def _mobius(n: int) -> int:
     if n > 1:
         out = -out
     return out
+
+
+def _euler(s: TruncatedSeries) -> TruncatedSeries:
+    """The Euler operator E: the total-degree-n part multiplied by n."""
+    return TruncatedSeries({m: c * sum(m) for m, c in s._coeffs.items()},
+                           s.order, s.arity)
 
 
 def _adams_sum(s: TruncatedSeries, sign) -> TruncatedSeries:
@@ -77,7 +82,8 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     f = _coerce_laurent_coeffs(f)
     # h_0 is the unit of the coefficient ring (LaurentPoly or QSeries)
     one = next((type(c).one() for c in f._coeffs.values()), LaurentPoly.one())
-    return _exp_of_euler(_adams_sum(_euler(f), lambda k: 1), one)
+    g = _adams_sum(_euler(f), lambda k: 1)
+    return _solve_layers(g, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
 
 
 def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
@@ -85,7 +91,10 @@ def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
-    return _divide_by_degree(_adams_sum(_euler(g) * g.invert(), _mobius))
+    eh = _adams_sum(_euler(g) * g.invert(), _mobius)
+    # undo E: each division by the total degree is exact or raises ExactnessError
+    return TruncatedSeries({m: c / sum(m) for m, c in eh._coeffs.items()},
+                           eh.order, eh.arity)
 
 
 def exp_pleth_product(f: TruncatedSeries) -> TruncatedSeries:

@@ -131,20 +131,15 @@ def verify_product_vs_exp(r: int, order: int) -> CheckReport:
     surface series."""
     lhs = jordan_product_series(r, order)
     rhs = punctual_quot_series(r, 2, order)
-    ok = lhs == rhs
-    detail = (f"r={r}, order {order}" if ok
-              else f"first difference at {lhs.first_difference(rhs)}")
-    return CheckReport("product-vs-exp", ok, detail)
+    return CheckReport.compare("product-vs-exp", lhs, rhs, f"r={r}, order {order}")
 
 
 def verify_class1_closed(r: int, order: int) -> CheckReport:
     """Partition-sum motive series of the one-loop quiver vs the closed form."""
     summed = nakajima_motive_series(Quiver.jordan(), (r,), order)
     closed = nakajima_framed_series(r, order)
-    ok = summed == closed
-    detail = (f"r={r}, order {order}" if ok
-              else f"first difference at {summed.first_difference(closed)}")
-    return CheckReport("class1-vs-closed", ok, detail)
+    return CheckReport.compare("class1-vs-closed", summed, closed,
+                               f"r={r}, order {order}")
 
 
 def verify_duality(r: int, n_max: int) -> CheckReport:

@@ -7,19 +7,17 @@ two series are compared only up to their common order.  Series are
 univariate in t (arity 1) or live in a vertex-indexed family of
 variables (arity = number of vertices), graded by total degree.
 
-Coefficients may be ints, ``fractions.Fraction``, :class:`LaurentPoly`
-or :class:`QSeries`; the arithmetic is duck-typed and mixing genuinely
-incompatible rings fails in the coefficient operations.  A coefficient
-is dropped only when it is falsy, i.e. an exact zero.  Inversion,
-``exp`` and ``log`` all solve one recurrence layered by total degree
-(:func:`_solve_layers`); ``exp`` and ``log`` divide only by degrees, so
-over Z[L, L^-1] they stay integral throughout.
+Coefficients are ints, :class:`LaurentPoly` or :class:`QSeries`, so no
+operation leaves the integers; the arithmetic is duck-typed and mixing
+genuinely incompatible rings fails in the coefficient operations.  A
+coefficient is dropped only when it is falsy, i.e. an exact zero.
+Inversion needs a unit constant term and solves a recurrence layered by
+total degree (:func:`_solve_layers`), which the plethystic exponential
+in :mod:`quotmotives.plethystic` shares; there is no second exp/log.
 Values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .rings import ExactnessError, LaurentPoly, QSeries
 
@@ -33,9 +31,7 @@ def _invert_coeff(c):
     if isinstance(c, int):
         if c in (1, -1):
             return c
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
+        raise ExactnessError(f"constant term {c} is not a unit of Z")
     if isinstance(c, LaurentPoly):
         t = c.terms()
         if len(t) != 1 or t[0][1] not in (1, -1):
@@ -291,7 +287,7 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# The layered recurrence behind invert, exp and log
+# The layered recurrence behind invert and Exp
 # ---------------------------------------------------------------------------
 
 def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
@@ -317,52 +313,6 @@ def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
     for layer in u:
         out.update(layer)
     return TruncatedSeries(out, order, arity)
-
-
-def _euler(s: TruncatedSeries) -> TruncatedSeries:
-    """The Euler operator E: the total-degree-n part multiplied by n."""
-    return TruncatedSeries({m: c * sum(m) for m, c in s._coeffs.items()},
-                           s.order, s.arity)
-
-
-def _divide_by_degree(s: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of E on series with zero constant term.  The coefficient
-    division by an int is exact in Z[L, L^-1] or raises ExactnessError."""
-    return TruncatedSeries({m: c / sum(m) for m, c in s._coeffs.items()},
-                           s.order, s.arity)
-
-
-def _exp_of_euler(eg: TruncatedSeries, one) -> TruncatedSeries:
-    """exp(g) from eg = E(g): h_0 = one and n h_n = sum_{d=1..n} eg_d h_{n-d}.
-
-    Each division by n is exact whenever exp(g) has coefficients in the
-    ring of ``eg``; ``one`` is that ring's unit."""
-    return _solve_layers(eg, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
-
-
-def _ints_to_fractions(s: TruncatedSeries) -> TruncatedSeries:
-    return s.map_coefficients(lambda c: Fraction(c) if isinstance(c, int) else c)
-
-
-def series_exp(g: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term.
-
-    Uses the Euler-operator recurrence n*h_n = sum_k [E(g)]_k h_{n-k}
-    (layered by total degree), so division happens only by layer degrees;
-    coefficients must support division by an int.  Int coefficients are
-    promoted to Fraction, so the result holds no float.
-    """
-    if not (g.constant_term() == 0):
-        raise ValueError("series_exp requires zero constant term")
-    return _exp_of_euler(_euler(_ints_to_fractions(g)), 1)
-
-
-def series_log(h: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1 (inverse of :func:`series_exp`)."""
-    if not (h.constant_term() == 1):
-        raise ValueError("series_log requires constant term 1")
-    h = _ints_to_fractions(h)
-    return _divide_by_degree(_euler(h) * h.invert())
 
 
 def geometric_series(ratio_coeff, order: int, step: int = 1, arity: int = 1,

@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from quotmotives import _classsum, quiver, quot
+from quotmotives import _classsum, oracle, quiver, quot, specialize
 from quotmotives.cli import main
 from quotmotives.rings import ExactnessError
+from quotmotives.series import TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,25 @@ class TestVerify:
         assert err.startswith("internal error: inexact division")
 
 
+class TestZetaSelfCheck:
+    """The product form of a zeta function is checked against the point
+    counts of Exp([X] t); a disagreement is an internal error."""
+
+    def test_wrong_exp_is_internal_error(self, capsys, monkeypatch):
+        exp = specialize.exp_pleth
+
+        def corrupted(f):
+            s = exp(f)
+            return s + TruncatedSeries({2: 1}, s.order)
+
+        monkeypatch.setattr(specialize, "exp_pleth", corrupted)
+        code, out, err = run_cli(capsys, "verify", "zeta-curve", "--space", "P1",
+                                 "--rank", "2", "--q", "3", "--order", "4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+
+
 class TestWindowSelfCheck:
     """A precision window too small to determine the motives must fail
     loudly (exit code 3), never print a truncated series."""
@@ -182,6 +202,16 @@ class TestOracle:
                                "--q", "2", "--dim", "1")
         assert code == 2
         assert "budget" in err
+
+    def test_non_divisible_count_is_internal_error(self, capsys, monkeypatch):
+        raw = oracle.raw_stable_count
+        monkeypatch.setattr(oracle, "raw_stable_count", lambda *args: raw(*args) + 1)
+        code, out, err = run_cli(capsys, "oracle", "--n", "2", "--rank", "1",
+                                 "--q", "3", "--dim", "2", "--punctual")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "not divisible" in err
 
 
 class TestCentralizerSelfCheck:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quotmotives import _classsum, _enum_py
+from quotmotives.quiver import partitions_of
 from quotmotives.oracle import (BudgetError, count_global_affine,
                                 count_punctual, gl_order, is_stable,
                                 raw_stable_count)
@@ -179,7 +180,7 @@ class TestClassSum:
         # similarity classes of n x n matrices: sum over partitions of n of
         # q^(number of parts); nilpotent ones: one per partition
         for n, q in [(1, 2), (2, 3), (3, 2), (3, 5), (4, 2), (4, 3)]:
-            parts = list(_classsum._partitions(n, n))
+            parts = list(partitions_of(n))
             classes = _classsum.conjugacy_classes(n, q, False)
             assert len(classes) == sum(q ** len(p) for p in parts)
             assert len(_classsum.conjugacy_classes(n, q, True)) == len(parts)

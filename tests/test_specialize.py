@@ -12,6 +12,17 @@ from quotmotives.specialize import (point_count_series, verify_zeta_product_curv
 L = LaurentPoly.lefschetz()
 
 
+def exp_form(x, q, order):
+    """exp(sum_n #X(F_{q^n}) t^n / n) in exact rationals, independently of
+    the package's Exp."""
+    counts = [x.evaluate(q ** n) for n in range(1, order + 1)]
+    h = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        h[n] = sum(counts[d - 1] * h[n - d] for d in range(1, n + 1)) / n
+    assert all(c.denominator == 1 for c in h)
+    return TruncatedSeries({n: int(c) for n, c in enumerate(h)}, order)
+
+
 class TestPointCounts:
     def test_punctual_surface_counts(self):
         s = punctual_quot_series(1, 2, 3)
@@ -34,19 +45,26 @@ class TestPointCounts:
 class TestZeta:
     def test_affine_line(self):
         z = zeta_series(affine_class(1), 2, 6)
-        assert z == geometric_series(Fraction(2), 6)
+        assert z == geometric_series(2, 6)
 
     def test_p1(self):
         z = zeta_series(projective_class(1), 3, 5)
-        expect = geometric_series(Fraction(1), 5) * geometric_series(Fraction(3), 5)
+        expect = geometric_series(1, 5) * geometric_series(3, 5)
         assert z == expect
 
     def test_p2(self):
         z = zeta_series(projective_class(2), 2, 4)
-        expect = (geometric_series(Fraction(1), 4)
-                  * geometric_series(Fraction(2), 4)
-                  * geometric_series(Fraction(4), 4))
+        expect = (geometric_series(1, 4)
+                  * geometric_series(2, 4)
+                  * geometric_series(4, 4))
         assert z == expect
+
+    def test_virtual_class_has_int_coefficients(self):
+        # 2 + L - L^2 + 3L^3: the product form inverts, the counts are ints
+        x = LaurentPoly({0: 2, 1: 1, 2: -1, 3: 3})
+        z = zeta_series(x, 3, 6)
+        assert all(type(c) is int for c in z.univariate_coefficients())
+        assert z == exp_form(x, 3, 6)
 
     def test_symmetric_power_compatibility(self):
         # #S^k X(F_q) equals the value of the k-th symmetric power class
@@ -59,6 +77,31 @@ class TestZeta:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             zeta_series(L.dual(), 2, 3)
+
+
+class TestIntegerOnly:
+    """Point counts and zeta functions never leave the integers."""
+
+    def test_no_fraction_is_created(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        assert verify_zeta_product_surface(projective_class(2), 2, 3, 6).passed
+        z = zeta_series(projective_class(2), 3, 6)
+        assert made == []
+        assert all(type(c) is int for c in z.univariate_coefficients())
+
+    def test_rational_q_rejected(self):
+        # 1 + 2L t^2 takes integral values at L = 3/2, and is still rejected
+        s = TruncatedSeries({0: LaurentPoly.one(), 2: 2 * L}, 2)
+        for q in (Fraction(3, 2), Fraction(3), 0):
+            with pytest.raises(ValueError):
+                point_count_series(s, q)
 
 
 class TestZetaProducts:
