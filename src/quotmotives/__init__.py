@@ -15,8 +15,7 @@ from .plethystic import (exp_pleth, exp_pleth_product, log_pleth,
                          power_structure, symmetric_power, verify_power_axioms)
 from .quiver import (Quiver, euler_form, nakajima_dim, nakajima_motive_series,
                      nakajima_partition_sum, nilpotent_motive_series,
-                     partition_collections, partitions_of, q_pochhammer,
-                     verify_heine)
+                     partitions_of, q_pochhammer, verify_heine)
 from .quot import (UnsupportedDimensionError, compare_affine_plane_vs_framed,
                    jordan_product_series, nakajima_framed_series,
                    punctual_quot_series, quot_affine_plane_series, quot_series,
@@ -38,7 +37,7 @@ __all__ = [
     "is_stable", "jordan_product_series", "log_pleth", "nakajima_dim",
     "nakajima_framed_series", "nakajima_motive_series",
     "nakajima_partition_sum", "nilpotent_motive_series",
-    "partition_collections", "partitions_of", "point_count_series",
+    "partitions_of", "point_count_series",
     "power_structure", "projective_class",
     "punctual_quot_series", "q_pochhammer", "quot_affine_plane_series",
     "quot_series", "raw_stable_count", "symmetric_power", "verify_class1_closed",

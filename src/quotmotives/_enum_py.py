@@ -12,9 +12,7 @@ every matrix tuple and every framing, so it only reaches small cases.
   d = 2, X_1 X_2 = X_2 X_1; global counting drops nilpotency;
 * an instance is stable when the columns of f generate F_q^n under
   iterated application of the X_i (closure of the column span);
-* the kernel returns the raw number of stable instances, optionally
-  restricted to a [start, stop) range of the first matrix index, which
-  partitions the enumeration deterministically.
+* the kernel returns the raw number of stable instances.
 """
 
 from __future__ import annotations
@@ -94,15 +92,12 @@ def _stable_framing_count(mats, n: int, r: int, q: int) -> int:
     return count
 
 
-def count_stable(n: int, r: int, q: int, d: int, punctual: bool,
-                 start: int = 0, stop: int | None = None) -> int:
-    """Raw number of stable instances, outer matrix index in [start, stop)."""
+def count_stable(n: int, r: int, q: int, d: int, punctual: bool) -> int:
+    """Raw number of stable instances."""
     size = n * n
     total_mats = q ** size
-    if stop is None:
-        stop = total_mats
     count = 0
-    for idx1 in range(start, stop):
+    for idx1 in range(total_mats):
         x1 = _decode(idx1, size, q)
         if punctual and not _is_nilpotent(x1, n, q):
             continue

@@ -91,7 +91,7 @@ def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
-    eh = _adams_sum(_euler(g) * g.invert(), _mobius)
+    eh = _adams_sum(_euler(g) / g, _mobius)
     # undo E: each division by the total degree is exact or raises ExactnessError
     return TruncatedSeries({m: c / sum(m) for m, c in eh._coeffs.items()},
                            eh.order, eh.arity)

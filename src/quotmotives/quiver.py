@@ -19,6 +19,23 @@ smooth varieties is recovered from the ratio of two partition sums:
 and the nilpotent (central-fiber) classes follow from the duality
 [nilpotent]^dual = L^{-dim} [smooth].
 
+Recursion.  A collection is the same as a chain theta_1 >= theta_2 >= ...
+of nonzero part vectors, and its summand depends on the chain one
+consecutive pair at a time.  So, with F(theta) the sum over the chains
+that start at theta,
+
+    F(theta) = q^{chi(theta, theta)} z^theta
+               sum_{0 <= theta' <= theta} F(theta') / (q; q)_{theta - theta'},
+    F(0) = 1,
+
+where theta' = theta continues the chain with a repeated vector (so
+F(theta) is a geometric series in q^{chi(theta, theta)} z^theta) and
+theta' = 0 ends it.  The z^v coefficients of every F(theta) fill one
+table in order of increasing |v|, and both sums come from it:
+S(w) = 1 + sum_{theta != 0} q^{-w.theta} F(theta) and
+S(0) = 1 + sum_{theta != 0} F(theta).  The ratio is one layered
+division of power series in z.
+
 Exactness.  The ratio is computed in Z((q)) modulo a tracked power of q
 (:class:`QSeries`), at a precision derived from the inputs:
 
@@ -26,13 +43,16 @@ Exactness.  The ratio is computed in Z((q)) modulo a tracked power of q
   with d = dim M(v, w) and deg [M(v, w)] <= d, so its exponents lie in
   [-d/2, d/2] and R_v modulo q^(d/2 + 1) is R_v itself.
 * Each 1/(q; q)_m is an integer power series, computed modulo q^N with
-  no division, so a term q^a prod 1/(q; q)_m is known modulo q^(a + N);
-  sums, products and the inversion of S(0), whose constant term is
-  exactly 1, carry the precision through to every R_v.
-* Raising N by s raises every tracked precision by at least s: a sum is
-  known to the smaller precision, a product to min(v_a + N_b, v_b + N_a),
-  and the lowest known exponent v cannot drop as more coefficients
-  become known.  So a pass at N = 1 reports the precision p_v of each
+  no division.  The table uses only sums, products with the exact
+  monomials q^a, and products with these factors, so each entry is
+  known modulo q^(a + N) for a its lowest exponent; the division by
+  S(0), whose constant term is exactly 1, carries the precision through
+  to every R_v.
+* Raising N by s raises every tracked precision by at least s, since
+  the table and the division only add and multiply: a sum is known to
+  the smaller precision, a product to min(v_a + N_b, v_b + N_a), and the
+  lowest known exponent v cannot drop as more coefficients become
+  known.  So a pass at N = 1 reports the precision p_v of each
   R_v, and the window N = 1 + max(0, max_v (d_v/2 + 2 - p_v)) makes every
   R_v known modulo q^(d/2 + 2), one degree more than determines it.
 
@@ -44,6 +64,7 @@ explicitly, which survives ``python -O``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,7 +145,7 @@ def _inverse_q_pochhammers(m_max: int, prec: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Partition collections
+# Partitions and partition sums
 # ---------------------------------------------------------------------------
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -139,23 +160,74 @@ def partitions_of(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def partition_collections(vertices: int, max_total: int):
-    """All tuples of one partition per vertex with total size <= max_total."""
-    def rec(i, budget):
-        if i == vertices:
-            yield ()
-            return
-        for size in range(budget + 1):
-            for p in partitions_of(size):
-                for rest in rec(i + 1, budget - size):
-                    yield (p,) + rest
+def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
+    """{v: {theta: z^v coefficient of F(theta)}} for 0 < |v| <= order.
 
-    return rec(0, max_total)
+    F(theta) sums the chains theta = theta_1 >= theta_2 >= ... > 0 of part
+    vectors; the recursion of the module docstring fills the table in
+    order of increasing |v|.  Each 1/(q; q)_m is taken modulo q^prec.
+    """
+    inverse = _inverse_q_pochhammers(order, prec)
+    factors = {}  # d -> prod_i 1/(q; q)_{d_i}, for d != 0
+
+    def factor(d):
+        f = factors.get(d)
+        if f is None:
+            f = QSeries.one()
+            for m in d:
+                if m:
+                    f = f * inverse[m]
+            factors[d] = f
+        return f
+
+    vectors = sorted((v for v in itertools.product(range(order + 1), repeat=quiver.vertices)
+                      if 0 < sum(v) <= order), key=sum)
+    table = {}
+    for v in vectors:
+        row = {}
+        for theta in itertools.product(*(range(x + 1) for x in v)):
+            if not any(theta):
+                continue
+            u = tuple(a - b for a, b in zip(v, theta))
+            if any(u):
+                # the chain goes on with theta' <= theta; theta' = theta needs no factor
+                terms = [g if prev == theta
+                         else g * factor(tuple(a - b for a, b in zip(theta, prev)))
+                         for prev, g in table[u].items()
+                         if all(a <= b for a, b in zip(prev, theta))]
+                if not terms:
+                    continue
+                acc = sum(terms[1:], terms[0])
+            else:
+                acc = factor(theta)
+            row[theta] = _shift(acc, euler_form(quiver, theta, theta))
+        table[v] = row
+    return table
 
 
-def _part_vector(collection, k: int):
-    """theta_k: the vector of k-th parts (1-indexed; zero beyond the length)."""
-    return tuple(p[k - 1] if k <= len(p) else 0 for p in collection)
+def _shift(x: QSeries, a: int) -> QSeries:
+    """q^a x."""
+    return QSeries(LaurentPoly.lefschetz(a), math.inf) * x if a else x
+
+
+def _partition_sums(quiver: Quiver, framings, order: int, prec: int) -> list:
+    """[S(w, q, z) for w in framings], all from one chain table."""
+    if any(len(w) != quiver.vertices for w in framings):
+        raise ValueError("framing vector size does not match the quiver")
+    table = _chain_table(quiver, order, prec)
+    out = []
+    for w in framings:
+        coeffs = {(0,) * quiver.vertices: QSeries.one()}
+        for v, row in table.items():
+            # sum the terms of each power q^(-w.theta) first, then shift once
+            by_power = {}
+            for theta, g in row.items():
+                a = -sum(x * y for x, y in zip(w, theta))
+                by_power[a] = by_power[a] + g if a in by_power else g
+            shifted = [_shift(g, a) for a, g in by_power.items()]
+            coeffs[v] = sum(shifted[1:], shifted[0])
+        out.append(TruncatedSeries(coeffs, order, quiver.vertices))
+    return out
 
 
 def nakajima_partition_sum(quiver: Quiver, w, order: int, prec: int) -> TruncatedSeries:
@@ -163,32 +235,16 @@ def nakajima_partition_sum(quiver: Quiver, w, order: int, prec: int) -> Truncate
 
     The z^v coefficient is a QSeries in q; v records the partition sizes
     per vertex.  Each factor 1/(q; q)_m is taken modulo q^prec, so the
-    term q^a prod 1/(q; q)_m of a collection is known modulo q^(a + prec).
+    z^v coefficient is known modulo q^(a + prec), a the lowest exponent
+    of q in it.
     """
-    if len(w) != quiver.vertices:
-        raise ValueError("framing vector size does not match the quiver")
-    inverse = _inverse_q_pochhammers(order, prec)
-    coeffs = {}
-    for theta in partition_collections(quiver.vertices, order):
-        depth = max((len(p) for p in theta), default=0)
-        a = -sum(wi * ti for wi, ti in zip(w, _part_vector(theta, 1)))
-        term = QSeries.one()
-        for k in range(1, depth + 1):
-            tk = _part_vector(theta, k)
-            tk1 = _part_vector(theta, k + 1)
-            a += euler_form(quiver, tk, tk)
-            for mi in (x - y for x, y in zip(tk, tk1)):
-                if mi:
-                    term = term * inverse[mi]
-        v = tuple(sum(p) for p in theta)
-        coeffs[v] = coeffs.get(v, 0) + QSeries(LaurentPoly.lefschetz(a), math.inf) * term
-    return TruncatedSeries(coeffs, order, quiver.vertices)
+    return _partition_sums(quiver, [w], order, prec)[0]
 
 
 def _ratio(quiver: Quiver, w, order: int, prec: int) -> TruncatedSeries:
     """S(w)/S(0), every factor 1/(q; q)_m taken modulo q^prec."""
-    return (nakajima_partition_sum(quiver, w, order, prec)
-            * nakajima_partition_sum(quiver, tuple(0 for _ in w), order, prec).invert())
+    sw, s0 = _partition_sums(quiver, [w, (0,) * len(w)], order, prec)
+    return sw / s0
 
 
 def _window(quiver: Quiver, w, order: int) -> int:

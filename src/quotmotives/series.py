@@ -11,9 +11,11 @@ Coefficients are ints, :class:`LaurentPoly` or :class:`QSeries`, so no
 operation leaves the integers; the arithmetic is duck-typed and mixing
 genuinely incompatible rings fails in the coefficient operations.  A
 coefficient is dropped only when it is falsy, i.e. an exact zero.
-Inversion needs a unit constant term and solves a recurrence layered by
-total degree (:func:`_solve_layers`), which the plethystic exponential
-in :mod:`quotmotives.plethystic` shares; there is no second exp/log.
+Division needs a unit constant term in the denominator and solves a
+recurrence layered by total degree (:func:`_solve_layers`); inversion is
+division of 1, and the plethystic exponential in
+:mod:`quotmotives.plethystic` shares the same solver, so there is no
+second recurrence and no second exp/log.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -159,15 +161,39 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.constant_term()
+    def __truediv__(self, other):
+        """Quotient by a series whose constant term is a unit.
+
+        One layered solve: b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}, where
+        a is ``self`` and b is ``other``.
+        """
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        order = self._compat(other)
+        c0 = other.constant_term()
         if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
+            raise ZeroDivisionError("divisor has zero constant term")
         i0 = _invert_coeff(c0)
-        # c0 u_n + sum_{d>=1} a_d u_{n-d} = 0 for n >= 1
-        return _solve_layers(self, i0,
-                             lambda n, acc: {m: -(i0 * c) for m, c in acc.items() if c})
+        num = self._layers()
+        a0 = self.constant_term()
+
+        def step(n, acc):
+            layer = dict(num[n])
+            for m, c in acc.items():
+                # a + -c, since an int minus a QSeries is not defined
+                layer[m] = layer[m] + -c if m in layer else -c
+            return {m: i0 * c for m, c in layer.items() if c}
+
+        den = other if other.order == order else other.truncate(order)
+        return _solve_layers(den, i0 * a0 if a0 else 0, step)
+
+    def __rtruediv__(self, other):
+        """A coefficient divided by the series, e.g. ``1 / s``."""
+        return TruncatedSeries.constant(other, self.order, self.arity) / self
+
+    def invert(self) -> "TruncatedSeries":
+        """Multiplicative inverse ``1 / self``; the constant term must be a unit."""
+        return 1 / self
 
     def pow_int(self, k: int) -> "TruncatedSeries":
         """Integer power; negative k inverts first."""
@@ -287,7 +313,7 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# The layered recurrence behind invert and Exp
+# The layered recurrence behind division and Exp
 # ---------------------------------------------------------------------------
 
 def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:

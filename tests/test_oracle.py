@@ -134,15 +134,6 @@ class TestKernels:
         assert _enum_py.count_stable(1, 2, 2, 1, True) == 3
         assert _enum_py.count_stable(2, 1, 2, 2, True) == 3 * gl_order(2, 2)
 
-    def test_range_partition(self):
-        n, r, q, d = 2, 1, 2, 1
-        total = q ** (n * n)
-        full = _enum_py.count_stable(n, r, q, d, False)
-        mid = total // 3
-        split = (_enum_py.count_stable(n, r, q, d, False, 0, mid)
-                 + _enum_py.count_stable(n, r, q, d, False, mid, total))
-        assert split == full
-
 
 # The small-tier cases of perfbench.workloads.oracle_pool() (brute-force
 # work <= 10 000), then larger cases the brute force still finishes.

@@ -10,13 +10,50 @@ from quotmotives.plethystic import exp_pleth
 from quotmotives.quiver import (Quiver, _inverse_q_pochhammers, euler_form,
                                 nakajima_dim, nakajima_motive_series,
                                 nakajima_partition_sum, nilpotent_motive_series,
-                                partition_collections, partitions_of,
-                                q_pochhammer, verify_heine)
+                                partitions_of, q_pochhammer, verify_heine)
 
 L = LaurentPoly.lefschetz()
 JORDAN = Quiver.jordan()
 A2_QUIVER = Quiver(2, ((0, 1),))  # one arrow 0 -> 1
 POINT = Quiver(1, ())
+CYCLE3 = Quiver(3, ((0, 1), (1, 2), (2, 0)))  # oriented 3-cycle
+
+
+def _collections(vertices: int, max_total: int):
+    """All tuples of one partition per vertex with total size <= max_total:
+    the reference enumeration for the chain recursion of the package."""
+    if vertices == 0:
+        yield ()
+        return
+    for size in range(max_total + 1):
+        for p in partitions_of(size):
+            for rest in _collections(vertices - 1, max_total - size):
+                yield (p,) + rest
+
+
+def _part_vectors(collection):
+    """theta_1, theta_2, ..., theta_depth, 0: the vectors of k-th parts."""
+    depth = max((len(p) for p in collection), default=0)
+    return [tuple(p[k] if k < len(p) else 0 for p in collection)
+            for k in range(depth + 1)]
+
+
+def _enumerated_partition_sum(quiver, w, order, prec):
+    """S(w, q, z) summed collection by collection, in QSeries modulo q^prec."""
+    inverse = _inverse_q_pochhammers(order, prec)
+    coeffs = {}
+    for collection in _collections(quiver.vertices, order):
+        parts = _part_vectors(collection)
+        a = -sum(x * y for x, y in zip(w, parts[0]))
+        term = QSeries.one()
+        for k in range(len(parts) - 1):
+            a += euler_form(quiver, parts[k], parts[k])
+            for m in (x - y for x, y in zip(parts[k], parts[k + 1])):
+                if m:
+                    term = term * inverse[m]
+        v = tuple(sum(p) for p in collection)
+        coeffs[v] = coeffs.get(v, 0) + QSeries(LaurentPoly.lefschetz(a), math.inf) * term
+    return TruncatedSeries(coeffs, order, quiver.vertices)
 
 
 class TestQuiver:
@@ -97,11 +134,11 @@ class TestPartitions:
 
     def test_collection_count(self):
         # two vertices, total <= 2: pairs of partitions with |a|+|b| <= 2
-        cols = list(partition_collections(2, 2))
+        cols = list(_collections(2, 2))
         assert len(cols) == 1 + 2 + (2 + 2 + 1)
 
     def test_collections_are_per_vertex(self):
-        for col in partition_collections(3, 2):
+        for col in _collections(3, 2):
             assert len(col) == 3
 
 
@@ -128,6 +165,25 @@ class TestPartitionSum:
             rhs = exp_pleth(arg)
             assert lhs == rhs
             assert min(c.prec for _, c in rhs.coefficients()) >= prec - order * r
+
+    @pytest.mark.parametrize("quiver, w, order", [
+        (JORDAN, (2,), 6),
+        (POINT, (3,), 6),
+        (Quiver(1, ((0, 0), (0, 0))), (1,), 5),
+        (A2_QUIVER, (1, 2), 4),
+        (Quiver(2, ((0, 1), (0, 1), (1, 1))), (0, 1), 4),
+        (Quiver(2, ((0, 1), (1, 0))), (2, 1), 4),
+        (CYCLE3, (1, 0, 0), 3),
+        (Quiver(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 0))), (1, 0, 1, 0), 3),
+    ])
+    def test_recursion_matches_enumeration(self, quiver, w, order):
+        for prec in (1, 3, 12):
+            for framing in (w, (0,) * len(w)):
+                got = nakajima_partition_sum(quiver, framing, order, prec)
+                expect = _enumerated_partition_sum(quiver, framing, order, prec)
+                assert got == expect
+                assert ({v: c.prec for v, c in got.coefficients()}
+                        == {v: c.prec for v, c in expect.coefficients()})
 
     def test_two_vertex_quiver_runs(self):
         s = nakajima_partition_sum(A2_QUIVER, (1, 0), 2, 3)
@@ -194,16 +250,14 @@ def _sympy_motive_series(sp, quiver, w, order):
 
     def partition_sum(framing):
         out = {}
-        for theta in partition_collections(quiver.vertices, order):
-            depth = max((len(p) for p in theta), default=0)
-            parts = [tuple(p[k] if k < len(p) else 0 for p in theta)
-                     for k in range(depth + 1)]
+        for collection in _collections(quiver.vertices, order):
+            parts = _part_vectors(collection)
             term = q ** -sum(x * y for x, y in zip(framing, parts[0]))
-            for k in range(depth):
+            for k in range(len(parts) - 1):
                 term *= q ** euler_form(quiver, parts[k], parts[k])
                 for m in (x - y for x, y in zip(parts[k], parts[k + 1])):
                     term /= sp.prod([1 - q ** j for j in range(1, m + 1)])
-            v = tuple(sum(p) for p in theta)
+            v = tuple(sum(p) for p in collection)
             out[v] = out.get(v, 0) + term
         return out
 
@@ -231,6 +285,7 @@ class TestSympyReference:
         (JORDAN, (2,)),
         (Quiver(1, ((0, 0), (0, 0))), (1,)),
         (Quiver(2, ((0, 1), (1, 1))), (1, 1)),
+        (CYCLE3, (1, 0, 0)),
     ])
     def test_motive_series_matches_field_computation(self, quiver, w):
         sp = pytest.importorskip("sympy")

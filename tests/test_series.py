@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from quotmotives.rings import LaurentPoly, QSeries
+from quotmotives.rings import ExactnessError, LaurentPoly, QSeries
 from quotmotives.series import TruncatedSeries, geometric_series
 
 
@@ -19,6 +19,31 @@ def univariate(order=6):
     return st.dictionaries(
         st.tuples(st.integers(0, order)), laurents, max_size=5
     ).map(lambda d: TruncatedSeries(d, order))
+
+
+qseries = st.builds(
+    qs, st.dictionaries(st.integers(-2, 5), st.integers(-3, 3), max_size=5),
+    st.sampled_from((3, 5, 8, math.inf)))
+unit_qseries = st.builds(
+    lambda e, a, prec: qs({e: a}, prec),
+    st.integers(-2, 2), st.sampled_from((1, -1)), st.sampled_from((6, 8, math.inf)))
+
+
+def univariate_q(order=5):
+    return st.dictionaries(
+        st.tuples(st.integers(0, order)), qseries, max_size=5
+    ).map(lambda d: TruncatedSeries(d, order))
+
+
+def unit_series(coeffs, units, order=5):
+    """Series whose constant term is drawn from `units`."""
+    return st.builds(
+        lambda c0, rest: TruncatedSeries({**rest, (0,): c0}, order),
+        units, st.dictionaries(st.tuples(st.integers(1, order)), coeffs, max_size=5))
+
+
+def precisions(s: TruncatedSeries) -> dict:
+    return {m: c.prec for m, c in s.coefficients()}
 
 
 def geom(order=6):
@@ -100,6 +125,41 @@ class TestInvert:
         assert s * inv == TruncatedSeries.constant(QSeries.one(), 4)
         with pytest.raises(ArithmeticError):
             TruncatedSeries({(0,): qs({0: 1, 1: 1}, 5)}, 2).invert()
+
+
+class TestDivide:
+    @given(univariate(), unit_series(laurents, st.sampled_from(
+        (1, -1, LaurentPoly({2: 1}), LaurentPoly({-1: -1})))))
+    def test_quotient_times_divisor_laurent(self, a, b):
+        assert (a / b) * b == a
+
+    @given(univariate_q(), unit_series(qseries, unit_qseries))
+    def test_quotient_times_divisor_qseries(self, a, b):
+        assert (a / b) * b == a
+
+    @given(univariate_q(), unit_series(qseries, unit_qseries))
+    def test_matches_multiplying_by_the_inverse(self, a, b):
+        got, expect = a / b, a * b.invert()
+        assert got == expect
+        assert precisions(got) == precisions(expect)
+
+    def test_nonunit_constant_term(self):
+        a = TruncatedSeries({(0,): 1, (2,): 3}, 4)
+        for c in (2, LaurentPoly({0: 1, 1: 1}), qs({0: 2}, 5)):
+            with pytest.raises(ExactnessError):
+                a / TruncatedSeries({(0,): c, (1,): 1}, 4)
+        with pytest.raises(ZeroDivisionError):
+            a / TruncatedSeries({(1,): 1}, 4)
+
+    @given(unit_series(qseries, unit_qseries))
+    def test_invert_is_one_over(self, b):
+        assert b.invert() == 1 / b
+        assert precisions(b.invert()) == precisions(1 / b)
+
+    def test_order_is_the_smaller(self):
+        a = TruncatedSeries({(0,): 1, (3,): 1}, 6)
+        assert (a / geom(4)).order == 4
+        assert (geom(4) / a).order == 4
 
 
 class TestSubstitutions:
