@@ -313,6 +313,9 @@ def verify_heine(order: int) -> CheckReport:
     at most n(n+1)/2 - d - 1, or n(n-1)/2 for d = n, so
     deg H_n <= n(n+1)/2 - 1 < P.
     """
+    if order == 0:
+        # both sides are 1 + O(t); there is no t^1 coefficient to read 1/(1-q) from
+        return CheckReport("heine", True, "order 0")
     prec = order * (order + 1) // 2 + 1
     inverse = _inverse_q_pochhammers(order, prec)
     lhs = TruncatedSeries({(n,): inverse[n] for n in range(order + 1)}, order)

@@ -155,11 +155,13 @@ def verify_duality(r: int, n_max: int) -> CheckReport:
     smooth1 = quot_series(LaurentPoly.lefschetz(), 1, r, n_max)
     failures = []
     for n in range(n_max + 1):
-        lhs2 = nilp2.coefficient(n).dual()
+        # a coefficient the series does not store is the int 0 (every one
+        # for n >= 1 at rank 0); as a class it is the constant polynomial
+        lhs2 = LaurentPoly._coerce(nilp2.coefficient(n)).dual()
         rhs2 = LaurentPoly.lefschetz(-2 * r * n) * smooth2.coefficient(n)
         if lhs2 != rhs2:
             failures.append(f"surface case at n={n}: {lhs2} != {rhs2}")
-        lhs1 = nilp1.coefficient(n).dual()
+        lhs1 = LaurentPoly._coerce(nilp1.coefficient(n)).dual()
         rhs1 = LaurentPoly.lefschetz(-r * n) * smooth1.coefficient(n)
         if lhs1 != rhs1:
             failures.append(f"curve case at n={n}: {lhs1} != {rhs1}")

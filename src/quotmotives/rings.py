@@ -16,8 +16,27 @@ Two rings are used throughout the package:
   are Laurent polynomials of bounded degree, so a large enough N gives
   them exactly (the bounds are in :mod:`quotmotives.quiver`).
 
+Sums of products.  A series convolution needs sum_i a_i b_i for many
+pairs of Laurent polynomials; :meth:`LaurentPoly.sum_of_products` does
+it with one packed big-int kernel (Kronecker substitution).  Each operand
+p is packed as the integer p L^(-min exp) at L = 2^w, the packed
+products are shifted by w times their exponent offset and added as
+Python ints, and the total is unpacked once.  The slot width w comes from
+the bound B = sum_i ||a_i||_1 ||b_i||_inf on every coefficient of the
+result: w is the smallest multiple of 64 with B < 2^(w-1), and the
+kernel checks that inequality.  Adding 2^(w-1) to every slot then turns
+each coefficient c into the digit c + 2^(w-1), which lies in [1, 2^w);
+so the biased total has exactly these digits in base 2^w, no carry
+crosses a slot, and slicing its bytes recovers every coefficient.  Each
+polynomial caches its exponent range, norms and last packing in one
+slot; widths are whole 64-bit words so that the pack of an operand used
+in many sums is reused.  ``*`` itself stays the dict product, which is
+faster for the few-term operands it mostly sees.
+
 Values of both classes are immutable after construction and all
-operations are pure, so they are safe to share between threads.
+operations are pure, so they are safe to share between threads: the
+cache is replaced by a new tuple in one assignment, never mutated, so a
+reader never pairs the width of one packing with the integer of another.
 """
 
 from __future__ import annotations
@@ -42,10 +61,13 @@ class LaurentPoly:
     :class:`ExactnessError`.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_pack")
 
     def __init__(self, terms=None):
         self._terms = {e: c for e, c in terms.items() if c} if terms else {}
+        # (min exponent, max exponent, l1 norm, max norm, slot width, packed
+        # int), filled lazily by sum_of_products (see the module docstring)
+        self._pack = None
 
     # -- constructors -------------------------------------------------
 
@@ -132,6 +154,58 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs) -> "LaurentPoly":
+        """sum of a * b over the (a, b) pairs of Laurent polynomials, by one
+        packed big-int kernel (Kronecker substitution, see the module
+        docstring).  Equals the sum of the ``*`` products exactly."""
+        ops = []
+        bound = 0
+        for a, b in pairs:
+            if a._terms and b._terms:
+                sa = a._pack or a._measure()
+                sb = b._pack or b._measure()
+                bound += sa[2] * sb[3]
+                ops.append((a, b, sa[0] + sb[0], sa[1] + sb[1]))
+        if not ops:
+            return cls()
+        w = -(-(bound.bit_length() + 1) // 64) * 64
+        if bound >> (w - 1):
+            raise AssertionError(f"slot width {w} does not hold the bound {bound}")
+        base = min(op[2] for op in ops)
+        slots = max(op[3] for op in ops) - base + 1
+        total = 0
+        for a, b, lo, _ in ops:
+            total += (a._packed(w) * b._packed(w)) << (w * (lo - base))
+        # bias every slot by 2^(w-1): each digit c + 2^(w-1) lies in [1, 2^w)
+        nbytes = w // 8
+        bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+        data = (total + bias).to_bytes(nbytes * slots, "little")
+        half = 1 << (w - 1)
+        out = {}
+        for k in range(slots):
+            c = int.from_bytes(data[k * nbytes:(k + 1) * nbytes], "little") - half
+            if c:
+                out[base + k] = c
+        return cls(out)
+
+    def _measure(self) -> tuple:
+        """Cache and return (min exp, max exp, l1 norm, max norm, 0, 0)."""
+        sizes = [abs(c) for c in self._terms.values()]
+        self._pack = pack = (min(self._terms), max(self._terms), sum(sizes), max(sizes), 0, 0)
+        return pack
+
+    def _packed(self, w: int) -> int:
+        """The value of self * L^(-min exp) at L = 2^w, cached for the last w."""
+        pack = self._pack
+        if pack[4] != w:
+            lo = pack[0]
+            x = 0
+            for e, c in self._terms.items():
+                x += c << (w * (e - lo))
+            self._pack = pack = pack[:4] + (w, x)
+        return pack[5]
 
     def __truediv__(self, k):
         """Exact division by a nonzero integer; raises ExactnessError when

@@ -11,6 +11,9 @@ Coefficients are ints, :class:`LaurentPoly` or :class:`QSeries`, so no
 operation leaves the integers; the arithmetic is duck-typed and mixing
 genuinely incompatible rings fails in the coefficient operations.  A
 coefficient is dropped only when it is falsy, i.e. an exact zero.
+Products and the layered solver group their terms by target exponent
+vector and sum each group of LaurentPoly pairs with the packed kernel
+:meth:`LaurentPoly.sum_of_products` (:func:`_sum_products`).
 Division needs a unit constant term in the denominator and solves a
 recurrence layered by total degree (:func:`_solve_layers`); inversion is
 division of 1, and the plethystic exponential in
@@ -146,7 +149,7 @@ class TruncatedSeries:
             return TruncatedSeries({m: c * other for m, c in self._coeffs.items()},
                                    self.order, self.arity)
         order = self._compat(other)
-        out = {}
+        groups = {}
         for m1, c1 in self._coeffs.items():
             d1 = sum(m1)
             if d1 > order:
@@ -155,9 +158,9 @@ class TruncatedSeries:
                 if d1 + sum(m2) > order:
                     continue
                 m = tuple(a + b for a, b in zip(m1, m2))
-                p = c1 * c2
-                out[m] = out.get(m, 0) + p
-        return TruncatedSeries(out, order, self.arity)
+                groups.setdefault(m, []).append((c1, c2))
+        return TruncatedSeries({m: _sum_products(pairs) for m, pairs in groups.items()},
+                               order, self.arity)
 
     __rmul__ = __mul__
 
@@ -316,6 +319,19 @@ class TruncatedSeries:
 # The layered recurrence behind division and Exp
 # ---------------------------------------------------------------------------
 
+def _sum_products(pairs):
+    """sum of c1 * c2 over the (c1, c2) pairs.  Pairs of LaurentPoly go
+    through the packed kernel :meth:`LaurentPoly.sum_of_products`; any
+    other coefficient (int, QSeries) keeps the product-by-product sum,
+    since a QSeries operand would be multiplied past its precision."""
+    if all(type(c1) is LaurentPoly and type(c2) is LaurentPoly for c1, c2 in pairs):
+        return LaurentPoly.sum_of_products(pairs)
+    acc = 0
+    for c1, c2 in pairs:
+        acc = acc + c1 * c2
+    return acc
+
+
 def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
     """The series u with constant term ``first`` whose total-degree-n part,
     for n = 1..order, is ``step(n, acc)``, where ``acc`` maps exponent
@@ -328,13 +344,13 @@ def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
     a_layers = a._layers()
     u = [{_zero_key(arity): first} if first else {}]
     for n in range(1, order + 1):
-        acc = {}
+        groups = {}
         for d in range(1, n + 1):
             for m1, c1 in a_layers[d]:
                 for m2, c2 in u[n - d].items():
                     m = tuple(x + y for x, y in zip(m1, m2))
-                    acc[m] = acc.get(m, 0) + c1 * c2
-        u.append(step(n, acc))
+                    groups.setdefault(m, []).append((c1, c2))
+        u.append(step(n, {m: _sum_products(pairs) for m, pairs in groups.items()}))
     out = {}
     for layer in u:
         out.update(layer)

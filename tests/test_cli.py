@@ -96,6 +96,14 @@ class TestVerify:
         assert code == 0
         assert "pass" in out
 
+    @pytest.mark.parametrize("argv, line", [
+        (("verify", "heine", "--order", "0"), "heine: pass (order 0)"),
+        (("verify", "duality", "--rank", "0"), "duality: pass (r=0, n<=4)"),
+    ])
+    def test_degenerate_sizes_pass(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, line + "\n", "")
+
     def test_unknown_identity_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "not-an-identity"])

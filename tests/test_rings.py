@@ -1,10 +1,13 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries,
+from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries,
                                affine_class, dual, eval_int, projective_class)
 
 
@@ -93,6 +96,115 @@ class TestLaurentPoly:
         assert (2 * projective_class(1)) / 2 == projective_class(1)
         with pytest.raises(TypeError):
             projective_class(1) * Fraction(1, 2)
+
+
+def _summed_products(pairs) -> LaurentPoly:
+    """The reference: sum of the dict products, one ``*`` and ``+`` each."""
+    total = LaurentPoly()
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+def _random_poly(rng: random.Random, bits: int, size: int) -> LaurentPoly:
+    return LaurentPoly({rng.randint(-9, 9): rng.choice((-1, 1)) * rng.getrandbits(bits)
+                        for _ in range(size)})
+
+
+class TestSumOfProducts:
+    """``LaurentPoly.sum_of_products`` against the sum of dict products."""
+
+    @given(st.lists(st.tuples(laurents, laurents), max_size=8))
+    def test_random_pairs(self, pairs):
+        assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
+
+    @pytest.mark.parametrize("bits", [8, 63, 64, 65, 130, 201, 260])
+    def test_large_coefficients(self, bits):
+        rng = random.Random(bits)
+        for _ in range(20):
+            pairs = [(_random_poly(rng, bits, rng.randint(1, 6)),
+                      _random_poly(rng, rng.randint(1, bits), rng.randint(1, 6)))
+                     for _ in range(rng.randint(1, 6))]
+            assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
+
+    def test_cancellation(self):
+        a = LaurentPoly({-3: 2 ** 200, 0: -5, 4: 7})
+        b = LaurentPoly({-1: -(2 ** 70), 2: 3})
+        total = LaurentPoly.sum_of_products([(a, b), (-a, b)])
+        assert total == 0 and total.terms() == []
+        assert LaurentPoly.sum_of_products([(a, b), (b, -a)]) == 0
+        # (1 + L)(1 - L) + L^2 = 1: the cancellation is inside the sum
+        one_plus, one_minus = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1})
+        total = LaurentPoly.sum_of_products([(one_plus, one_minus), (L, L)])
+        assert total.terms() == [(0, 1)]
+
+    def test_empty_and_one_term(self):
+        assert LaurentPoly.sum_of_products([]) == 0
+        assert LaurentPoly.sum_of_products([(LaurentPoly(), L)]) == 0
+        a, b = LaurentPoly({-3: 5}), LaurentPoly({7: -2})
+        assert LaurentPoly.sum_of_products([(a, b)]).terms() == [(4, -10)]
+        assert LaurentPoly.sum_of_products([(a, b), (b, b)]).terms() == [(4, -10), (14, 4)]
+
+    @pytest.mark.parametrize("bound", [2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+                                       2 ** 127, 2 ** 128 - 1, 2 ** 200 + 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_every_coefficient_at_the_bound(self, bound, sign):
+        # B = sum ||a||_1 ||b||_inf, and every coefficient of the sum is sign * B
+        ones = LaurentPoly({e: 1 for e in range(-2, 5)})
+        split = bound // 3
+        pairs = [(LaurentPoly({-1: sign * split}), ones),
+                 (LaurentPoly({-1: sign * (bound - split)}), ones)]
+        total = LaurentPoly.sum_of_products(pairs)
+        assert total.terms() == [(e, sign * bound) for e in range(-3, 4)]
+        assert total == _summed_products(pairs)
+
+    def test_shared_operand_at_two_widths(self):
+        # the shared operand's cached pack alternates between 64- and 128-bit slots
+        shared = LaurentPoly({-2: 3, 0: -1, 5: 7})
+        small, large = LaurentPoly({1: 2}), LaurentPoly({-4: 2 ** 100, 3: -1})
+        for _ in range(3):
+            for other, width in ((small, 64), (large, 128)):
+                assert LaurentPoly.sum_of_products([(shared, other)]) == shared * other
+                assert shared._pack[4] == width
+
+    def test_cache_is_invisible(self):
+        f, twin = LaurentPoly({-2: 3, 0: -1, 5: 7}), LaurentPoly({-2: 3, 0: -1, 5: 7})
+        LaurentPoly.sum_of_products([(f, f)])
+        assert f._pack is not None and twin._pack is None
+        assert f == twin
+        assert repr(f) == repr(twin) and str(f) == str(twin)
+        assert f.to_json_obj() == twin.to_json_obj()
+        assert f.dual() == twin.dual() and f.adams(3) == twin.adams(3)
+        assert repr(f.dual()) == repr(twin.dual())
+
+    def test_shared_operand_across_threads(self):
+        # threads race to replace the shared operand's pack at two widths
+        shared = LaurentPoly({e: (-1) ** (e % 2) * (e + 5) for e in range(-4, 9)})
+        partners = [LaurentPoly({0: 3, 2: -1}), LaurentPoly({-1: 2 ** 90, 1: 5})]
+        expected = [shared * p for p in partners]
+        errors = []
+
+        def work(i):
+            try:
+                for k in range(2000):
+                    j = (i + k) % 2
+                    if LaurentPoly.sum_of_products([(shared, partners[j])]) != expected[j]:
+                        errors.append((i, k))
+            except Exception as exc:  # a thread's exception must fail the test
+                errors.append((i, repr(exc)))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestQSeries:
