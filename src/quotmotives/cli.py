@@ -115,6 +115,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_counts(args) -> int:
+    specialize.require_prime_power(args.q)
     space = _parse_space(args.space)
     s = quot.quot_series(space, args.dim, args.rank, args.order)
     counts = specialize.point_count_series(s, args.q)

@@ -177,7 +177,10 @@ def _random_one_series(rng: random.Random, order: int) -> TruncatedSeries:
 def verify_power_axioms(samples: int = 50, order: int = 8,
                         seed: int = 20240) -> CheckReport:
     """Check the eight power-structure axioms, Exp/Log round trips and the
-    two-path Exp cross-check on randomized inputs."""
+    two-path Exp cross-check on randomized inputs.  The jet check compares
+    (order - 1)-jets, so order must be >= 1."""
+    if order < 1:
+        raise ValueError(f"power-axiom checks need order >= 1, got {order}")
     rng = random.Random(seed)
     one = TruncatedSeries.constant(1, order)
     failures = []

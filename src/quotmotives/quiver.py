@@ -44,10 +44,11 @@ Exactness.  The ratio is computed in Z((q)) modulo a tracked power of q
   [-d/2, d/2] and R_v modulo q^(d/2 + 1) is R_v itself.
 * Each 1/(q; q)_m is an integer power series, computed modulo q^N with
   no division.  The table uses only sums, products with the exact
-  monomials q^a, and products with these factors, so each entry is
-  known modulo q^(a + N) for a its lowest exponent; the division by
-  S(0), whose constant term is exactly 1, carries the precision through
-  to every R_v.
+  monomials q^a (exponent maps, :meth:`QSeries.shift`, which give the
+  product's coefficients and precision), and products with these
+  factors, so each entry is known modulo q^(a + N) for a its lowest
+  exponent; the division by S(0), whose constant term is exactly 1,
+  carries the precision through to every R_v.
 * Raising N by s raises every tracked precision by at least s, since
   the table and the division only add and multiply: a sum is known to
   the smaller precision, a product to min(v_a + N_b, v_b + N_a), and the
@@ -65,7 +66,6 @@ explicitly, which survives ``python -O``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .rings import LaurentPoly, QSeries
@@ -200,14 +200,9 @@ def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
                 acc = sum(terms[1:], terms[0])
             else:
                 acc = factor(theta)
-            row[theta] = _shift(acc, euler_form(quiver, theta, theta))
+            row[theta] = acc.shift(euler_form(quiver, theta, theta))
         table[v] = row
     return table
-
-
-def _shift(x: QSeries, a: int) -> QSeries:
-    """q^a x."""
-    return QSeries(LaurentPoly.lefschetz(a), math.inf) * x if a else x
 
 
 def _partition_sums(quiver: Quiver, framings, order: int, prec: int) -> list:
@@ -224,7 +219,7 @@ def _partition_sums(quiver: Quiver, framings, order: int, prec: int) -> list:
             for theta, g in row.items():
                 a = -sum(x * y for x, y in zip(w, theta))
                 by_power[a] = by_power[a] + g if a in by_power else g
-            shifted = [_shift(g, a) for a, g in by_power.items()]
+            shifted = [g.shift(a) for a, g in by_power.items()]
             coeffs[v] = sum(shifted[1:], shifted[0])
         out.append(TruncatedSeries(coeffs, order, quiver.vertices))
     return out

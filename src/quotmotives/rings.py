@@ -30,8 +30,19 @@ so the biased total has exactly these digits in base 2^w, no carry
 crosses a slot, and slicing its bytes recovers every coefficient.  Each
 polynomial caches its exponent range, norms and last packing in one
 slot; widths are whole 64-bit words so that the pack of an operand used
-in many sums is reused.  ``*`` itself stays the dict product, which is
-faster for the few-term operands it mostly sees.
+in many sums is reused.  ``LaurentPoly.__mul__`` itself stays the dict
+product, which is faster for the few-term operands it mostly sees.
+
+QSeries products use the same kernel: :meth:`QSeries.sum_of_products`
+(and ``*``, its one-pair case) takes the precision P = min over the
+pairs of min(v_a + N_b, v_b + N_a), cuts every operand a to its terms
+below P - v_b (and b to those below P - v_a), and packs only the cut
+operands.  The cut is exact: a term q^e of a meets only terms q^f of b
+with f >= v_b, so for e >= P - v_b every product lands at q^(e+f) with
+e + f >= P, above the precision.  An operand with nothing to cut is
+passed as it is, keeping its cached pack.  Multiplying by an exact
+monomial q^a needs no kernel: :meth:`QSeries.shift` moves the exponents
+and the precision by a.
 
 Values of both classes are immutable after construction and all
 operations are pure, so they are safe to share between threads: the
@@ -357,7 +368,8 @@ class QSeries:
 
     def valuation(self):
         """Lowest known exponent, or prec if none: a bound for the valuation."""
-        return min(self.known._terms, default=self.prec)
+        known = self.known
+        return (known._pack or known._measure())[0] if known._terms else self.prec
 
     def __bool__(self) -> bool:
         """False only for an exact zero: O(q^N) may be a nonzero series."""
@@ -381,18 +393,38 @@ class QSeries:
         other = QSeries._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prec = min(self.valuation() + other.prec, other.valuation() + self.prec)
-        right = other.terms()
-        out = {}
-        for e1, c1 in self.known._terms.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                if e >= prec:
-                    break
-                out[e] = out.get(e, 0) + c1 * c2
-        return QSeries(LaurentPoly(out), prec)
+        return QSeries.sum_of_products([(self, other)])
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs) -> "QSeries":
+        """sum of a * b over the (a, b) pairs of QSeries (or ints), known
+        modulo q^P for P the smallest precision of the products.  Each
+        operand is cut to the terms that reach below q^P, and the cut
+        pairs are summed by :meth:`LaurentPoly.sum_of_products`."""
+        prec = math.inf
+        ops = []
+        for a, b in pairs:
+            a, b = cls._coerce(a), cls._coerce(b)
+            if a is NotImplemented or b is NotImplemented:
+                raise TypeError("QSeries products need QSeries or int operands")
+            va, vb = a.valuation(), b.valuation()
+            prec = min(prec, va + b.prec, vb + a.prec)
+            if a.known._terms and b.known._terms:
+                ops.append((a.known, b.known, va, vb))
+        # a term q^e of a meets only exponents >= v_b of b, so it reaches
+        # below q^P only when e < P - v_b; likewise for b
+        cut = [(_below(a, prec - vb), _below(b, prec - va)) for a, b, va, vb in ops]
+        return cls(LaurentPoly.sum_of_products(cut), prec)
+
+    def shift(self, a: int) -> "QSeries":
+        """q^a self, an exponent map: the coefficients and the precision of
+        the product with the exact monomial q^a."""
+        if not a:
+            return self
+        return QSeries(LaurentPoly({e + a: c for e, c in self.known._terms.items()}),
+                       self.prec + a)
 
     def __truediv__(self, k):
         """Exact division by a nonzero integer, or ExactnessError."""
@@ -415,3 +447,11 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries({self.known!r}, {self.prec!r})"
+
+
+def _below(p: LaurentPoly, n) -> LaurentPoly:
+    """The terms of p with exponent < n; p itself, with its cached pack,
+    when every term is."""
+    if (p._pack or p._measure())[1] < n:
+        return p
+    return LaurentPoly({e: c for e, c in p._terms.items() if e < n})

@@ -12,8 +12,13 @@ operation leaves the integers; the arithmetic is duck-typed and mixing
 genuinely incompatible rings fails in the coefficient operations.  A
 coefficient is dropped only when it is falsy, i.e. an exact zero.
 Products and the layered solver group their terms by target exponent
-vector and sum each group of LaurentPoly pairs with the packed kernel
-:meth:`LaurentPoly.sum_of_products` (:func:`_sum_products`).
+vector and sum each group with one packed big-int kernel
+(:func:`_sum_products`): LaurentPoly pairs go to
+:meth:`LaurentPoly.sum_of_products`, and groups with a QSeries to
+:meth:`QSeries.sum_of_products`, which cuts its operands to the group's
+precision and calls the same kernel; int groups sum product by product.
+Multiplying by an exact QSeries unit +-q^e, as division does with the
+inverse of the divisor's constant term, is an exponent map.
 Division needs a unit constant term in the denominator and solves a
 recurrence layered by total degree (:func:`_solve_layers`); inversion is
 division of 1, and the plethystic exponential in
@@ -23,6 +28,8 @@ Values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
+
+import math
 
 from .rings import ExactnessError, LaurentPoly, QSeries
 
@@ -47,6 +54,18 @@ def _invert_coeff(c):
         # 1/(a q^e + O(q^N)) = a q^-e (1 + O(q^(N-e))) for a = +-1
         return QSeries(_invert_coeff(c.known), c.prec - 2 * c.valuation())
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
+
+
+def _unit_times(u):
+    """The map c |-> u * c for a unit u of the coefficient ring.  An exact
+    QSeries unit is +-q^e, and multiplying by it is the exponent map
+    :meth:`QSeries.shift`, with the product's coefficients and precision."""
+    if type(u) is QSeries and u.prec == math.inf:
+        (e, s), = u.terms()
+        if s == 1:
+            return lambda c: QSeries._coerce(c).shift(e)
+        return lambda c: -QSeries._coerce(c).shift(e)
+    return lambda c: u * c
 
 
 class TruncatedSeries:
@@ -176,7 +195,7 @@ class TruncatedSeries:
         c0 = other.constant_term()
         if c0 == 0:
             raise ZeroDivisionError("divisor has zero constant term")
-        i0 = _invert_coeff(c0)
+        times_i0 = _unit_times(_invert_coeff(c0))
         num = self._layers()
         a0 = self.constant_term()
 
@@ -185,10 +204,10 @@ class TruncatedSeries:
             for m, c in acc.items():
                 # a + -c, since an int minus a QSeries is not defined
                 layer[m] = layer[m] + -c if m in layer else -c
-            return {m: i0 * c for m, c in layer.items() if c}
+            return {m: times_i0(c) for m, c in layer.items() if c}
 
         den = other if other.order == order else other.truncate(order)
-        return _solve_layers(den, i0 * a0 if a0 else 0, step)
+        return _solve_layers(den, times_i0(a0) if a0 else 0, step)
 
     def __rtruediv__(self, other):
         """A coefficient divided by the series, e.g. ``1 / s``."""
@@ -321,11 +340,14 @@ class TruncatedSeries:
 
 def _sum_products(pairs):
     """sum of c1 * c2 over the (c1, c2) pairs.  Pairs of LaurentPoly go
-    through the packed kernel :meth:`LaurentPoly.sum_of_products`; any
-    other coefficient (int, QSeries) keeps the product-by-product sum,
-    since a QSeries operand would be multiplied past its precision."""
+    through the packed kernel :meth:`LaurentPoly.sum_of_products`, and a
+    group with a QSeries through :meth:`QSeries.sum_of_products`, which
+    cuts its operands to the sum's precision before the same kernel; a
+    group of ints (zeta functions) keeps the product-by-product sum."""
     if all(type(c1) is LaurentPoly and type(c2) is LaurentPoly for c1, c2 in pairs):
         return LaurentPoly.sum_of_products(pairs)
+    if any(type(c1) is QSeries or type(c2) is QSeries for c1, c2 in pairs):
+        return QSeries.sum_of_products(pairs)
     acc = 0
     for c1, c2 in pairs:
         acc = acc + c1 * c2

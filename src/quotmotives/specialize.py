@@ -19,6 +19,8 @@ which are verified here by exact expansion of both sides.
 
 from __future__ import annotations
 
+import math
+
 from .rings import LaurentPoly
 from .report import CheckReport
 from .series import TruncatedSeries, geometric_series
@@ -32,11 +34,25 @@ def _require_polynomial(x: LaurentPoly):
                          "polynomial in L")
 
 
+def require_prime_power(q) -> None:
+    """Raise ValueError unless q is the size p^k of a finite field.  The
+    smallest prime factor is found by trial division up to sqrt(q)."""
+    if isinstance(q, int) and q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        rest = q
+        while rest % p == 0:
+            rest //= p
+        if rest == 1:
+            return
+    raise ValueError(f"field size q must be a prime power, got {q}")
+
+
 def point_count_series(s: TruncatedSeries, q: int) -> list:
     """Substitute L = q in each coefficient of a univariate series with
-    polynomial coefficients; returns [c_0(q), ..., c_order(q)] as ints."""
+    polynomial coefficients; returns [c_0(q), ..., c_order(q)] as ints.
+    Any int q >= 1 is accepted: q = 1 gives the coefficient sums."""
     if not isinstance(q, int) or q < 1:
-        raise ValueError("point counts need a positive prime power")
+        raise ValueError(f"point counts substitute an int L = q >= 1, got {q}")
     out = []
     for c in s.univariate_coefficients():
         if isinstance(c, LaurentPoly):
@@ -56,6 +72,7 @@ def zeta_series(x_class: LaurentPoly, q: int, order: int) -> TruncatedSeries:
     counts of Exp([X] t) are evaluated as well and the two are checked
     to be equal.
     """
+    require_prime_power(q)
     _require_polynomial(x_class)
     exp_form = point_count_series(
         exp_pleth(TruncatedSeries.variable(order, coeff=x_class)), q)
@@ -72,6 +89,7 @@ def verify_zeta_product_curve(x_class: LaurentPoly, r: int, q: int,
                               order: int) -> CheckReport:
     """Point counts of the curve Quot series vs the product of shifted
     zeta functions."""
+    require_prime_power(q)
     counts = point_count_series(quot.quot_series(x_class, 1, r, order), q)
     lhs = TruncatedSeries(dict(enumerate(counts)), order)
     zeta = zeta_series(x_class, q, order)
@@ -86,6 +104,7 @@ def verify_zeta_product_surface(x_class: LaurentPoly, r: int, q: int,
                                 order: int) -> CheckReport:
     """Point counts of the surface Quot series vs the double product of
     zeta functions Z(X; q^{i+rj} t^{j+1})."""
+    require_prime_power(q)
     counts = point_count_series(quot.quot_series(x_class, 2, r, order), q)
     lhs = TruncatedSeries(dict(enumerate(counts)), order)
     zeta = zeta_series(x_class, q, order)

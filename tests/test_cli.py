@@ -104,6 +104,18 @@ class TestVerify:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (0, line + "\n", "")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "power-axioms", "--order", "0"), "order >= 1"),
+        (("verify", "power-axioms", "--order", "-3"), "order >= 1"),
+        (("verify", "zeta-curve", "--q", "6"), "prime power"),
+        (("verify", "zeta-curve", "--q", "1"), "prime power"),
+        (("verify", "zeta-surface", "--space", "P2", "--q", "6"), "prime power"),
+    ])
+    def test_bad_sizes_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
     def test_unknown_identity_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "not-an-identity"])
@@ -268,6 +280,46 @@ class TestCounts:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[2] for r in rows[1:]] == ["1", "4", "24", "112"]
+
+
+    @pytest.mark.parametrize("q", ["1", "6", "12"])
+    def test_field_size_must_be_a_prime_power(self, capsys, q):
+        code, out, err = run_cli(capsys, "counts", "--space", "P1", "--q", q,
+                                 "--order", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: field size q must be a prime power, got {q}\n"
+
+    def test_prime_power_table(self, capsys):
+        # #P1(F_4) = 5, #Sym^2 P1(F_4) = #P2(F_4) = 21
+        code, out, _ = run_cli(capsys, "counts", "--space", "P1", "--rank", "1",
+                               "--dim", "1", "--q", "4", "--order", "2")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [r[2] for r in rows[1:]] == ["1", "5", "21"]
+
+
+class TestOptimizedMode:
+    """The QSeries products run the kernel's explicit width check and the
+    window self-check; under ``python -O`` both jobs must print what they
+    print in process."""
+
+    A2_QUIVER = {"vertices": 2, "arrows": [[0, 1], [1, 1]]}
+
+    def test_same_output_under_optimized_mode(self, capsys, tmp_path):
+        qfile = tmp_path / "quiver.json"
+        qfile.write_text(json.dumps(self.A2_QUIVER))
+        jobs = [["verify", "heine", "--order", "12"],
+                ["series", "--target", "nakajima-general", "--quiver", str(qfile),
+                 "--framing", "1,2", "--order", "4"]]
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        for argv in jobs:
+            code, out, _ = run_cli(capsys, *argv)
+            run = subprocess.run([sys.executable, "-O", "-m", "quotmotives.cli", *argv],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert code == 0 and out
+            assert (run.returncode, run.stdout) == (code, out)
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries,
                                affine_class, dual, eval_int, projective_class)
+from quotmotives.series import _sum_products
 
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5)\
@@ -23,6 +24,39 @@ def qs(terms: dict, prec) -> QSeries:
 
 
 qseries = st.builds(QSeries, laurents, precisions)
+
+
+# wider QSeries for the product tests: negative exponents, mixed signs,
+# coefficients past 2^64, precisions that leave the known part empty
+wide_qseries = st.builds(
+    QSeries,
+    st.dictionaries(st.integers(-8, 8),
+                    st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)),
+                    max_size=8).map(LaurentPoly),
+    st.one_of(st.integers(-6, 10), st.just(math.inf)))
+
+
+def _dict_product(a: QSeries, b: QSeries) -> QSeries:
+    """The reference: the dict double loop that multiplied QSeries before
+    the packed kernel, each term product kept only below the precision."""
+    va = min(a.known._terms, default=a.prec)
+    vb = min(b.known._terms, default=b.prec)
+    prec = min(va + b.prec, vb + a.prec)
+    right = b.terms()
+    out = {}
+    for e1, c1 in a.known._terms.items():
+        for e2, c2 in right:
+            e = e1 + e2
+            if e >= prec:
+                break
+            out[e] = out.get(e, 0) + c1 * c2
+    return QSeries(LaurentPoly(out), prec)
+
+
+def _exactly(x: QSeries):
+    """Known terms and precision, compared exactly (``==`` compares only
+    below the common precision)."""
+    return type(x), x.terms(), x.prec
 
 
 class TestLaurentPoly:
@@ -271,3 +305,51 @@ class TestQSeries:
         assert f / 2 == qs({0: 1, 1: 2}, 3)
         with pytest.raises(ExactnessError):
             qs({0: 3}, 3) / 2
+
+    EDGE_CASES = [qs({}, math.inf), qs({}, 3), qs({5: 1}, 3), qs({-2: 2 ** 70, 1: -1}, 2),
+                  qs({0: 1}, math.inf), qs({-3: -1, 4: 2 ** 65}, math.inf), qs({2: 7}, -4)]
+
+    @given(wide_qseries, wide_qseries)
+    def test_product_matches_dict_product(self, a, b):
+        assert _exactly(a * b) == _exactly(_dict_product(a, b))
+
+    @pytest.mark.parametrize("a", EDGE_CASES)
+    @pytest.mark.parametrize("b", EDGE_CASES)
+    def test_product_edge_cases(self, a, b):
+        assert _exactly(a * b) == _exactly(_dict_product(a, b))
+
+    @given(wide_qseries, st.integers(-2 ** 70, 2 ** 70))
+    def test_int_operands(self, a, k):
+        exact = QSeries(LaurentPoly({0: k}), math.inf)
+        assert _exactly(a * k) == _exactly(k * a) == _exactly(_dict_product(a, exact))
+
+    def test_operands_cut_to_the_precision(self):
+        # q^-2 + O(q^3) times 1 + q + ... + q^9 (+ O(q^10)): only the terms
+        # of b below q^(3 - (-2)) = q^5 reach the result's precision 3
+        a = qs({-2: 1}, 3)
+        b = qs({e: 1 for e in range(10)}, 10)
+        prod = a * b
+        assert _exactly(prod) == (QSeries, [(e, 1) for e in range(-2, 3)], 3)
+        assert _exactly(prod) == _exactly(_dict_product(a, b))
+
+    @given(st.lists(st.tuples(wide_qseries, st.one_of(wide_qseries, st.integers(-9, 9))),
+                    min_size=1, max_size=6))
+    def test_group_matches_pairwise_sum(self, pairs):
+        expected = QSeries(LaurentPoly(), math.inf)
+        for a, b in pairs:
+            expected = expected + _dict_product(a, QSeries._coerce(b))
+        assert _exactly(_sum_products(pairs)) == _exactly(expected)
+        assert _exactly(QSeries.sum_of_products(pairs)) == _exactly(expected)
+
+    def test_empty_group_is_exact_zero(self):
+        assert _exactly(QSeries.sum_of_products([])) == (QSeries, [], math.inf)
+
+    def test_incompatible_operand(self):
+        with pytest.raises(TypeError):
+            QSeries.sum_of_products([(qs({0: 1}, 3), LaurentPoly({0: 1}))])
+
+    @given(wide_qseries, st.integers(-6, 6))
+    def test_shift_is_the_monomial_product(self, x, a):
+        monomial = QSeries(LaurentPoly.lefschetz(a), math.inf)
+        assert _exactly(x.shift(a)) == _exactly(monomial * x)
+        assert _exactly(x.shift(a)) == _exactly(_dict_product(monomial, x))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quotmotives.rings import ExactnessError, LaurentPoly, QSeries
-from quotmotives.series import TruncatedSeries, geometric_series
+from quotmotives.series import TruncatedSeries, _unit_times, geometric_series
 
 
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6), max_size=4)\
@@ -155,6 +155,13 @@ class TestDivide:
     def test_invert_is_one_over(self, b):
         assert b.invert() == 1 / b
         assert precisions(b.invert()) == precisions(1 / b)
+
+    @given(unit_qseries, st.one_of(qseries, st.integers(-3, 3)))
+    def test_unit_map_is_the_product(self, u, c):
+        # an exact unit +-q^e multiplies by an exponent map, an inexact one
+        # by the product; both give the product's terms and precision
+        got, expect = _unit_times(u)(c), u * c
+        assert (got.terms(), got.prec) == (expect.terms(), expect.prec)
 
     def test_order_is_the_smaller(self):
         a = TruncatedSeries({(0,): 1, (3,): 1}, 6)
