@@ -48,8 +48,7 @@ Exactness.  The ratio is computed in Z((q)) modulo a tracked power of q
   product's coefficients and precision), and products with these
   factors, so each entry is known modulo q^(a + N) for a its lowest
   exponent; the division by S(0), whose constant term is exactly 1,
-  carries the precision through to every R_v (it is the product of
-  S(w) with the inverse of S(0)).
+  carries the precision through to every R_v.
 * Raising N by s raises every tracked precision by at least s, since
   the table and the division only add and multiply: a sum is known to
   the smaller precision, a product to min(v_a + N_b, v_b + N_a), and the

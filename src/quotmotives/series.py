@@ -21,11 +21,9 @@ Multiplying by an exact QSeries unit +-q^e, as division does with the
 inverse of the divisor's constant term, is an exponent map.
 Division needs a unit constant term in the denominator and solves a
 recurrence layered by total degree (:func:`_solve_layers`); inversion is
-the solve with numerator 1, and a quotient with QSeries coefficients is
-the product with the inverse, so that it tracks the product's
-precisions.  The plethystic exponential in :mod:`quotmotives.plethystic`
-shares the same solver, so there is no second recurrence and no second
-exp/log.
+division of 1, and the plethystic exponential in
+:mod:`quotmotives.plethystic` shares the same solver, so there is no
+second recurrence and no second exp/log.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -188,28 +186,36 @@ class TruncatedSeries:
     def __truediv__(self, other):
         """Quotient by a series whose constant term is a unit.
 
-        One layered solve, :func:`_quotient`.  With QSeries coefficients
-        the quotient is ``self * other.invert()`` instead, so that every
-        coefficient has the precision that this product tracks; the solve
-        with a numerator tracks less where a coefficient of the inverse
-        cancels to O(q^N) with no known terms.
+        One layered solve: b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}, where
+        a is ``self`` and b is ``other``.
         """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = self._compat(other)
+        c0 = other.constant_term()
+        if c0 == 0:
+            raise ZeroDivisionError("divisor has zero constant term")
+        times_i0 = _unit_times(_invert_coeff(c0))
+        num = self._layers()
+        a0 = self.constant_term()
+
+        def step(n, acc):
+            layer = dict(num[n])
+            for m, c in acc.items():
+                # a + -c, since an int minus a QSeries is not defined
+                layer[m] = layer[m] + -c if m in layer else -c
+            return {m: times_i0(c) for m, c in layer.items() if c}
+
         den = other if other.order == order else other.truncate(order)
-        if _has_qseries(self) or _has_qseries(den):
-            return self * den.invert()
-        num = self if self.order == order else self.truncate(order)
-        return _quotient(num, den)
+        return _solve_layers(den, times_i0(a0) if a0 else 0, step)
 
     def __rtruediv__(self, other):
         """A coefficient divided by the series, e.g. ``1 / s``."""
-        return self.invert() * other
+        return TruncatedSeries.constant(other, self.order, self.arity) / self
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse ``1 / self``; the constant term must be a unit."""
-        return _quotient(TruncatedSeries.constant(1, self.order, self.arity), self)
+        return 1 / self
 
     def pow_int(self, k: int) -> "TruncatedSeries":
         """Integer power; negative k inverts first."""
@@ -346,30 +352,6 @@ def _sum_products(pairs):
     for c1, c2 in pairs:
         acc = acc + c1 * c2
     return acc
-
-
-def _has_qseries(a: TruncatedSeries) -> bool:
-    return any(type(c) is QSeries for c in a._coeffs.values())
-
-
-def _quotient(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """a / b for series of one order whose divisor b has a unit constant
-    term, by one layered solve: b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}."""
-    c0 = b.constant_term()
-    if c0 == 0:
-        raise ZeroDivisionError("divisor has zero constant term")
-    times_i0 = _unit_times(_invert_coeff(c0))
-    num = a._layers()
-    a0 = a.constant_term()
-
-    def step(n, acc):
-        layer = dict(num[n])
-        for m, c in acc.items():
-            # a + -c, since an int minus a QSeries is not defined
-            layer[m] = layer[m] + -c if m in layer else -c
-        return {m: times_i0(c) for m, c in layer.items() if c}
-
-    return _solve_layers(b, times_i0(a0) if a0 else 0, step)
 
 
 def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:

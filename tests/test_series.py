@@ -143,17 +143,6 @@ class TestDivide:
         assert got == expect
         assert precisions(got) == precisions(expect)
 
-    def test_cancelled_inverse_coefficient(self):
-        # the t^3 coefficient of 1/b cancels to O(q^5), so O(q^3) times it
-        # is known modulo q^8; a layered solve of a / b reports only q^4
-        a = TruncatedSeries({(0,): qs({}, 3)}, 5)
-        b = TruncatedSeries({(0,): qs({-1: -1}, 6), (1,): qs({-1: 2}, 3),
-                             (2,): qs({-1: -2}, 3)}, 5)
-        assert b.invert().coefficient(3) == qs({}, 5)
-        got = a / b
-        assert precisions(got) == precisions(a * b.invert())
-        assert precisions(got)[(3,)] == 8
-
     def test_nonunit_constant_term(self):
         a = TruncatedSeries({(0,): 1, (2,): 3}, 4)
         for c in (2, LaurentPoly({0: 1, 1: 1}), qs({0: 2}, 5)):
