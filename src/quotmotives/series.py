@@ -346,10 +346,10 @@ def _sum_products(pairs):
     group of ints (zeta functions) keeps the product-by-product sum."""
     if all(type(c1) is LaurentPoly and type(c2) is LaurentPoly for c1, c2 in pairs):
         return LaurentPoly.sum_of_products(pairs)
-    if any(type(c1) is QSeries or type(c2) is QSeries for c1, c2 in pairs):
-        return QSeries.sum_of_products(pairs)
     acc = 0
     for c1, c2 in pairs:
+        if type(c1) is QSeries or type(c2) is QSeries:
+            return QSeries.sum_of_products(pairs)
         acc = acc + c1 * c2
     return acc
 
