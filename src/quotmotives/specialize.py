@@ -19,8 +19,6 @@ which are verified here by exact expansion of both sides.
 
 from __future__ import annotations
 
-import math
-
 from .rings import LaurentPoly
 from .report import CheckReport
 from .series import TruncatedSeries, geometric_series
@@ -34,16 +32,56 @@ def _require_polynomial(x: LaurentPoly):
                          "polynomial in L")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the primes up to 41 as bases, which decides
+    primality exactly for n < 3.3 * 10^24 and is a strong probable-prime
+    test above that."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root floor(n^(1/k)) of n >= 1, by Newton's method
+    from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def require_prime_power(q) -> None:
-    """Raise ValueError unless q is the size p^k of a finite field.  The
-    smallest prime factor is found by trial division up to sqrt(q)."""
+    """Raise ValueError unless q is the size p^k of a finite field: for
+    some k <= log2(q), the integer k-th root p of q has p^k = q and is
+    prime (:func:`_is_prime`)."""
     if isinstance(q, int) and q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        rest = q
-        while rest % p == 0:
-            rest //= p
-        if rest == 1:
-            return
+        for k in range(1, q.bit_length() + 1):
+            p = _iroot(q, k)
+            if p < 2:
+                break
+            if p ** k == q and _is_prime(p):
+                return
     raise ValueError(f"field size q must be a prime power, got {q}")
 
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -296,6 +297,19 @@ class TestCounts:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[2] for r in rows[1:]] == ["1", "5", "21"]
+
+
+    def test_large_prime_field_size(self, capsys):
+        # a prime near 10^18: the prime-power check must not trial-divide
+        # up to sqrt(q), about 10^9 steps
+        q = 10 ** 18 + 3
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "counts", "--space", "P1", "--rank", "1",
+                               "--dim", "1", "--q", str(q), "--order", "2")
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [int(r[2]) for r in rows[1:]] == [1, q + 1, q * q + q + 1]
 
 
 class TestOptimizedMode:

@@ -6,7 +6,8 @@ from quotmotives.rings import LaurentPoly, affine_class, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import symmetric_power
 from quotmotives.quot import punctual_quot_series, quot_series
-from quotmotives.specialize import (point_count_series, verify_zeta_product_curve,
+from quotmotives.specialize import (point_count_series, require_prime_power,
+                                    verify_zeta_product_curve,
                                     verify_zeta_product_surface, zeta_series)
 
 L = LaurentPoly.lefschetz()
@@ -40,6 +41,48 @@ class TestPointCounts:
         s = TruncatedSeries.constant(L.dual(), 2)
         with pytest.raises(ValueError):
             point_count_series(s, 2)
+
+
+def is_prime_power(q) -> bool:
+    try:
+        require_prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPrimePower:
+    def test_matches_trial_division(self):
+        def smallest_factor(n):
+            return next(d for d in range(2, n + 1) if n % d == 0)
+
+        for q in range(-2, 3000):
+            expect = False
+            if q >= 2:
+                p, rest = smallest_factor(q), q
+                while rest % p == 0:
+                    rest //= p
+                expect = rest == 1
+            assert is_prime_power(q) == expect, q
+
+    @pytest.mark.parametrize("q", [
+        3215031751,  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5, 7
+        318665857834031151167461,  # a strong pseudoprime to bases 2, ..., 37
+        (2 ** 31 - 1) * (2 ** 61 - 1),
+        (2 ** 61 - 1) ** 2 * (2 ** 31 - 1),
+    ])
+    def test_large_composites_rejected(self, q):
+        assert not is_prime_power(q)
+
+    @pytest.mark.parametrize("q", [
+        10 ** 18 + 3, (2 ** 61 - 1) ** 2, (2 ** 127 - 1) ** 3, 2 ** 89, 3 ** 50,
+    ])
+    def test_large_prime_powers_accepted(self, q):
+        assert is_prime_power(q)
+
+    @pytest.mark.parametrize("q", [True, 4.0, "4"])
+    def test_non_int_rejected(self, q):
+        assert not is_prime_power(q)
 
 
 class TestZeta:
