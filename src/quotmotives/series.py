@@ -342,8 +342,9 @@ def _sum_products(pairs):
     """sum of c1 * c2 over the (c1, c2) pairs.  Pairs of LaurentPoly go
     through the packed kernel :meth:`LaurentPoly.sum_of_products`, and a
     group with a QSeries through :meth:`QSeries.sum_of_products`, which
-    cuts its operands to the sum's precision before the same kernel; a
-    group of ints (zeta functions) keeps the product-by-product sum."""
+    cuts its operands to the sum's precision before the same kernel; any
+    other group (ints, as in zeta functions, possibly mixed with
+    LaurentPoly) keeps the product-by-product sum."""
     if all(type(c1) is LaurentPoly and type(c2) is LaurentPoly for c1, c2 in pairs):
         return LaurentPoly.sum_of_products(pairs)
     acc = 0
