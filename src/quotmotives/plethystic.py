@@ -10,8 +10,8 @@ are implemented:
   times n), Exp(f) = exp(sum_{k>=1} psi_k(f)/k) satisfies
   E(Exp f) = g Exp(f) for the integral series g = sum_k psi_k(E f), so
   n h_n = sum_{d<=n} g_d h_{n-d} with an exact division by n, and
-* the product path  Exp(sum_m f_m x^m) = prod_m sigma_{x^m}(f_m)  built
-  from geometric series only.
+* the product path  Exp(sum_m f_m x^m) = prod_m sigma_{x^m}(f_m), one
+  division by its binomial factors (1 - L^e x^m).
 
 Both run entirely in integer arithmetic over Z[L, L^-1].  ``Log``
 inverts the Euler path: E(Log h) = sum_k mu(k) psi_k(E(h)/h), followed
@@ -28,7 +28,7 @@ import random
 
 from .rings import ExactnessError, LaurentPoly, QSeries
 from .report import CheckReport
-from .series import TruncatedSeries, _solve_layers, geometric_series
+from .series import TruncatedSeries, _solve_layers, euler_product
 
 
 def _mobius(n: int) -> int:
@@ -81,7 +81,7 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("plethystic exponential requires zero constant term")
     f = _coerce_laurent_coeffs(f)
     # h_0 is the unit of the coefficient ring (LaurentPoly or QSeries)
-    one = next((type(c).one() for c in f._coeffs.values()), LaurentPoly.one())
+    one = next((type(c).one() for c in f._coeffs.values()), 1)
     g = _adams_sum(_euler(f), lambda k: 1)
     return _solve_layers(g, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
 
@@ -100,36 +100,20 @@ def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
 def exp_pleth_product(f: TruncatedSeries) -> TruncatedSeries:
     """Product-form plethystic exponential, prod_m sigma_{x^m}(f_m).
 
-    Independent of the Euler path: built entirely from geometric series,
-    integer powers and series inversion.  Requires LaurentPoly (or
-    integer) coefficients.
+    Independent of the Euler path: each term a L^e of f_m is the factor
+    (1 - L^e x^m)^(-a), x^m in one variable or mixed, and the factors are
+    expanded by one division in :func:`euler_product`.  Requires
+    LaurentPoly (or integer) coefficients.
     """
     if not (f.constant_term() == 0):
         raise ValueError("plethystic exponential requires zero constant term")
     f = _coerce_laurent_coeffs(f)
-    out = TruncatedSeries.constant(1, f.order, f.arity)
+    factors = []
     for m, c in f.coefficients():
         if not isinstance(c, LaurentPoly):
             raise ExactnessError("product form needs Laurent coefficients")
-        step = sum(m)
-        index = next(i for i, e in enumerate(m) if e)
-        if len([e for e in m if e]) == 1 and m[index] == step:
-            # single-variable monomial: sigma along x_index^step
-            for e, a in c.terms():
-                geo = geometric_series(LaurentPoly.lefschetz(e), f.order,
-                                       step=step, arity=f.arity, index=index)
-                out = out * geo.pow_int(a)
-        else:
-            # genuinely mixed monomial x^m: substitute u = x^m into sigma_u
-            for e, a in c.terms():
-                geo_coeffs = {}
-                acc = LaurentPoly.one()
-                for j in range(0, f.order // step + 1):
-                    geo_coeffs[tuple(j * mi for mi in m)] = acc
-                    acc = acc * LaurentPoly.lefschetz(e)
-                geo = TruncatedSeries(geo_coeffs, f.order, f.arity)
-                out = out * geo.pow_int(a)
-    return out
+        factors += [(m, LaurentPoly.lefschetz(e), a) for e, a in c.terms()]
+    return euler_product(factors, f.order, f.arity, LaurentPoly.one())
 
 
 def power_structure(f: TruncatedSeries, a) -> TruncatedSeries:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .rings import LaurentPoly, projective_class
 from .report import CheckReport
-from .series import TruncatedSeries, geometric_series
+from .series import TruncatedSeries, euler_product, geometric_series
 from .plethystic import exp_pleth, power_structure
 from .quiver import Quiver, nakajima_motive_series
 
@@ -118,12 +118,11 @@ def compare_affine_plane_vs_framed(r: int, order: int):
 
 def jordan_product_series(r: int, order: int) -> TruncatedSeries:
     """The double product prod_{i=1..r} prod_{j>=1} (1 - L^{rj-i} t^j)^{-1};
-    equals the punctual d=2 series (nilpotent one-loop quiver varieties)."""
-    out = TruncatedSeries.constant(1, order)
-    for i in range(1, r + 1):
-        for j in range(1, order + 1):
-            out = out * geometric_series(LaurentPoly.lefschetz(r * j - i), order, step=j)
-    return out
+    equals the punctual d=2 series (nilpotent one-loop quiver varieties).
+    One division of 1 by its binomials with j <= order (:func:`euler_product`)."""
+    return euler_product([((j,), LaurentPoly.lefschetz(r * j - i), 1)
+                          for i in range(1, r + 1) for j in range(1, order + 1)],
+                         order, one=LaurentPoly.one())
 
 
 def verify_product_vs_exp(r: int, order: int) -> CheckReport:

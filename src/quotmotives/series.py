@@ -21,9 +21,10 @@ Multiplying by an exact QSeries unit +-q^e, as division does with the
 inverse of the divisor's constant term, is an exponent map.
 Division needs a unit constant term in the denominator and solves a
 recurrence layered by total degree (:func:`_solve_layers`); inversion is
-division of 1, and the plethystic exponential in
-:mod:`quotmotives.plethystic` shares the same solver, so there is no
-second recurrence and no second exp/log.
+division of 1, a product of factors (1 - c x^m)^(-a)
+(:func:`euler_product`) is one division by its binomial factors, and the
+plethystic exponential in :mod:`quotmotives.plethystic` shares the same
+solver, so there is no second recurrence and no second exp/log.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -391,3 +392,22 @@ def geometric_series(ratio_coeff, order: int, step: int = 1, arity: int = 1,
         out[tuple(m)] = acc
         acc = acc * ratio_coeff
     return TruncatedSeries(out, order, arity)
+
+
+def euler_product(factors, order: int, arity: int = 1, one=1) -> TruncatedSeries:
+    """prod over the (m, c, a) factors of (1 - c x^m)^(-a), for exponent
+    vectors m of positive total degree and int multiplicities a: the
+    binomials with a < 0 multiplied out and divided once, by one layered
+    solve, by the product of those with a > 0.  ``one`` is the unit of the
+    coefficient ring, so that LaurentPoly groups stay pure and go through
+    the packed kernel.  Binomials of high degree go first, which keeps
+    the partial products sparse."""
+    num = den = TruncatedSeries.constant(one, order, arity)
+    for m, c, a in sorted(factors, key=lambda f: -sum(f[0])):
+        binomial = TruncatedSeries({_zero_key(arity): one, m: -c}, order, arity)
+        for _ in range(abs(a)):
+            if a > 0:
+                den = den * binomial
+            else:
+                num = num * binomial
+    return num / den

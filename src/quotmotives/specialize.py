@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .rings import LaurentPoly
 from .report import CheckReport
-from .series import TruncatedSeries, geometric_series
+from .series import TruncatedSeries, euler_product
 from .plethystic import exp_pleth
 from . import quot
 
@@ -114,9 +114,7 @@ def zeta_series(x_class: LaurentPoly, q: int, order: int) -> TruncatedSeries:
     _require_polynomial(x_class)
     exp_form = point_count_series(
         exp_pleth(TruncatedSeries.variable(order, coeff=x_class)), q)
-    out = TruncatedSeries.constant(1, order)
-    for e, a in x_class.terms():
-        out = out * geometric_series(q ** e, order).pow_int(a)
+    out = euler_product([((1,), q ** e, a) for e, a in x_class.terms()], order)
     if out.univariate_coefficients() != exp_form:
         raise AssertionError(
             f"zeta product form disagrees with Exp([X] t) at L = q (X={x_class}, q={q})")

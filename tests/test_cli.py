@@ -3,15 +3,16 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from quotmotives import _classsum, oracle, quiver, quot, specialize
+from quotmotives import _classsum, cli, oracle, quiver, quot, specialize
 from quotmotives.cli import main
-from quotmotives.rings import ExactnessError
+from quotmotives.rings import ExactnessError, LaurentPoly
 from quotmotives.series import TruncatedSeries
 
 
@@ -66,6 +67,30 @@ class TestSeries:
                                "--space", space, "--rank", "1", "--dim", "1",
                                "--order", "2")
         assert code == 0
+
+    def test_json_text_matches_json_dumps(self):
+        # the series writer joins the text itself; it must be the text of
+        # json.dumps(..., indent=2) byte for byte
+        rng = random.Random(3)
+        series = [TruncatedSeries({}, order, arity) for order in (0, 3) for arity in (1, 2)]
+        series += [quot.punctual_quot_series(r, d, n)
+                   for r in range(4) for d in (1, 2) for n in (0, 1, 5)]
+        for _ in range(280):
+            arity = rng.randint(1, 3)
+            order = rng.randint(0, 4)
+            coeffs = {}
+            for _ in range(rng.randint(0, 6)):
+                m = tuple(rng.randint(0, order) for _ in range(arity))
+                c = {rng.randint(-5, 5): rng.choice([1, -1, 10 ** 20 + 7, -(10 ** 19)])
+                     for _ in range(rng.randint(1, 3))}
+                coeffs[m] = rng.choice([LaurentPoly(c), rng.randint(-9, 9)])
+            series.append(TruncatedSeries(coeffs, order, arity))
+        for s in series:
+            obj = {"format": cli.SERIES_FORMAT} | \
+                s.map_coefficients(LaurentPoly._coerce).to_json_obj()
+            out = io.StringIO()
+            cli._emit_series(s, out)
+            assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
     def test_bad_space(self, capsys):
         code, _, err = run_cli(capsys, "series", "--target", "quot",

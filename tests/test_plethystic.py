@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from quotmotives.rings import LaurentPoly, projective_class
+from quotmotives.rings import LaurentPoly, QSeries, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import (exp_pleth, exp_pleth_product, log_pleth,
                                     power_structure, symmetric_power,
@@ -17,6 +18,29 @@ def brute_product(factors, order):
     out = TruncatedSeries.constant(1, order)
     for coeff, step in factors:
         out = out * geometric_series(coeff, order, step=step)
+    return out
+
+
+def geometric_exp_product(f):
+    """prod_m sigma_{x^m}(f_m) as a chain of products by powers of geometric
+    series, the way exp_pleth_product built it before it became one
+    division: single-variable monomials through geometric_series, mixed
+    ones by substituting u = x^m into 1/(1 - L^e u)."""
+    out = TruncatedSeries.constant(1, f.order, f.arity)
+    for m, c in f.coefficients():
+        c = LaurentPoly._coerce(c)
+        step = sum(m)
+        index = next(i for i, e in enumerate(m) if e)
+        single = m[index] == step
+        for e, a in c.terms():
+            if single:
+                geo = geometric_series(LaurentPoly.lefschetz(e), f.order,
+                                       step=step, arity=f.arity, index=index)
+            else:
+                geo = TruncatedSeries(
+                    {tuple(j * mi for mi in m): LaurentPoly.lefschetz(e * j)
+                     for j in range(f.order // step + 1)}, f.order, f.arity)
+            out = out * geo.pow_int(a)
     return out
 
 
@@ -66,6 +90,18 @@ class TestExp:
         for _ in range(15):
             f = _random_zero_series(rng, 8)
             assert exp_pleth(f) == exp_pleth_product(f)
+
+    def test_product_form_matches_geometric_product(self):
+        rng = random.Random(13)
+        for arity, order in ((1, 8), (1, 8), (2, 5), (2, 5), (3, 3)):
+            for _ in range(4):
+                f = _random_zero_series(rng, order, arity)
+                assert exp_pleth_product(f) == geometric_exp_product(f)
+
+    def test_exp_of_zero_series_is_one_in_either_ring(self):
+        s = exp_pleth(TruncatedSeries({}, 3))
+        assert s == TruncatedSeries.constant(QSeries.one(), 3)
+        assert s == TruncatedSeries.constant(LaurentPoly.one(), 3)
 
     def test_two_paths_agree_multivariate(self):
         f = TruncatedSeries({(1, 0): L, (0, 1): 1, (1, 1): L.dual()}, 5, arity=2)
@@ -143,14 +179,19 @@ class TestSymmetricPower:
         assert symmetric_power(x, 1) == x
 
 
-def _random_zero_series(rng, order):
+def _random_zero_series(rng, order, arity=1):
+    """Random Laurent coefficients, some with negative multiplicities, at
+    every exponent vector of total degree 1..order (the mixed monomials
+    too when arity > 1)."""
     coeffs = {}
-    for d in range(1, order + 1):
+    for m in itertools.product(range(order + 1), repeat=arity):
+        if not 1 <= sum(m) <= order:
+            continue
         t = {rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(rng.randint(0, 2))}
         c = LaurentPoly(t)
         if c:
-            coeffs[(d,)] = c
-    return TruncatedSeries(coeffs, order)
+            coeffs[m] = c
+    return TruncatedSeries(coeffs, order, arity)
 
 
 def _random_one_series(rng, order):

@@ -90,7 +90,25 @@ class TestFramedSeries:
         assert s.coefficient(1) == LaurentPoly({3: 1, 4: 1})
 
 
+def jordan_geometric_product(r, order):
+    """The double product as a chain of dense products by geometric series,
+    the way jordan_product_series built it before it became one division."""
+    out = TruncatedSeries.constant(1, order)
+    for i in range(1, r + 1):
+        for j in range(1, order + 1):
+            out = out * geometric_series(LaurentPoly.lefschetz(r * j - i), order, step=j)
+    return out
+
+
 class TestJordanProduct:
+    def test_matches_geometric_product(self):
+        for r in range(4):
+            for n in range(11):
+                s = jordan_product_series(r, n)
+                assert s == jordan_geometric_product(r, n)
+                # the unit is LaurentPoly.one(), so no coefficient is an int
+                assert all(type(c) is LaurentPoly for _, c in s.coefficients())
+
     def test_matches_exp_form(self):
         for r in (1, 2, 3):
             assert verify_product_vs_exp(r, 6).passed

@@ -29,3 +29,19 @@ def test_only_rings_imports_fractions():
             if "fractions" in names and path.name != "rings.py":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"fractions imported outside rings.py: {found}"
+
+
+def test_product_forms_name_no_euler_path_function():
+    # product-vs-exp and the two-path Exp check compare the product form
+    # with exp_pleth; they are independent checks only while the product
+    # side shares no formula with the Euler path
+    euler_path = {"exp_pleth", "log_pleth", "power_structure", "_adams_sum"}
+    product_forms = {"euler_product", "jordan_product_series", "exp_pleth_product"}
+    named = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in product_forms:
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                named[node.name] = sorted(names & euler_path)
+    assert named == dict.fromkeys(product_forms, [])

@@ -109,6 +109,17 @@ class TestZeta:
         assert all(type(c) is int for c in z.univariate_coefficients())
         assert z == exp_form(x, 3, 6)
 
+    def test_matches_geometric_product(self):
+        # a negative coefficient gives a binomial factor in the numerator
+        x = LaurentPoly({0: 2, 1: -1, 2: 1})
+        for q in (2, 3, 4, 5):
+            expect = TruncatedSeries.constant(1, 8)
+            for e, a in x.terms():
+                expect = expect * geometric_series(q ** e, 8).pow_int(a)
+            z = zeta_series(x, q, 8)
+            assert z == expect
+            assert all(type(c) is int for c in z.univariate_coefficients())
+
     def test_symmetric_power_compatibility(self):
         # #S^k X(F_q) equals the value of the k-th symmetric power class
         for x in (L, projective_class(1), LaurentPoly.lefschetz(2)):
