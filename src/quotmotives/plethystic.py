@@ -54,14 +54,29 @@ def _euler(s: TruncatedSeries) -> TruncatedSeries:
 
 def _adams_sum(s: TruncatedSeries, sign) -> TruncatedSeries:
     """sum_{k>=1} sign(k) psi_k(s) truncated at the order of s, for
-    sign(k) in {-1, 0, 1}."""
+    sign(k) in {-1, 0, 1}: each term c x^m adds sign(k) psi_k(c) x^(km)
+    for every k with k deg(m) <= order (every k <= order in degree 0)."""
+    order = s.order
+    signs = [sign(k) for k in range(1, order + 1)]
     out = {}
-    for k in range(1, s.order + 1):
-        w = sign(k)
-        if w:
-            for m, c in s.adams(k)._coeffs.items():
-                out[m] = out.get(m, 0) + c if w > 0 else out.get(m, 0) - c
-    return TruncatedSeries(out, s.order, s.arity)
+    for m, c in s._coeffs.items():
+        d = sum(m)
+        symbolic = isinstance(c, (LaurentPoly, QSeries))
+        for k in range(1, order // d + 1 if d else order + 1):
+            w = signs[k - 1]
+            if not w:
+                continue
+            if k > 1:
+                key = tuple([e * k for e in m])
+                ck = c.adams(k) if symbolic else c
+            else:
+                key, ck = m, c
+            prev = out.get(key)
+            if prev is None:
+                out[key] = ck if w > 0 else -ck
+            else:
+                out[key] = prev + ck if w > 0 else prev - ck
+    return TruncatedSeries(out, order, s.arity)
 
 
 def _coerce_laurent_coeffs(f: TruncatedSeries) -> TruncatedSeries:

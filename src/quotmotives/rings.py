@@ -27,11 +27,19 @@ result: w is the smallest multiple of 64 with B < 2^(w-1), and the
 kernel checks that inequality.  Adding 2^(w-1) to every slot then turns
 each coefficient c into the digit c + 2^(w-1), which lies in [1, 2^w);
 so the biased total has exactly these digits in base 2^w, no carry
-crosses a slot, and slicing its bytes recovers every coefficient.  Each
-polynomial caches its exponent range, norms and last packing in one
-slot; widths are whole 64-bit words so that the pack of an operand used
-in many sums is reused.  ``LaurentPoly.__mul__`` itself stays the dict
-product, which is faster for the few-term operands it mostly sees.
+crosses a slot, and slicing its bytes recovers every coefficient.  For
+w = 64 (nearly every sum) the unpacking runs in C: XOR with the bias
+flips the top bit of each digit, which maps c + 2^63 to c for c >= 0
+and to 2^64 + c, the two's complement of c, for c < 0, so the bytes of
+the XOR read as signed 64-bit words (``memoryview.cast("q")``, on
+little-endian hosts; other hosts and wider slots slice the bytes slot
+by slot).  The kernel can stop decoding at an exponent N: the low slots
+of the biased total do not depend on the slots above them, so it keeps
+the total modulo 2^(w (N - min exp)) and biases only those slots.
+Each polynomial caches its exponent range, norms and last packing in
+one slot; widths are whole 64-bit words so that the pack of an operand
+used in many sums is reused.  ``LaurentPoly.__mul__`` itself stays the
+dict product, which is faster for the few-term operands it mostly sees.
 
 QSeries products use the same kernel: :meth:`QSeries.sum_of_products`
 (and ``*``, its one-pair case) takes the precision P = min over the
@@ -40,7 +48,9 @@ below P - v_b (and b to those below P - v_a), and packs only the cut
 operands.  The cut is exact: a term q^e of a meets only terms q^f of b
 with f >= v_b, so for e >= P - v_b every product lands at q^(e+f) with
 e + f >= P, above the precision.  An operand with nothing to cut is
-passed as it is, keeping its cached pack.  Multiplying by an exact
+passed as it is, keeping its cached pack.  The cut operands still have
+products above q^P (a term just below P - v_b times one above v_b), so
+the kernel decodes only the exponents below P.  Multiplying by an exact
 monomial q^a needs no kernel: :meth:`QSeries.shift` moves the exponents
 and the precision by a.
 
@@ -171,35 +181,7 @@ class LaurentPoly:
         """sum of a * b over the (a, b) pairs of Laurent polynomials, by one
         packed big-int kernel (Kronecker substitution, see the module
         docstring).  Equals the sum of the ``*`` products exactly."""
-        ops = []
-        bound = 0
-        for a, b in pairs:
-            if a._terms and b._terms:
-                sa = a._pack or a._measure()
-                sb = b._pack or b._measure()
-                bound += sa[2] * sb[3]
-                ops.append((a, b, sa[0] + sb[0], sa[1] + sb[1]))
-        if not ops:
-            return cls()
-        w = -(-(bound.bit_length() + 1) // 64) * 64
-        if bound >> (w - 1):
-            raise AssertionError(f"slot width {w} does not hold the bound {bound}")
-        base = min(op[2] for op in ops)
-        slots = max(op[3] for op in ops) - base + 1
-        total = 0
-        for a, b, lo, _ in ops:
-            total += (a._packed(w) * b._packed(w)) << (w * (lo - base))
-        # bias every slot by 2^(w-1): each digit c + 2^(w-1) lies in [1, 2^w)
-        nbytes = w // 8
-        bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
-        data = (total + bias).to_bytes(nbytes * slots, "little")
-        half = 1 << (w - 1)
-        out = {}
-        for k in range(slots):
-            c = int.from_bytes(data[k * nbytes:(k + 1) * nbytes], "little") - half
-            if c:
-                out[base + k] = c
-        return cls(out)
+        return _packed_sum(pairs, math.inf)
 
     def _measure(self) -> tuple:
         """Cache and return (min exp, max exp, l1 norm, max norm, 0, 0)."""
@@ -348,7 +330,10 @@ class QSeries:
 
     def __init__(self, known: LaurentPoly, prec):
         self.prec = prec
-        self.known = LaurentPoly({e: c for e, c in known._terms.items() if e < prec})
+        terms = known._terms
+        if terms and max(terms) >= prec:
+            known = LaurentPoly({e: c for e, c in terms.items() if e < prec})
+        self.known = known
 
     @classmethod
     def one(cls) -> "QSeries":
@@ -389,6 +374,9 @@ class QSeries:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         other = QSeries._coerce(other)
         if other is NotImplemented:
@@ -402,7 +390,8 @@ class QSeries:
         """sum of a * b over the (a, b) pairs of QSeries (or ints), known
         modulo q^P for P the smallest precision of the products.  Each
         operand is cut to the terms that reach below q^P, and the cut
-        pairs are summed by :meth:`LaurentPoly.sum_of_products`."""
+        pairs are summed by the kernel of
+        :meth:`LaurentPoly.sum_of_products`, decoded below q^P only."""
         prec = math.inf
         ops = []
         for a, b in pairs:
@@ -416,7 +405,7 @@ class QSeries:
         # a term q^e of a meets only exponents >= v_b of b, so it reaches
         # below q^P only when e < P - v_b; likewise for b
         cut = [(_below(a, prec - vb), _below(b, prec - va)) for a, b, va, vb in ops]
-        return cls(LaurentPoly.sum_of_products(cut), prec)
+        return cls(_packed_sum(cut, prec), prec)
 
     def shift(self, a: int) -> "QSeries":
         """q^a self, an exponent map: the coefficients and the precision of
@@ -447,6 +436,59 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries({self.known!r}, {self.prec!r})"
+
+
+# memoryview.cast("q") reads native-endian words; the 64-bit unpacking
+# below needs them little-endian, as int.to_bytes writes them
+_LITTLE_ENDIAN = memoryview(b"\x01" + bytes(7)).cast("q")[0] == 1
+
+
+def _packed_sum(pairs, stop) -> LaurentPoly:
+    """sum of a * b over the (a, b) pairs of Laurent polynomials, with
+    only the exponents below ``stop`` decoded: the kernel of
+    :meth:`LaurentPoly.sum_of_products` (see the module docstring)."""
+    ops = []
+    bound = 0
+    base, top = math.inf, -math.inf
+    for a, b in pairs:
+        if a._terms and b._terms:
+            sa = a._pack or a._measure()
+            sb = b._pack or b._measure()
+            bound += sa[2] * sb[3]
+            lo, hi = sa[0] + sb[0], sa[1] + sb[1]
+            if lo < base:
+                base = lo
+            if hi > top:
+                top = hi
+            ops.append((a, b, lo))
+    if stop <= top:
+        top = stop - 1
+    if top < base:
+        return LaurentPoly()
+    w = -(-(bound.bit_length() + 1) // 64) * 64
+    if bound >> (w - 1):
+        raise AssertionError(f"slot width {w} does not hold the bound {bound}")
+    total = 0
+    for a, b, lo in ops:
+        pa, pb = a._pack, b._pack
+        x = (pa[5] if pa[4] == w else a._packed(w)) * (pb[5] if pb[4] == w else b._packed(w))
+        total += x << (w * (lo - base)) if lo != base else x
+    # bias every slot by 2^(w-1): each digit c + 2^(w-1) lies in [1, 2^w)
+    slots = top - base + 1
+    nbytes = w >> 3
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+    total += bias
+    if total >> (w * slots):
+        # drop the slots from ``stop`` on, whose digits the bias did not cover
+        total &= (1 << (w * slots)) - 1
+    if w == 64 and _LITTLE_ENDIAN:
+        # the XOR turns each digit c + 2^63 into the two's complement of c
+        words = memoryview((total ^ bias).to_bytes(8 * slots, "little")).cast("q")
+        return LaurentPoly(dict(zip(range(base, base + slots), words.tolist())))
+    data = total.to_bytes(nbytes * slots, "little")
+    half = 1 << (w - 1)
+    return LaurentPoly({base + k: int.from_bytes(data[k * nbytes:(k + 1) * nbytes], "little")
+                        - half for k in range(slots)})
 
 
 def _below(p: LaurentPoly, n) -> LaurentPoly:

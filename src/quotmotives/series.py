@@ -31,6 +31,7 @@ Values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .rings import ExactnessError, LaurentPoly, QSeries
 
@@ -60,12 +61,16 @@ def _invert_coeff(c):
 def _unit_times(u):
     """The map c |-> u * c for a unit u of the coefficient ring.  An exact
     QSeries unit is +-q^e, and multiplying by it is the exponent map
-    :meth:`QSeries.shift`, with the product's coefficients and precision."""
+    :meth:`QSeries.shift`, with the product's coefficients and precision.
+    The unit 1 (int or LaurentPoly) returns c itself, unless c is an int
+    that the LaurentPoly 1 turns into a LaurentPoly."""
     if type(u) is QSeries and u.prec == math.inf:
         (e, s), = u.terms()
         if s == 1:
             return lambda c: QSeries._coerce(c).shift(e)
         return lambda c: -QSeries._coerce(c).shift(e)
+    if type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}:
+        return lambda c: u * c if type(c) is int else c
     return lambda c: u * c
 
 
@@ -169,16 +174,18 @@ class TruncatedSeries:
             return TruncatedSeries({m: c * other for m, c in self._coeffs.items()},
                                    self.order, self.arity)
         order = self._compat(other)
+        right = [(m2, c2, sum(m2)) for m2, c2 in other._coeffs.items()]
         groups = {}
         for m1, c1 in self._coeffs.items():
-            d1 = sum(m1)
-            if d1 > order:
-                continue
-            for m2, c2 in other._coeffs.items():
-                if d1 + sum(m2) > order:
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                groups.setdefault(m, []).append((c1, c2))
+            room = order - sum(m1)
+            for m2, c2, d2 in right:
+                if d2 <= room:
+                    m = tuple(map(add, m1, m2))
+                    pairs = groups.get(m)
+                    if pairs is None:
+                        groups[m] = [(c1, c2)]
+                    else:
+                        pairs.append((c1, c2))
         return TruncatedSeries({m: _sum_products(pairs) for m, pairs in groups.items()},
                                order, self.arity)
 
@@ -203,8 +210,7 @@ class TruncatedSeries:
         def step(n, acc):
             layer = dict(num[n])
             for m, c in acc.items():
-                # a + -c, since an int minus a QSeries is not defined
-                layer[m] = layer[m] + -c if m in layer else -c
+                layer[m] = layer[m] - c if m in layer else -c
             return {m: times_i0(c) for m, c in layer.items() if c}
 
         den = other if other.order == order else other.truncate(order)
@@ -370,10 +376,17 @@ def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
     for n in range(1, order + 1):
         groups = {}
         for d in range(1, n + 1):
+            layer = u[n - d]
+            if not layer:
+                continue
             for m1, c1 in a_layers[d]:
-                for m2, c2 in u[n - d].items():
-                    m = tuple(x + y for x, y in zip(m1, m2))
-                    groups.setdefault(m, []).append((c1, c2))
+                for m2, c2 in layer.items():
+                    m = tuple(map(add, m1, m2))
+                    pairs = groups.get(m)
+                    if pairs is None:
+                        groups[m] = [(c1, c2)]
+                    else:
+                        pairs.append((c1, c2))
         u.append(step(n, {m: _sum_products(pairs) for m, pairs in groups.items()}))
     out = {}
     for layer in u:

@@ -362,6 +362,15 @@ class TestOptimizedMode:
 
 
 class TestDeterminism:
+    def test_usage_error_leaves_the_parser_unchanged(self, capsys):
+        argv = ("series", "--target", "punctual", "--rank", "2", "--order", "3")
+        first = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--target", "punctual", "--dim", "3", "--order", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert first[0] == 0 and run_cli(capsys, *argv) == first
+
     def test_repeated_runs_identical(self, capsys):
         a = run_cli(capsys, "series", "--target", "nakajima-M", "--rank", "2",
                     "--order", "3")

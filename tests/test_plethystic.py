@@ -1,12 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from quotmotives.rings import LaurentPoly, QSeries, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
-from quotmotives.plethystic import (exp_pleth, exp_pleth_product, log_pleth,
-                                    power_structure, symmetric_power,
+from quotmotives.plethystic import (_adams_sum, _mobius, exp_pleth, exp_pleth_product,
+                                    log_pleth, power_structure, symmetric_power,
                                     verify_power_axioms)
 
 L = LaurentPoly.lefschetz()
@@ -42,6 +43,54 @@ def geometric_exp_product(f):
                      for j in range(f.order // step + 1)}, f.order, f.arity)
             out = out * geo.pow_int(a)
     return out
+
+
+def reference_adams_sum(s, sign):
+    """sum_k sign(k) psi_k(s) as _adams_sum built it before it summed
+    term by term: one Adams series s.adams(k) per k, added up."""
+    out = {}
+    for k in range(1, s.order + 1):
+        w = sign(k)
+        if w:
+            for m, c in s.adams(k)._coeffs.items():
+                out[m] = out.get(m, 0) + c if w > 0 else out.get(m, 0) - c
+    return TruncatedSeries(out, s.order, s.arity)
+
+
+def _exact_terms(s):
+    """Every coefficient of s with its type, terms and precision (``==``
+    compares QSeries only below the common precision)."""
+    def exact(c):
+        if isinstance(c, QSeries):
+            return QSeries, c.terms(), c.prec
+        return type(c), (c.terms() if isinstance(c, LaurentPoly) else c)
+    return s.order, s.arity, [(m, exact(c)) for m, c in s.coefficients()]
+
+
+class TestAdamsSum:
+    RINGS = {
+        "int": lambda rng: rng.randint(-5, 5),
+        "laurent": lambda rng: LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
+                                            for _ in range(rng.randint(1, 3))}),
+        "qseries": lambda rng: QSeries(
+            LaurentPoly({rng.randint(-2, 4): rng.randint(-4, 4)
+                         for _ in range(rng.randint(0, 3))}),
+            rng.choice((3, 6, math.inf))),
+    }
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @pytest.mark.parametrize("arity, order", [(1, 9), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("sign", [lambda k: 1, _mobius], ids=["one", "mobius"])
+    def test_matches_the_per_k_sum(self, ring, arity, order, sign):
+        rng = random.Random(f"{ring}-{arity}-{order}")
+        draw = self.RINGS[ring]
+        for _ in range(8):
+            coeffs = {m: draw(rng)
+                      for m in itertools.product(range(order + 1), repeat=arity)
+                      if sum(m) <= order and rng.random() < 0.6}
+            s = TruncatedSeries(coeffs, order, arity)
+            assert _exact_terms(_adams_sum(s, sign)) == \
+                _exact_terms(reference_adams_sum(s, sign))
 
 
 class TestExp:
@@ -121,6 +170,11 @@ class TestLog:
         # oracle: Exp(t + t^2) = 1/((1-t)(1-t^2)) by the product formula
         g = brute_product([(1, 1), (1, 2)], 10)
         assert log_pleth(g) == TruncatedSeries({(1,): 1, (2,): 1}, 10)
+
+    def test_log_round_trip_over_qseries(self):
+        exact = lambda t: QSeries(LaurentPoly(t), math.inf)
+        f = TruncatedSeries({(1,): exact({1: 2}), (2,): exact({2: -1})}, 3)
+        assert _exact_terms(log_pleth(exp_pleth(f))) == _exact_terms(f)
 
     def test_log_requires_one(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries,
+from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _packed_sum,
                                affine_class, dual, eval_int, projective_class)
 from quotmotives.series import _sum_products
 
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5)\
     .map(LaurentPoly)
+
+
+wide_laurents = st.dictionaries(
+    st.integers(-6, 6), st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)),
+    max_size=5).map(LaurentPoly)
 
 
 precisions = st.one_of(st.integers(-4, 8), st.just(math.inf))
@@ -192,6 +197,32 @@ class TestSumOfProducts:
         assert total.terms() == [(e, sign * bound) for e in range(-3, 4)]
         assert total == _summed_products(pairs)
 
+    @pytest.mark.parametrize("bound", [2 ** 63 - 1, 2 ** 63])
+    def test_both_unpack_paths(self, bound):
+        # the same operands, scaled so that B sits just below 2^63 (64-bit
+        # slots, unpacked as signed words) and at 2^63 (128-bit slots)
+        rng = random.Random(63)
+        a = [LaurentPoly({e: rng.randint(-9, 9) for e in range(-4, 7)}) for _ in range(3)]
+        b = [LaurentPoly({e: rng.choice((-1, 1)) * rng.randint(1, 9) for e in range(-2, 5)})
+             for _ in range(3)]
+        norm = sum(sum(abs(c) for _, c in x.terms()) * max(abs(c) for _, c in y.terms())
+                   for x, y in zip(a, b))
+        scale, extra = divmod(bound, norm)
+        pairs = [(x * scale, y) for x, y in zip(a, b)]
+        # one more term on a constant operand makes B exactly the bound
+        pairs.append((LaurentPoly({0: extra}), LaurentPoly({0: 1})))
+        total = LaurentPoly.sum_of_products(pairs)
+        assert total == sum((x * y for x, y in pairs), LaurentPoly())
+        assert any(c < 0 for _, c in total.terms()) and any(c > 0 for _, c in total.terms())
+        assert pairs[0][0]._pack[4] == (64 if bound < 2 ** 63 else 128)
+
+    @given(st.lists(st.tuples(wide_laurents, laurents), max_size=6), st.integers(-14, 14))
+    def test_decoded_below_a_stop(self, pairs, stop):
+        # the kernel behind QSeries products decodes only the exponents below
+        # the precision; the dropped slots may hold any sign or size
+        expected = [(e, c) for e, c in _summed_products(pairs).terms() if e < stop]
+        assert _packed_sum(pairs, stop).terms() == expected
+
     def test_shared_operand_at_two_widths(self):
         # the shared operand's cached pack alternates between 64- and 128-bit slots
         shared = LaurentPoly({-2: 3, 0: -1, 5: 7})
@@ -299,6 +330,11 @@ class TestQSeries:
         assert g == qs({0: 1, 2: 1}, 6)
         with pytest.raises(ValueError):
             f.adams(0)
+
+    def test_int_minus_qseries(self):
+        x = qs({-1: 2, 0: -3, 2: 5}, 4)
+        assert _exactly(3 - x) == _exactly(-(x - 3))
+        assert _exactly(3 - x) == (QSeries, [(-1, -2), (0, 6), (2, -5)], 4)
 
     def test_division_by_int_is_exact(self):
         f = qs({0: 2, 1: 4, 5: 3}, 3)

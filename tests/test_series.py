@@ -163,6 +163,23 @@ class TestDivide:
         got, expect = _unit_times(u)(c), u * c
         assert (got.terms(), got.prec) == (expect.terms(), expect.prec)
 
+    @given(univariate(), unit_series(laurents, st.just(LaurentPoly.one())))
+    def test_unit_one_makes_no_coefficient_product(self, a, b):
+        products = []
+        real = LaurentPoly.__mul__
+
+        def counted(x, y):
+            products.append((x, y))
+            return real(x, y)
+
+        LaurentPoly.__mul__ = LaurentPoly.__rmul__ = counted
+        try:
+            got = a / b
+        finally:
+            LaurentPoly.__mul__ = LaurentPoly.__rmul__ = real
+        assert products == []
+        assert got == a * b.invert()
+
     def test_order_is_the_smaller(self):
         a = TruncatedSeries({(0,): 1, (3,): 1}, 6)
         assert (a / geom(4)).order == 4
