@@ -23,22 +23,24 @@ p is packed as the integer p L^(-min exp) at L = 2^w, the packed
 products are shifted by w times their exponent offset and added as
 Python ints, and the total is unpacked once.  The slot width w comes from
 the bound B = sum_i ||a_i||_1 ||b_i||_inf on every coefficient of the
-result: w is the smallest multiple of 64 with B < 2^(w-1), and the
-kernel checks that inequality.  Adding 2^(w-1) to every slot then turns
+result: w is 32 if B < 2^31 and otherwise the smallest multiple of 64
+with B < 2^(w-1), and the kernel checks that inequality.  Adding 2^(w-1) to every slot then turns
 each coefficient c into the digit c + 2^(w-1), which lies in [1, 2^w);
 so the biased total has exactly these digits in base 2^w, no carry
 crosses a slot, and slicing its bytes recovers every coefficient.  For
-w = 64 (nearly every sum) the unpacking runs in C: XOR with the bias
-flips the top bit of each digit, which maps c + 2^63 to c for c >= 0
-and to 2^64 + c, the two's complement of c, for c < 0, so the bytes of
-the XOR read as signed 64-bit words (``memoryview.cast("q")``, on
+w = 32 and 64 (nearly every sum) the unpacking runs in C: XOR with the
+bias flips the top bit of each digit, which maps c + 2^(w-1) to c for
+c >= 0 and to 2^w + c, the two's complement of c, for c < 0, so the
+bytes of the XOR read as signed w-bit words (``memoryview.cast``, on
 little-endian hosts; other hosts and wider slots slice the bytes slot
 by slot).  The kernel can stop decoding at an exponent N: the low slots
 of the biased total do not depend on the slots above them, so it keeps
 the total modulo 2^(w (N - min exp)) and biases only those slots.
 Each polynomial caches its exponent range, norms and last packing in
-one slot; widths are whole 64-bit words so that the pack of an operand
-used in many sums is reused.  ``LaurentPoly.__mul__`` itself stays the
+one slot; widths are 32 bits or whole 64-bit words, few enough that the
+pack of an operand used in many sums is mostly reused, while the 32-bit
+slots of the many sums with small coefficients halve the size of what
+is multiplied.  ``LaurentPoly.__mul__`` itself stays the
 dict product, which is faster for the few-term operands it mostly sees.
 
 QSeries products use the same kernel: :meth:`QSeries.sum_of_products`
@@ -438,9 +440,11 @@ class QSeries:
         return f"QSeries({self.known!r}, {self.prec!r})"
 
 
-# memoryview.cast("q") reads native-endian words; the 64-bit unpacking
-# below needs them little-endian, as int.to_bytes writes them
-_LITTLE_ENDIAN = memoryview(b"\x01" + bytes(7)).cast("q")[0] == 1
+# slot width -> the memoryview format that reads little-endian signed words
+# of that width, as int.to_bytes writes them, where the host has one
+_SIGNED_WORDS = {w: f for w, f in ((32, "i"), (64, "q"))
+                 if memoryview((-2).to_bytes(w // 8, "little", signed=True) * 2)
+                 .cast(f).tolist() == [-2, -2]}
 
 
 def _packed_sum(pairs, stop) -> LaurentPoly:
@@ -465,7 +469,8 @@ def _packed_sum(pairs, stop) -> LaurentPoly:
         top = stop - 1
     if top < base:
         return LaurentPoly()
-    w = -(-(bound.bit_length() + 1) // 64) * 64
+    n = bound.bit_length() + 1
+    w = 32 if n <= 32 else -(-n // 64) * 64
     if bound >> (w - 1):
         raise AssertionError(f"slot width {w} does not hold the bound {bound}")
     total = 0
@@ -481,9 +486,10 @@ def _packed_sum(pairs, stop) -> LaurentPoly:
     if total >> (w * slots):
         # drop the slots from ``stop`` on, whose digits the bias did not cover
         total &= (1 << (w * slots)) - 1
-    if w == 64 and _LITTLE_ENDIAN:
-        # the XOR turns each digit c + 2^63 into the two's complement of c
-        words = memoryview((total ^ bias).to_bytes(8 * slots, "little")).cast("q")
+    fmt = _SIGNED_WORDS.get(w)
+    if fmt:
+        # the XOR turns each digit c + 2^(w-1) into the two's complement of c
+        words = memoryview((total ^ bias).to_bytes(nbytes * slots, "little")).cast(fmt)
         return LaurentPoly(dict(zip(range(base, base + slots), words.tolist())))
     data = total.to_bytes(nbytes * slots, "little")
     half = 1 << (w - 1)

@@ -184,8 +184,9 @@ class TestSumOfProducts:
         assert LaurentPoly.sum_of_products([(a, b)]).terms() == [(4, -10)]
         assert LaurentPoly.sum_of_products([(a, b), (b, b)]).terms() == [(4, -10), (14, 4)]
 
-    @pytest.mark.parametrize("bound", [2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
-                                       2 ** 127, 2 ** 128 - 1, 2 ** 200 + 1])
+    @pytest.mark.parametrize("bound", [2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63,
+                                       2 ** 64 - 1, 2 ** 64, 2 ** 127, 2 ** 128 - 1,
+                                       2 ** 200 + 1])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_every_coefficient_at_the_bound(self, bound, sign):
         # B = sum ||a||_1 ||b||_inf, and every coefficient of the sum is sign * B
@@ -197,10 +198,12 @@ class TestSumOfProducts:
         assert total.terms() == [(e, sign * bound) for e in range(-3, 4)]
         assert total == _summed_products(pairs)
 
-    @pytest.mark.parametrize("bound", [2 ** 63 - 1, 2 ** 63])
-    def test_both_unpack_paths(self, bound):
-        # the same operands, scaled so that B sits just below 2^63 (64-bit
-        # slots, unpacked as signed words) and at 2^63 (128-bit slots)
+    @pytest.mark.parametrize("bound, width", [(2 ** 31 - 1, 32), (2 ** 31, 64),
+                                              (2 ** 63 - 1, 64), (2 ** 63, 128)])
+    def test_both_unpack_paths(self, bound, width):
+        # the same operands, scaled so that B sits just below and at 2^31
+        # (32- and 64-bit slots, both unpacked as signed words) and 2^63
+        # (64-bit slots, and 128-bit slots unpacked slot by slot)
         rng = random.Random(63)
         a = [LaurentPoly({e: rng.randint(-9, 9) for e in range(-4, 7)}) for _ in range(3)]
         b = [LaurentPoly({e: rng.choice((-1, 1)) * rng.randint(1, 9) for e in range(-2, 5)})
@@ -214,7 +217,7 @@ class TestSumOfProducts:
         total = LaurentPoly.sum_of_products(pairs)
         assert total == sum((x * y for x, y in pairs), LaurentPoly())
         assert any(c < 0 for _, c in total.terms()) and any(c > 0 for _, c in total.terms())
-        assert pairs[0][0]._pack[4] == (64 if bound < 2 ** 63 else 128)
+        assert pairs[0][0]._pack[4] == width
 
     @given(st.lists(st.tuples(wide_laurents, laurents), max_size=6), st.integers(-14, 14))
     def test_decoded_below_a_stop(self, pairs, stop):
@@ -226,7 +229,7 @@ class TestSumOfProducts:
     def test_shared_operand_at_two_widths(self):
         # the shared operand's cached pack alternates between 64- and 128-bit slots
         shared = LaurentPoly({-2: 3, 0: -1, 5: 7})
-        small, large = LaurentPoly({1: 2}), LaurentPoly({-4: 2 ** 100, 3: -1})
+        small, large = LaurentPoly({1: 2 ** 31}), LaurentPoly({-4: 2 ** 100, 3: -1})
         for _ in range(3):
             for other, width in ((small, 64), (large, 128)):
                 assert LaurentPoly.sum_of_products([(shared, other)]) == shared * other
