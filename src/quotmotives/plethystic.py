@@ -20,6 +20,16 @@ f^a = Exp(a Log f).  The Euler path also works for series with
 QSeries coefficients (where psi_k sends q to q^k and scales the
 precision), which is what q-series identities like the Heine formula
 need.
+
+:func:`exp_pleth` keeps its last argument and result in one slot.  The
+key is exact: the order, the arity and, per exponent vector, the sorted
+terms of the coerced coefficient (with a tag and the precision for a
+QSeries), so an int and the constant LaurentPoly of equal value share
+a key.  The function is pure and series are immutable, so a hit
+returns the very series a solve would produce.  This is what makes the
+Quot check cheap: its Exp(x Log P) has the argument of the closed
+Exp(x A_p) computed just before it whenever the two paths agree (see
+:mod:`quotmotives.quot`).
 """
 
 from __future__ import annotations
@@ -84,6 +94,18 @@ def _coerce_laurent_coeffs(f: TruncatedSeries) -> TruncatedSeries:
         lambda c: c if isinstance(c, (LaurentPoly, QSeries)) else LaurentPoly({0: c}))
 
 
+def _exp_key(f: TruncatedSeries) -> tuple:
+    """Exact key of a coerced Exp argument: equal keys mean the same
+    order, arity, ring and coefficients, term for term."""
+    return (f.order, f.arity,
+            {m: (c.terms(),) if type(c) is LaurentPoly else ("q", c.prec, c.terms())
+             for m, c in f._coeffs.items()})
+
+
+# (key, result) of the last exp_pleth solve, replaced as one tuple
+_exp_memo = (None, None)
+
+
 def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     """Plethystic exponential of a series with zero constant term.
 
@@ -91,14 +113,25 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     promoted) or QSeries.  Solves n h_n = sum_{d<=n} g_d h_{n-d} with
     g = sum_k psi_k(E f); over Z[L, L^-1] each division by n is exact
     (an inexact one raises ExactnessError).
+
+    An argument equal, by :func:`_exp_key`, to that of the previous call
+    returns the previous result without a solve: the function is pure
+    and series are immutable, so it is the series the solve would give.
     """
+    global _exp_memo
     if not (f.constant_term() == 0):
         raise ValueError("plethystic exponential requires zero constant term")
     f = _coerce_laurent_coeffs(f)
+    key = _exp_key(f)
+    last_key, last = _exp_memo
+    if key == last_key:
+        return last
     # h_0 is the unit of the coefficient ring (LaurentPoly or QSeries)
     one = next((type(c).one() for c in f._coeffs.values()), 1)
     g = _adams_sum(_euler(f), lambda k: 1)
-    return _solve_layers(g, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
+    h = _solve_layers(g, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
+    _exp_memo = (key, h)
+    return h
 
 
 def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
@@ -180,6 +213,8 @@ def verify_power_axioms(samples: int = 50, order: int = 8,
     (order - 1)-jets, so order must be >= 1."""
     if order < 1:
         raise ValueError(f"power-axiom checks need order >= 1, got {order}")
+    if samples < 0:
+        raise ValueError(f"power-axiom checks need samples >= 0, got {samples}")
     rng = random.Random(seed)
     one = TruncatedSeries.constant(1, order)
     failures = []

@@ -209,6 +209,9 @@ def _partition_sums(quiver: Quiver, framings, order: int, prec: int) -> list:
     """[S(w, q, z) for w in framings], all from one chain table."""
     if any(len(w) != quiver.vertices for w in framings):
         raise ValueError("framing vector size does not match the quiver")
+    for w in framings:
+        if min(w, default=0) < 0:
+            raise ValueError(f"framing vector entries must be >= 0, got {tuple(w)}")
     table = _chain_table(quiver, order, prec)
     out = []
     for w in framings:

@@ -11,6 +11,12 @@ and the punctual series (quotients supported at one point, X = affine
 d-space localized at the origin) is the specialization [X] = 1.  The
 global series is also the punctual series raised to the power [X] in
 the power structure; both evaluation paths are computed and compared.
+:func:`quot_series` computes the punctual series first and the closed
+Exp just before the power, so that the Exp(x Log P) inside the power
+repeats the argument of the closed Exp whenever the paths agree and is
+answered by the one-slot memo of :func:`~quotmotives.plethystic.exp_pleth`.
+Any fault that makes the arguments differ misses the memo, and the two
+solved series are compared as before.
 Ambient dimension d >= 3 is rejected: no closed form for the punctual
 invariants is known there.
 """
@@ -60,13 +66,19 @@ def quot_series(x_class: LaurentPoly, d: int, r: int, order: int) -> TruncatedSe
     d-fold with class x_class.
 
     Evaluated both as (punctual series)^(x_class) in the power structure
-    and by the closed Exp formula; the two must agree exactly.
+    and by the closed Exp formula; the two must agree exactly.  The
+    punctual series is computed first and the closed Exp right before
+    the power, whose Exp(x_class Log P) then finds the closed argument
+    in the memo of :func:`exp_pleth` exactly when the two arguments are
+    equal.  Exp is pure, so the comparison has the outcome it has with
+    both series solved, and any difference is still solved and reported.
     """
     _check_rd(r, d)
     if isinstance(x_class, int):
         x_class = LaurentPoly({0: x_class})
+    punctual = punctual_quot_series(r, d, order)
     closed = exp_pleth(_exp_argument(projective_class(r - 1) * x_class, r, d, order))
-    powered = power_structure(punctual_quot_series(r, d, order), x_class)
+    powered = power_structure(punctual, x_class)
     if closed != powered:
         raise AssertionError(
             "power-structure and Exp evaluations of the Quot series disagree "

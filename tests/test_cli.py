@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from quotmotives import _classsum, cli, oracle, quiver, quot, specialize
+from quotmotives import _classsum, cli, oracle, plethystic, quiver, quot, specialize
 from quotmotives.cli import main
 from quotmotives.rings import ExactnessError, LaurentPoly
 from quotmotives.series import TruncatedSeries
@@ -98,6 +98,16 @@ class TestSeries:
         assert code == 2
         assert "unknown space" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--nilpotent",)])
+    def test_negative_framing_is_usage_error(self, capsys, tmp_path, extra):
+        qfile = tmp_path / "quiver.json"
+        qfile.write_text(json.dumps({"vertices": 1, "arrows": [[0, 0]]}))
+        code, out, err = run_cli(capsys, "series", "--target", "nakajima-general",
+                                 "--quiver", str(qfile), "--framing", "-1",
+                                 "--order", "2", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: framing vector entries must be >= 0, got (-1,)\n"
+
     def test_bad_dimension_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--target", "quot", "--space", "A2",
@@ -136,6 +146,8 @@ class TestVerify:
         (("verify", "zeta-curve", "--q", "6"), "prime power"),
         (("verify", "zeta-curve", "--q", "1"), "prime power"),
         (("verify", "zeta-surface", "--space", "P2", "--q", "6"), "prime power"),
+        (("verify", "class1-vs-closed", "--rank", "-1"), "framing"),
+        (("verify", "power-axioms", "--samples", "-1"), "samples >= 0"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -297,6 +309,47 @@ class TestCentralizerSelfCheck:
         assert runs[1].returncode == 3
         assert runs[1].stdout == ""
         assert runs[1].stderr.startswith("internal error:")
+
+
+class TestQuotSelfCheck:
+    """A perturbed Log P breaks the power-structure cross-check of every
+    Quot series: exit code 3 and no output, in optimized mode too."""
+
+    ARGV = ["series", "--target", "quot", "--space", "P2", "--rank", "2",
+            "--dim", "2", "--order", "5"]
+
+    def test_wrong_log_is_internal_error(self, capsys, monkeypatch):
+        log = plethystic.log_pleth
+        monkeypatch.setattr(plethystic, "log_pleth",
+                            lambda g: log(g) + TruncatedSeries({(2,): 1}, g.order))
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error:")
+        assert "first difference at (2,)" in err
+
+    def test_check_survives_optimized_mode(self):
+        script = (
+            "import sys\n"
+            "from quotmotives import cli, plethystic\n"
+            "from quotmotives.series import TruncatedSeries\n"
+            "log = plethystic.log_pleth\n"
+            "bump = int(sys.argv[1])\n"
+            "plethystic.log_pleth = lambda g: log(g) + TruncatedSeries({(2,): bump}, g.order)\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        runs = {}
+        for bump in (0, 1):
+            runs[bump] = subprocess.run(
+                [sys.executable, "-O", "-c", script, str(bump), *self.ARGV],
+                capture_output=True, text=True, env=env, timeout=120)
+        assert runs[0].returncode == 0
+        assert json.loads(runs[0].stdout)["order"] == 5
+        assert runs[1].returncode == 3
+        assert runs[1].stdout == ""
+        assert runs[1].stderr.startswith("internal error:")
+        assert "first difference at (2,)" in runs[1].stderr
 
 
 class TestCounts:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from quotmotives.rings import LaurentPoly, QSeries, projective_class
+from quotmotives import plethystic, quot, series
+from quotmotives.rings import LaurentPoly, QSeries, affine_class, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import (_adams_sum, _mobius, exp_pleth, exp_pleth_product,
                                     log_pleth, power_structure, symmetric_power,
@@ -156,6 +157,121 @@ class TestExp:
         f = TruncatedSeries({(1, 0): L, (0, 1): 1, (1, 1): L.dual()}, 5, arity=2)
         assert exp_pleth(f) == exp_pleth_product(f)
         assert log_pleth(exp_pleth(f)) == f
+
+
+def count_solves(monkeypatch):
+    """Count the layered solves of both modules that call _solve_layers:
+    plethystic for Exp, series for division (and so for Log)."""
+    calls = []
+    for module in (plethystic, series):
+        solve = module._solve_layers
+
+        def counted(*args, solve=solve):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(module, "_solve_layers", counted)
+    return calls
+
+
+def reset_exp_memo():
+    plethystic._exp_memo = (None, None)
+
+
+def exact_q(terms, prec=math.inf):
+    return QSeries(LaurentPoly(terms), prec)
+
+
+class TestExpMemo:
+    """exp_pleth keeps its last argument and result; an equal argument
+    costs no solve, and anything else is solved."""
+
+    def test_equal_distinct_arguments_cost_one_solve(self, monkeypatch):
+        reset_exp_memo()
+        calls = count_solves(monkeypatch)
+        make = lambda: TruncatedSeries({(1,): L, (2,): 1 + L, (3,): -L}, 6)
+        f, g = make(), make()
+        assert f is not g
+        h = exp_pleth(f)
+        assert exp_pleth(g) is h
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("first, second", [
+        (TruncatedSeries({(1,): L, (2,): 1 + L}, 6),
+         TruncatedSeries({(1,): L, (2,): 1 + 2 * L}, 6)),
+        (TruncatedSeries({(1,): L, (2,): 1 + L}, 6),
+         TruncatedSeries({(1,): L, (2,): 1 + L}, 7)),
+        (TruncatedSeries({(1,): exact_q({1: 2}, 5)}, 4),
+         TruncatedSeries({(1,): exact_q({1: 2}, 6)}, 4)),
+        (TruncatedSeries({(1,): LaurentPoly.one()}, 4),
+         TruncatedSeries({(1,): exact_q({0: 1})}, 4)),
+        (TruncatedSeries({(1, 0): L}, 4, 2), TruncatedSeries({(0, 1): L}, 4, 2)),
+    ], ids=["coefficient", "order", "precision", "ring", "exponent"])
+    def test_different_arguments_cost_two_solves(self, monkeypatch, first, second):
+        reset_exp_memo()
+        calls = count_solves(monkeypatch)
+        h1 = exp_pleth(first)
+        h2 = exp_pleth(second)
+        assert len(calls) == 2
+        reset_exp_memo()
+        assert _exact_terms(exp_pleth(second)) == _exact_terms(h2)
+        assert _exact_terms(h1) != _exact_terms(h2)
+
+    def test_int_and_constant_laurent_share_a_key(self, monkeypatch):
+        reset_exp_memo()
+        calls = count_solves(monkeypatch)
+        h = exp_pleth(TruncatedSeries({(1,): 2, (3,): -1}, 6))
+        one = LaurentPoly.one()
+        assert exp_pleth(TruncatedSeries({(1,): 2 * one, (3,): -one}, 6)) is h
+        assert len(calls) == 1
+        assert all(type(c) is LaurentPoly for _, c in h.coefficients())
+
+    def test_failed_solve_leaves_the_slot(self, monkeypatch):
+        reset_exp_memo()
+        f = TruncatedSeries({(1,): L}, 5)
+        h = exp_pleth(f)
+        with pytest.raises(ValueError):
+            exp_pleth(TruncatedSeries.constant(1, 5))
+        calls = count_solves(monkeypatch)
+        assert exp_pleth(f) is h
+        assert not calls
+
+    SPACES = {
+        "zero": LaurentPoly(),
+        "point": LaurentPoly.one(),
+        "A1": affine_class(1),
+        "P2": projective_class(2),
+        "virtual": LaurentPoly({-2: 3, 0: -1, 1: 2}),
+        "minus-P1": -projective_class(1),
+    }
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_quot_series_matches_four_solves(self, monkeypatch, space, d, r):
+        x, order = self.SPACES[space], 7
+        reset_exp_memo()
+        calls = count_solves(monkeypatch)
+        got = quot.quot_series(x, d, r, order)
+        memoized = len(calls)
+        reset_exp_memo()
+        punctual = quot.punctual_quot_series(r, d, order)
+        reset_exp_memo()
+        closed = exp_pleth(quot._exp_argument(projective_class(r - 1) * x, r, d, order))
+        reset_exp_memo()
+        powered = power_structure(punctual, x)
+        assert len(calls) - memoized == 4
+        assert _exact_terms(got) == _exact_terms(closed) == _exact_terms(powered)
+        # x = 1 or r = 0 makes the closed argument the punctual one, a
+        # second hit; otherwise only the power's Exp is one
+        assert memoized == (2 if space == "point" or r == 0 else 3)
+
+    def test_quot_series_makes_three_solves(self, monkeypatch):
+        reset_exp_memo()
+        calls = count_solves(monkeypatch)
+        for n, x in enumerate((projective_class(2), affine_class(1), L.dual()), 1):
+            quot.quot_series(x, 2, 2, 9)
+            assert len(calls) == 3 * n
 
 
 class TestLog:

@@ -1,5 +1,6 @@
 import pytest
 
+from quotmotives import plethystic
 from quotmotives.rings import LaurentPoly, affine_class, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.quot import (UnsupportedDimensionError,
@@ -163,3 +164,24 @@ class TestAffinePlaneVsFramed:
 
     def test_constant_term(self):
         assert quot_affine_plane_series(3, 2).coefficient(0) == 1
+
+
+def perturbed_log(k):
+    """plethystic.log_pleth with 1 added to its t^k coefficient."""
+    log = plethystic.log_pleth
+    return lambda g: log(g) + TruncatedSeries({(k,): 1}, g.order)
+
+
+class TestQuotSelfCheck:
+    """A wrong Log P makes the power-structure evaluation differ from the
+    closed Exp from t^k on; the memo of exp_pleth must not hide it."""
+
+    @pytest.mark.parametrize("x, d, r, k", [
+        (projective_class(2), 2, 2, 2),
+        (affine_class(1), 1, 3, 1),
+        (LaurentPoly({-1: 2, 1: -1}), 2, 1, 4),
+    ])
+    def test_wrong_log_is_reported(self, monkeypatch, x, d, r, k):
+        monkeypatch.setattr(plethystic, "log_pleth", perturbed_log(k))
+        with pytest.raises(AssertionError, match=rf"first difference at \({k},\)"):
+            quot_series(x, d, r, 6)
