@@ -147,8 +147,8 @@ def verify_product_vs_exp(r: int, order: int) -> CheckReport:
 
 def verify_class1_closed(r: int, order: int) -> CheckReport:
     """Partition-sum motive series of the one-loop quiver vs the closed form."""
-    summed = nakajima_motive_series(Quiver.jordan(), (r,), order)
     closed = nakajima_framed_series(r, order)
+    summed = nakajima_motive_series(Quiver.jordan(), (r,), order)
     return CheckReport.compare("class1-vs-closed", summed, closed,
                                f"r={r}, order {order}")
 

@@ -146,7 +146,7 @@ class TestVerify:
         (("verify", "zeta-curve", "--q", "6"), "prime power"),
         (("verify", "zeta-curve", "--q", "1"), "prime power"),
         (("verify", "zeta-surface", "--space", "P2", "--q", "6"), "prime power"),
-        (("verify", "class1-vs-closed", "--rank", "-1"), "framing"),
+        (("verify", "class1-vs-closed", "--rank", "-1"), "rank must be >= 0"),
         (("verify", "power-axioms", "--samples", "-1"), "samples >= 0"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, argv, message):
