@@ -2,18 +2,24 @@
 """Benchmark the class-sum oracle kernel against the brute-force reference.
 
 Runs a fixed grid of raw stable counts through `oracle.raw_stable_count`
-(conjugacy classes and the submodule DP) and through `_enum_py`
-(every matrix tuple and framing), checks that they agree exactly, and
-prints a timing table.  Exits with status 1 on a mismatch.
+(conjugacy classes and the submodule DP) and through the reference
+`tests/brute_force.py` (every matrix tuple and framing), checks that they
+agree exactly, and prints a timing table.  Exits with status 1 on a
+mismatch.
 
 Usage:  python3 benchmarks/bench_oracle.py [--quick]
 """
 
 import argparse
+import pathlib
 import sys
 import time
 
-from quotmotives import _enum_py, oracle
+# the reference is not part of the package; it lives next to the tests
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+
+import brute_force  # noqa: E402
+from quotmotives import oracle  # noqa: E402
 
 FULL_GRID = [
     # (n, r, q, d, punctual)
@@ -52,7 +58,7 @@ def main() -> int:
     totals = [0.0, 0.0]
     for case in grid:
         fast, t_fast = timed(oracle.raw_stable_count, case)
-        brute, t_brute = timed(_enum_py.count_stable, case)
+        brute, t_brute = timed(brute_force.count_stable, case)
         if fast != brute:
             print(f"MISMATCH on {case}: class-sum={fast} brute={brute}")
             return 1

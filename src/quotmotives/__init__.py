@@ -23,7 +23,7 @@ from .quot import (UnsupportedDimensionError, compare_affine_plane_vs_framed,
 from .specialize import (point_count_series, zeta_series,
                          verify_zeta_product_curve, verify_zeta_product_surface)
 from .oracle import (BudgetError, active_backend, count_global_affine,
-                     count_punctual, gl_order, is_stable, raw_stable_count)
+                     count_punctual, gl_order, raw_stable_count)
 from .report import CheckReport
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "active_backend", "affine_class", "compare_affine_plane_vs_framed",
     "count_global_affine", "count_punctual", "dual", "euler_form", "eval_int",
     "exp_pleth", "exp_pleth_product", "geometric_series", "gl_order",
-    "is_stable", "jordan_product_series", "log_pleth", "nakajima_dim",
+    "jordan_product_series", "log_pleth", "nakajima_dim",
     "nakajima_framed_series", "nakajima_motive_series",
     "nakajima_partition_sum", "nilpotent_motive_series",
     "partitions_of", "point_count_series",

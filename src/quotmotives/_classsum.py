@@ -24,13 +24,15 @@ The generating r-tuples are counted with P. Hall's idea of counting over
 the lattice of submodules ("The Eulerian functions of a group", 1936):
 a dynamic program over the submodule spanned so far, each a reduced
 echelon basis, with one transition per line of F_q^n modulo it.
+
+This is the package's only enumeration kernel.  It shares no code with
+its test reference, the brute-force enumeration in `tests/brute_force.py`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import _enum_py
 from .oracle import gl_order
 from .quiver import partitions_of
 
@@ -52,11 +54,20 @@ def class_sum(classes: list, n: int, r: int, q: int, d: int, punctual: bool) -> 
         else:
             inner = 0
             for x2 in _span(basis, q):
-                if punctual and not _enum_py._is_nilpotent(x2, n, q):
+                if punctual and not _is_nilpotent(x2, n, q):
                     continue
                 inner += _generating_tuples((rep, x2), n, r, q)
             total += size * inner
     return total
+
+
+def _is_nilpotent(x, n: int, q: int) -> bool:
+    """x^n = 0, by n - 1 products with x (flat row-major n*n tuples)."""
+    p = x
+    for _ in range(n - 1):
+        p = [sum(p[i * n + k] * x[k * n + j] for k in range(n)) % q
+             for i in range(n) for j in range(n)]
+    return not any(p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,16 @@ stabilizer in GL_n(F_q), so the number of points is the raw number of
 stable instances divided by |GL_n(F_q)| -- the division is checked to
 be exact.
 
-The raw number comes from `_classsum`, which sums over conjugacy classes
-and counts generating framings over the submodule lattice, after an
-up-front work estimate from the class list has passed the budget.
-`_classsum` is imported on the first count, so importing the package
-does not load it.  `_enum_py` keeps the brute-force enumeration over
-all matrices and framings as the test reference for that kernel.
+The raw number comes from `_classsum`, the one enumeration kernel, which
+sums over conjugacy classes and counts generating framings over the
+submodule lattice, after an up-front work estimate from the class list
+has passed the budget.  `_classsum` is imported on the first count, so
+importing the package does not load it.  The brute-force enumeration
+over all matrices and framings is not part of the package: it lives in
+`tests/brute_force.py` as the independent test reference for the kernel.
 """
 
 from __future__ import annotations
-
-from . import _enum_py
 
 
 def active_backend() -> str:
@@ -68,17 +67,6 @@ def gl_order(n: int, q: int) -> int:
     for i in range(n):
         out *= q ** n - q ** i
     return out
-
-
-def is_stable(mats, framing, n: int, r: int, q: int) -> bool:
-    """Stability of an explicit instance: the framing columns generate
-    F_q^n under the matrix action.
-
-    `mats` are flat row-major n*n tuples, `framing` a flat row-major
-    n*r tuple.
-    """
-    cols = [tuple(framing[i * r + j] for i in range(n)) for j in range(r)]
-    return _enum_py.is_stable(mats, cols, n, q)
 
 
 def raw_stable_count(n: int, r: int, q: int, d: int, punctual: bool) -> int:

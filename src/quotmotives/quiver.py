@@ -96,7 +96,19 @@ class Quiver:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Quiver":
-        return cls(int(obj["vertices"]), tuple((s, t) for s, t in obj["arrows"]))
+        """The quiver of {"vertices": int, "arrows": [[int, int], ...]};
+        anything else raises ValueError."""
+        if not isinstance(obj, dict) or not {"vertices", "arrows"} <= obj.keys():
+            raise ValueError('quiver must be an object with "vertices" and "arrows"')
+        vertices, arrows = obj["vertices"], obj["arrows"]
+        if type(vertices) is not int:  # a JSON integer, not a float or a bool
+            raise ValueError(f"quiver vertex count must be an integer, got {vertices!r}")
+        if not isinstance(arrows, (list, tuple)) or not all(
+                isinstance(a, (list, tuple)) and len(a) == 2
+                and all(type(x) is int for x in a) for a in arrows):
+            raise ValueError(f"quiver arrows must be [source, target] integer pairs, "
+                             f"got {arrows!r}")
+        return cls(vertices, tuple(map(tuple, arrows)))
 
     def to_json_obj(self) -> dict:
         return {"vertices": self.vertices, "arrows": [list(a) for a in self.arrows]}

@@ -98,15 +98,47 @@ class TestSeries:
         assert code == 2
         assert "unknown space" in err
 
-    @pytest.mark.parametrize("extra", [(), ("--nilpotent",)])
-    def test_negative_framing_is_usage_error(self, capsys, tmp_path, extra):
+    LOOP = {"vertices": 1, "arrows": [[0, 0]]}
+
+    @pytest.mark.parametrize("obj, framing, extra, message", [
+        pytest.param(LOOP, "-1", (), "framing vector entries must be >= 0, got (-1,)",
+                     id="negative-framing"),
+        pytest.param(LOOP, "-1", ("--nilpotent",),
+                     "framing vector entries must be >= 0, got (-1,)",
+                     id="negative-framing-nilpotent"),
+        pytest.param({"vertices": 1}, "1", (),
+                     'quiver must be an object with "vertices" and "arrows"',
+                     id="missing-arrows"),
+        pytest.param([1, 2], "1", (),
+                     'quiver must be an object with "vertices" and "arrows"',
+                     id="not-an-object"),
+        pytest.param({"vertices": None, "arrows": []}, "1", (),
+                     "quiver vertex count must be an integer, got None",
+                     id="null-vertices"),
+        pytest.param({"vertices": 1.5, "arrows": []}, "1", (),
+                     "quiver vertex count must be an integer, got 1.5",
+                     id="fractional-vertices"),
+        pytest.param({"vertices": True, "arrows": []}, "1", (),
+                     "quiver vertex count must be an integer, got True",
+                     id="bool-vertices"),
+        pytest.param({"vertices": 1, "arrows": 5}, "1", (),
+                     "quiver arrows must be [source, target] integer pairs, got 5",
+                     id="arrows-not-a-list"),
+        pytest.param({"vertices": 1, "arrows": [[0, None]]}, "1", (),
+                     "quiver arrows must be [source, target] integer pairs, got [[0, None]]",
+                     id="null-endpoint"),
+        pytest.param({"vertices": 1, "arrows": [[0, 0, 0]]}, "1", (),
+                     "quiver arrows must be [source, target] integer pairs, got [[0, 0, 0]]",
+                     id="three-endpoints"),
+    ])
+    def test_bad_quiver_input_is_usage_error(self, capsys, tmp_path, obj, framing,
+                                             extra, message):
         qfile = tmp_path / "quiver.json"
-        qfile.write_text(json.dumps({"vertices": 1, "arrows": [[0, 0]]}))
+        qfile.write_text(json.dumps(obj))
         code, out, err = run_cli(capsys, "series", "--target", "nakajima-general",
-                                 "--quiver", str(qfile), "--framing", "-1",
+                                 "--quiver", str(qfile), "--framing", framing,
                                  "--order", "2", *extra)
-        assert (code, out) == (2, "")
-        assert err == "error: framing vector entries must be >= 0, got (-1,)\n"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_dimension_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

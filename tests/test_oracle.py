@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from quotmotives import _classsum, _enum_py
+import brute_force
+from quotmotives import _classsum
 from quotmotives.quiver import partitions_of
 from quotmotives.oracle import (BudgetError, count_global_affine,
-                                count_punctual, gl_order, is_stable,
-                                raw_stable_count)
+                                count_punctual, gl_order, raw_stable_count)
 
 
 class TestGlOrder:
@@ -23,31 +23,34 @@ class TestGlOrder:
 
 
 class TestStability:
+    """The reference's stability test: matrices are flat row-major n*n
+    tuples acting on column vectors, the framing is a list of columns."""
+
     def test_unit_column_spans_line(self):
-        assert is_stable([(0,)], (1,), 1, 1, 2)
+        assert brute_force.is_stable([(0,)], [(1,)], 1, 2)
 
     def test_zero_framing_unstable(self):
-        assert not is_stable([(0, 0, 0, 0)], (0, 0), 2, 1, 2)
+        assert not brute_force.is_stable([(0, 0, 0, 0)], [(0, 0)], 2, 2)
 
     def test_jordan_block_convention(self):
         # X acts on columns: X e2 = e1, so the framing e2 is cyclic
         jordan = (0, 1, 0, 0)
-        assert is_stable([jordan], (0, 1), 2, 1, 2)
+        assert brute_force.is_stable([jordan], [(0, 1)], 2, 2)
         # but e1 is killed by X and spans only a line
-        assert not is_stable([jordan], (1, 0), 2, 1, 2)
+        assert not brute_force.is_stable([jordan], [(1, 0)], 2, 2)
 
     def test_two_matrices_jointly_generate(self):
         # neither matrix alone moves e1 to e2... except via the second one
         x1 = (0, 0, 0, 0)
         x2 = (0, 0, 1, 0)  # e1 -> e2
-        assert is_stable([x1, x2], (1, 0), 2, 1, 2)
+        assert brute_force.is_stable([x1, x2], [(1, 0)], 2, 2)
 
     def test_empty_space(self):
-        assert is_stable([], (), 0, 1, 2)
+        assert brute_force.is_stable([], [()], 0, 2)
 
 
 def _all_matrices(n, q):
-    return [_enum_py._decode(i, n * n, q) for i in range(q ** (n * n))]
+    return [brute_force._decode(i, n * n, q) for i in range(q ** (n * n))]
 
 
 class TestNilpotencyWordCheck:
@@ -56,10 +59,10 @@ class TestNilpotencyWordCheck:
         n, q = 2, 2
         mats = _all_matrices(n, q)
         for x1, x2 in itertools.product(mats, repeat=2):
-            punctual = (_enum_py._is_nilpotent(x1, n, q)
-                        and _enum_py._is_nilpotent(x2, n, q)
-                        and _enum_py._commute(x1, x2, n, q))
-            if _enum_py._commute(x1, x2, n, q):
+            punctual = (brute_force._is_nilpotent(x1, n, q)
+                        and brute_force._is_nilpotent(x2, n, q)
+                        and brute_force._commute(x1, x2, n, q))
+            if brute_force._commute(x1, x2, n, q):
                 words_vanish = all(
                     not any(_word_product(word, n, q))
                     for word in itertools.product((x1, x2), repeat=2 * n))
@@ -69,7 +72,7 @@ class TestNilpotencyWordCheck:
 def _word_product(word, n, q):
     out = word[0]
     for m in word[1:]:
-        out = _enum_py._mat_mul(out, m, n, q)
+        out = brute_force._mat_mul(out, m, n, q)
     return out
 
 
@@ -131,12 +134,13 @@ class TestKernels:
     """The brute-force reference kernel itself."""
 
     def test_known_small_counts(self):
-        assert _enum_py.count_stable(1, 2, 2, 1, True) == 3
-        assert _enum_py.count_stable(2, 1, 2, 2, True) == 3 * gl_order(2, 2)
+        assert brute_force.count_stable(1, 2, 2, 1, True) == 3
+        assert brute_force.count_stable(2, 1, 2, 2, True) == 3 * gl_order(2, 2)
 
 
 # The small-tier cases of perfbench.workloads.oracle_pool() (brute-force
-# work <= 10 000), then larger cases the brute force still finishes.
+# work <= 10 000), then larger cases the brute force still finishes; the
+# grid of benchmarks/bench_oracle.py is a subset.
 BRUTE_FORCE_GRID = [
     (2, 1, 2, 1, True), (2, 1, 2, 1, False), (2, 1, 2, 2, True),
     (2, 1, 2, 2, False), (2, 1, 3, 1, True), (2, 1, 3, 1, False),
@@ -146,7 +150,7 @@ BRUTE_FORCE_GRID = [
     (2, 3, 2, 1, False), (2, 3, 2, 2, True), (2, 3, 3, 1, True),
     (3, 1, 2, 1, True), (3, 1, 2, 1, False), (3, 2, 2, 1, True),
     (4, 1, 2, 1, True), (3, 1, 2, 2, True), (2, 2, 3, 2, True),
-    (2, 2, 2, 2, False),
+    (2, 2, 2, 2, False), (3, 1, 3, 1, True), (3, 2, 2, 1, False),
 ]
 
 
@@ -154,7 +158,7 @@ class TestClassSum:
     @pytest.mark.parametrize("n,r,q,d,punctual", BRUTE_FORCE_GRID)
     def test_matches_brute_force(self, n, r, q, d, punctual):
         assert (raw_stable_count(n, r, q, d, punctual)
-                == _enum_py.count_stable(n, r, q, d, punctual))
+                == brute_force.count_stable(n, r, q, d, punctual))
 
     def test_commuting_pairs_feit_fine(self):
         # sum over classes of |class| * |C(x)| counts the commuting pairs,
@@ -166,6 +170,15 @@ class TestClassSum:
             pairs = sum(size * q ** len(basis) for _, size, basis in classes)
             assert pairs == gl_order(n, q) * _feit_fine(n, q)
             assert pairs == known.get((n, q), pairs)
+
+    def test_nilpotency_count(self):
+        # the kernel's own nilpotency test finds q^(n^2 - n) nilpotent
+        # matrices (Fine-Herstein), the reference's finds the same ones
+        for n, q in [(1, 2), (2, 2), (2, 3), (3, 2)]:
+            found = [x for x in _all_matrices(n, q) if _classsum._is_nilpotent(x, n, q)]
+            assert len(found) == q ** (n * n - n)
+            assert found == [x for x in _all_matrices(n, q)
+                             if brute_force._is_nilpotent(x, n, q)]
 
     def test_number_of_classes(self):
         # similarity classes of n x n matrices: sum over partitions of n of

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "quotmotives").glob("*.py"))
 
@@ -45,3 +48,34 @@ def test_product_forms_name_no_euler_path_function():
                 names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
                 named[node.name] = sorted(names & euler_path)
     assert named == dict.fromkeys(product_forms, [])
+
+
+def test_no_package_module_imports_the_test_reference():
+    # the brute-force reference lives in tests/, which pytest puts on
+    # sys.path; a package import of it would pass the suite and fail for
+    # every user of the installed package
+    reference = {"brute_force", "_enum_py", "tests"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(reference & set(name.split(".")) for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"test reference imported by the package: {found}"
+
+
+def test_cli_import_loads_a_fixed_set_of_package_modules():
+    # the oracle kernel _classsum is loaded on the first count, not on import
+    code = ("import sys, quotmotives.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'quotmotives')))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["quotmotives"] + [
+        f"quotmotives.{name}" for name in ("cli", "oracle", "plethystic", "quiver", "quot",
+                                           "report", "rings", "series", "specialize")]
