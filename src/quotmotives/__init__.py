@@ -8,8 +8,8 @@ partition sums run over integer Laurent series in q known to a precision
 that is derived from the inputs and large enough to make them exact.
 """
 
-from .rings import (ExactnessError, LaurentPoly, QSeries, affine_class, dual,
-                    eval_int, projective_class)
+from .rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
+                    projective_class)
 from .series import TruncatedSeries, geometric_series
 from .plethystic import (exp_pleth, exp_pleth_product, log_pleth,
                          power_structure, symmetric_power, verify_power_axioms)
@@ -32,7 +32,7 @@ __all__ = [
     "BudgetError", "CheckReport", "ExactnessError", "LaurentPoly", "QSeries",
     "Quiver", "TruncatedSeries", "UnsupportedDimensionError",
     "active_backend", "affine_class", "compare_affine_plane_vs_framed",
-    "count_global_affine", "count_punctual", "dual", "euler_form", "eval_int",
+    "count_global_affine", "count_punctual", "euler_form",
     "exp_pleth", "exp_pleth_product", "geometric_series", "gl_order",
     "jordan_product_series", "log_pleth", "nakajima_dim",
     "nakajima_framed_series", "nakajima_motive_series",

@@ -76,15 +76,28 @@ from .plethystic import exp_pleth
 
 @dataclass(frozen=True)
 class Quiver:
-    """Finite directed multigraph; loops and parallel arrows are allowed."""
+    """Finite directed multigraph; loops and parallel arrows are allowed.
+
+    ``vertices`` must be an int >= 1 and ``arrows`` a list or tuple of
+    (source, target) pairs of vertex indices, given as ints; anything else
+    raises ValueError, whether the quiver is built here or read by
+    :meth:`from_json_obj`."""
 
     vertices: int
     arrows: tuple
 
     def __post_init__(self):
-        if self.vertices < 1:
+        vertices, arrows = self.vertices, self.arrows
+        if type(vertices) is not int:  # not a float or a bool
+            raise ValueError(f"quiver vertex count must be an integer, got {vertices!r}")
+        if not isinstance(arrows, (list, tuple)) or not all(
+                isinstance(a, (list, tuple)) and len(a) == 2
+                and all(type(x) is int for x in a) for a in arrows):
+            raise ValueError(f"quiver arrows must be [source, target] integer pairs, "
+                             f"got {arrows!r}")
+        if vertices < 1:
             raise ValueError("a quiver needs at least one vertex")
-        object.__setattr__(self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows))
+        object.__setattr__(self, "arrows", tuple(map(tuple, arrows)))
         for s, t in self.arrows:
             if not (0 <= s < self.vertices and 0 <= t < self.vertices):
                 raise ValueError(f"arrow ({s}, {t}) out of range")
@@ -100,15 +113,7 @@ class Quiver:
         anything else raises ValueError."""
         if not isinstance(obj, dict) or not {"vertices", "arrows"} <= obj.keys():
             raise ValueError('quiver must be an object with "vertices" and "arrows"')
-        vertices, arrows = obj["vertices"], obj["arrows"]
-        if type(vertices) is not int:  # a JSON integer, not a float or a bool
-            raise ValueError(f"quiver vertex count must be an integer, got {vertices!r}")
-        if not isinstance(arrows, (list, tuple)) or not all(
-                isinstance(a, (list, tuple)) and len(a) == 2
-                and all(type(x) is int for x in a) for a in arrows):
-            raise ValueError(f"quiver arrows must be [source, target] integer pairs, "
-                             f"got {arrows!r}")
-        return cls(vertices, tuple(map(tuple, arrows)))
+        return cls(obj["vertices"], obj["arrows"])
 
     def to_json_obj(self) -> dict:
         return {"vertices": self.vertices, "arrows": [list(a) for a in self.arrows]}

@@ -94,8 +94,7 @@ def nakajima_framed_series(r: int, order: int) -> TruncatedSeries:
     """Closed form Exp([P^{r-1}] L^{r+1} t / (1 - L^r t)) for the motive
     series of the smooth Nakajima varieties of the one-loop quiver with
     r-dimensional framing (framed torsion-free sheaves on the plane)."""
-    if r < 0:
-        raise ValueError(f"rank must be >= 0, got {r}")
+    _check_rd(r, 2)
     return exp_pleth(_exp_argument(projective_class(r - 1) * LaurentPoly.lefschetz(r + 1),
                                    r, 2, order))
 
@@ -103,8 +102,7 @@ def nakajima_framed_series(r: int, order: int) -> TruncatedSeries:
 def quot_affine_plane_series(r: int, order: int) -> TruncatedSeries:
     """Closed form Exp([P^{r-1}] L^2 t / (1 - L^r t)): motive series of the
     Quot schemes of the trivial rank-r sheaf on the affine plane."""
-    if r < 0:
-        raise ValueError(f"rank must be >= 0, got {r}")
+    _check_rd(r, 2)
     return exp_pleth(_exp_argument(projective_class(r - 1) * LaurentPoly.lefschetz(2),
                                    r, 2, order))
 

@@ -65,7 +65,6 @@ reader never pairs the width of one packing with the integer of another.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class ExactnessError(ArithmeticError):
@@ -93,10 +92,6 @@ class LaurentPoly:
         self._pack = None
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -235,7 +230,7 @@ class LaurentPoly:
 
     __hash__ = None
 
-    # -- involution, Adams operation, evaluation -----------------------
+    # -- involution and Adams operation -------------------------------
 
     def dual(self) -> "LaurentPoly":
         """The involution L |-> L^{-1}, a ring homomorphism."""
@@ -247,13 +242,6 @@ class LaurentPoly:
             raise ValueError("Adams operations are indexed by positive integers")
         return LaurentPoly({e * k: c for e, c in self._terms.items()})
 
-    def evaluate(self, q) -> Fraction:
-        """Exact value at L = q, for a nonzero rational q."""
-        q = Fraction(q)
-        if q == 0 and self._terms and min(self._terms) < 0:
-            raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-        return sum((Fraction(c) * q ** e for e, c in self._terms.items()), Fraction(0))
-
     # -- serialization and display --------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -262,7 +250,19 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in obj["terms"]})
+        """The inverse of :meth:`to_json_obj`.  Exponents must be JSON
+        integers, each at most once, and coefficients JSON integers or
+        integer strings; anything else raises ValueError."""
+        terms = {}
+        for e, c in obj["terms"]:
+            if type(e) is not int:  # a JSON integer, not a float or a bool
+                raise ValueError(f"exponent must be an integer, got {e!r}")
+            if e in terms:
+                raise ValueError(f"exponent {e} is repeated")
+            if type(c) is not int and type(c) is not str:
+                raise ValueError(f"coefficient must be an integer or a string, got {c!r}")
+            terms[e] = int(c)
+        return cls(terms)
 
     def __repr__(self):
         return f"LaurentPoly({self._terms!r})"
@@ -299,16 +299,6 @@ def projective_class(d: int) -> LaurentPoly:
     if d < -1:
         raise ValueError(f"projective space dimension must be >= -1, got {d}")
     return LaurentPoly({e: 1 for e in range(d + 1)})
-
-
-def dual(f: LaurentPoly) -> LaurentPoly:
-    """The duality involution L^n |-> L^{-n}, extended termwise."""
-    return f.dual()
-
-
-def eval_int(f: LaurentPoly, q) -> Fraction:
-    """Substitute L = q exactly (q a nonzero rational)."""
-    return f.evaluate(q)
 
 
 # ---------------------------------------------------------------------------

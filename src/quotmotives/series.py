@@ -17,8 +17,6 @@ vector and sum each group with one packed big-int kernel
 :meth:`LaurentPoly.sum_of_products`, and groups with a QSeries to
 :meth:`QSeries.sum_of_products`, which cuts its operands to the group's
 precision and calls the same kernel; int groups sum product by product.
-Multiplying by an exact QSeries unit +-q^e, as division does with the
-inverse of the divisor's constant term, is an exponent map.
 Division needs a unit constant term in the denominator and solves a
 recurrence layered by total degree (:func:`_solve_layers`); inversion is
 division of 1, a product of factors (1 - c x^m)^(-a)
@@ -59,17 +57,13 @@ def _invert_coeff(c):
 
 
 def _unit_times(u):
-    """The map c |-> u * c for a unit u of the coefficient ring.  An exact
-    QSeries unit is +-q^e, and multiplying by it is the exponent map
-    :meth:`QSeries.shift`, with the product's coefficients and precision.
-    The unit 1 (int or LaurentPoly) returns c itself, unless c is an int
-    that the LaurentPoly 1 turns into a LaurentPoly."""
-    if type(u) is QSeries and u.prec == math.inf:
-        (e, s), = u.terms()
-        if s == 1:
-            return lambda c: QSeries._coerce(c).shift(e)
-        return lambda c: -QSeries._coerce(c).shift(e)
-    if type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}:
+    """The map c |-> u * c for a unit u of the coefficient ring.  The exact
+    1 of any ring returns c itself, unless c is an int, which u * c
+    promotes (so that LaurentPoly groups stay on the packed kernel).
+    Every other unit multiplies, an inexact 1 + O(q^N) included, so that
+    a quotient claims no precision it does not have."""
+    if (type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}
+            or type(u) is QSeries and u.prec == math.inf and u.known._terms == {0: 1}):
         return lambda c: u * c if type(c) is int else c
     return lambda c: u * c
 
@@ -272,9 +266,9 @@ class TruncatedSeries:
             out[m] = c * factor ** m[0]
         return TruncatedSeries(out, self.order, 1)
 
-    def map_coefficients(self, fn, order: int | None = None) -> "TruncatedSeries":
+    def map_coefficients(self, fn) -> "TruncatedSeries":
         return TruncatedSeries({m: fn(c) for m, c in self._coeffs.items()},
-                               self.order if order is None else order, self.arity)
+                               self.order, self.arity)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -288,12 +282,7 @@ class TruncatedSeries:
         """Equality up to the common truncation order."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.arity != other.arity:
-            return False
-        order = min(self.order, other.order)
-        keys = {m for m in self._coeffs if sum(m) <= order}
-        keys |= {m for m in other._coeffs if sum(m) <= order}
-        return all(self._coeffs.get(m, 0) == other._coeffs.get(m, 0) for m in keys)
+        return self.arity == other.arity and self.first_difference(other) is None
 
     __hash__ = None
 

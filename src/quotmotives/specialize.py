@@ -121,32 +121,31 @@ def zeta_series(x_class: LaurentPoly, q: int, order: int) -> TruncatedSeries:
     return out
 
 
-def verify_zeta_product_curve(x_class: LaurentPoly, r: int, q: int,
-                              order: int) -> CheckReport:
-    """Point counts of the curve Quot series vs the product of shifted
-    zeta functions."""
+def _verify_zeta(name: str, x_class: LaurentPoly, d: int, r: int, q: int,
+                 order: int) -> CheckReport:
+    """Point counts of the d-fold Quot series vs the product of the zeta
+    functions Z(X; q^{i+rj} t^{j+1}) over i < r, with j = 0 for d = 1 and
+    j < order for d = 2."""
     require_prime_power(q)
-    counts = point_count_series(quot.quot_series(x_class, 1, r, order), q)
+    counts = point_count_series(quot.quot_series(x_class, d, r, order), q)
     lhs = TruncatedSeries(dict(enumerate(counts)), order)
     zeta = zeta_series(x_class, q, order)
     rhs = TruncatedSeries.constant(1, order)
     for i in range(r):
-        rhs = rhs * zeta.scale_variable(q ** i)
-    return CheckReport.compare("zeta-curve", lhs, rhs,
-                               f"X={x_class}, r={r}, q={q}, order {order}")
+        for j in range(1 if d == 1 else order):
+            rhs = rhs * zeta.scale_variable(q ** (i + r * j)).substitute_power(j + 1)
+    return CheckReport.compare(name, lhs, rhs, f"X={x_class}, r={r}, q={q}, order {order}")
+
+
+def verify_zeta_product_curve(x_class: LaurentPoly, r: int, q: int,
+                              order: int) -> CheckReport:
+    """Point counts of the curve Quot series vs the product of shifted
+    zeta functions."""
+    return _verify_zeta("zeta-curve", x_class, 1, r, q, order)
 
 
 def verify_zeta_product_surface(x_class: LaurentPoly, r: int, q: int,
                                 order: int) -> CheckReport:
     """Point counts of the surface Quot series vs the double product of
     zeta functions Z(X; q^{i+rj} t^{j+1})."""
-    require_prime_power(q)
-    counts = point_count_series(quot.quot_series(x_class, 2, r, order), q)
-    lhs = TruncatedSeries(dict(enumerate(counts)), order)
-    zeta = zeta_series(x_class, q, order)
-    rhs = TruncatedSeries.constant(1, order)
-    for i in range(r):
-        for j in range(order):
-            rhs = rhs * zeta.scale_variable(q ** (i + r * j)).substitute_power(j + 1)
-    return CheckReport.compare("zeta-surface", lhs, rhs,
-                               f"X={x_class}, r={r}, q={q}, order {order}")
+    return _verify_zeta("zeta-surface", x_class, 2, r, q, order)

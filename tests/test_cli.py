@@ -92,9 +92,16 @@ class TestSeries:
             cli._emit_series(s, out)
             assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
-    def test_bad_space(self, capsys):
-        code, _, err = run_cli(capsys, "series", "--target", "quot",
-                               "--space", "nope", "--order", "2")
+    @pytest.mark.parametrize("space", [
+        pytest.param("nope", id="nope"),
+        pytest.param('{"terms": [[0, 1.5]]}', id="float-coefficient"),
+        pytest.param('{"terms": [[0.5, "1"]]}', id="float-exponent"),
+        pytest.param('{"terms": [[true, "2"]]}', id="bool-exponent"),
+        pytest.param('{"terms": [[0, "1"], [0, "2"]]}', id="repeated-exponent"),
+    ])
+    def test_bad_space(self, capsys, space):
+        code, _, err = run_cli(capsys, "series", "--target", "quot", "--dim", "1",
+                               "--rank", "1", "--space", space, "--order", "1")
         assert code == 2
         assert "unknown space" in err
 

@@ -150,7 +150,7 @@ BRUTE_FORCE_GRID = [
     (2, 3, 2, 1, False), (2, 3, 2, 2, True), (2, 3, 3, 1, True),
     (3, 1, 2, 1, True), (3, 1, 2, 1, False), (3, 2, 2, 1, True),
     (4, 1, 2, 1, True), (3, 1, 2, 2, True), (2, 2, 3, 2, True),
-    (2, 2, 2, 2, False), (3, 1, 3, 1, True), (3, 2, 2, 1, False),
+    (3, 1, 3, 1, True), (3, 2, 2, 1, False),
 ]
 
 

@@ -62,6 +62,11 @@ class TestQuiver:
             Quiver(1, ((0, 1),))
         with pytest.raises(ValueError):
             Quiver(0, ())
+        # the constructor checks types too: no float endpoint or vertex
+        # count is truncated, and a bool is not a vertex count
+        for vertices, arrows in ((1, ((0.7, 0),)), (1.5, ()), (True, ())):
+            with pytest.raises(ValueError):
+                Quiver(vertices, arrows)
 
     def test_json_round_trip(self):
         q = Quiver(3, ((0, 1), (1, 2), (2, 2)))

@@ -158,8 +158,8 @@ class TestDivide:
 
     @given(unit_qseries, st.one_of(qseries, st.integers(-3, 3)))
     def test_unit_map_is_the_product(self, u, c):
-        # an exact unit +-q^e multiplies by an exponent map, an inexact one
-        # by the product; both give the product's terms and precision
+        # the exact 1 returns c itself (an int promoted) and every other unit
+        # multiplies; each gives the product's terms and precision
         got, expect = _unit_times(u)(c), u * c
         assert (got.terms(), got.prec) == (expect.terms(), expect.prec)
 

@@ -17,9 +17,9 @@ def test_no_bare_asserts_in_package():
     assert not found, f"bare assert statements: {found}"
 
 
-def test_only_rings_imports_fractions():
-    # classes and series stay integer-only; Fraction is left only to
-    # LaurentPoly.evaluate, which evaluates at a rational point
+def test_no_package_module_imports_fractions():
+    # classes, series and point counts stay integer-only, so no rational
+    # number is needed anywhere in the package
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -29,9 +29,9 @@ def test_only_rings_imports_fractions():
                 names = [node.module]
             else:
                 continue
-            if "fractions" in names and path.name != "rings.py":
+            if "fractions" in names:
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"fractions imported outside rings.py: {found}"
+    assert not found, f"fractions imported by the package: {found}"
 
 
 def test_product_forms_name_no_euler_path_function():
@@ -70,12 +70,16 @@ def test_no_package_module_imports_the_test_reference():
 
 
 def test_cli_import_loads_a_fixed_set_of_package_modules():
-    # the oracle kernel _classsum is loaded on the first count, not on import
+    # the oracle kernel _classsum is loaded on the first count, not on
+    # import, and no rational-number module is loaded at all
     code = ("import sys, quotmotives.cli; "
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'quotmotives')))")
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'quotmotives')));"
+            "print(' '.join(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["quotmotives"] + [
+    package, rational = proc.stdout.split("\n")[:2]
+    assert package.split() == ["quotmotives"] + [
         f"quotmotives.{name}" for name in ("cli", "oracle", "plethystic", "quiver", "quot",
                                            "report", "rings", "series", "specialize")]
+    assert rational == ""

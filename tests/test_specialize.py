@@ -13,10 +13,15 @@ from quotmotives.specialize import (point_count_series, require_prime_power,
 L = LaurentPoly.lefschetz()
 
 
+def value(x, q):
+    """x at L = q, summed here independently of point_count_series."""
+    return sum(c * q ** e for e, c in x.terms())
+
+
 def exp_form(x, q, order):
     """exp(sum_n #X(F_{q^n}) t^n / n) in exact rationals, independently of
     the package's Exp."""
-    counts = [x.evaluate(q ** n) for n in range(1, order + 1)]
+    counts = [value(x, q ** n) for n in range(1, order + 1)]
     h = [Fraction(1)] + [Fraction(0)] * order
     for n in range(1, order + 1):
         h[n] = sum(counts[d - 1] * h[n - d] for d in range(1, n + 1)) / n
@@ -126,7 +131,7 @@ class TestZeta:
             for q in (2, 3):
                 z = zeta_series(x, q, 5)
                 for k in range(6):
-                    assert z.coefficient(k) == symmetric_power(x, k).evaluate(q)
+                    assert z.coefficient(k) == value(symmetric_power(x, k), q)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
