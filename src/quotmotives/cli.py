@@ -63,44 +63,45 @@ def _emit_series(s: TruncatedSeries, out) -> None:
               f'{p1}"arity": {s.arity},{p1}"terms": {body}\n}}\n')
 
 
+def _quiver_series(args) -> TruncatedSeries:
+    with open(args.quiver) as fh:
+        quiver = Quiver.from_json_obj(json.load(fh))
+    w = tuple(int(x) for x in args.framing.split(","))
+    fn = nilpotent_motive_series if args.nilpotent else nakajima_motive_series
+    return fn(quiver, w, args.order)
+
+
+# The series targets and identities, in the order of the parser's choices.
+# Each callable looks its function up when it runs, so a function patched
+# on its module (by a test or a tracer) is the one called.
+TARGETS = {
+    "punctual": lambda a: quot.punctual_quot_series(a.rank, a.dim, a.order),
+    "quot": lambda a: quot.quot_series(_parse_space(a.space), a.dim, a.rank, a.order),
+    "nakajima-M": lambda a: quot.nakajima_framed_series(a.rank, a.order),
+    "nakajima-L": lambda a: quot.punctual_quot_series(a.rank, 2, a.order),
+    "nakajima-general": _quiver_series,
+}
+
+IDENTITIES = {
+    "heine": lambda a: verify_heine(a.order),
+    "product-vs-exp": lambda a: quot.verify_product_vs_exp(a.rank, a.order),
+    "class1-vs-closed": lambda a: quot.verify_class1_closed(a.rank, a.order),
+    "duality": lambda a: quot.verify_duality(a.rank, a.nmax),
+    "zeta-curve": lambda a: specialize.verify_zeta_product_curve(
+        _parse_space(a.space), a.rank, a.q, a.order),
+    "zeta-surface": lambda a: specialize.verify_zeta_product_surface(
+        _parse_space(a.space), a.rank, a.q, a.order),
+    "power-axioms": lambda a: verify_power_axioms(samples=a.samples, order=a.order),
+}
+
+
 def _cmd_series(args) -> int:
-    order = args.order
-    if args.target == "punctual":
-        s = quot.punctual_quot_series(args.rank, args.dim, order)
-    elif args.target == "quot":
-        s = quot.quot_series(_parse_space(args.space), args.dim, args.rank, order)
-    elif args.target == "nakajima-M":
-        s = quot.nakajima_framed_series(args.rank, order)
-    elif args.target == "nakajima-L":
-        s = quot.punctual_quot_series(args.rank, 2, order)
-    else:  # nakajima-general
-        with open(args.quiver) as fh:
-            quiver = Quiver.from_json_obj(json.load(fh))
-        w = tuple(int(x) for x in args.framing.split(","))
-        fn = nilpotent_motive_series if args.nilpotent else nakajima_motive_series
-        s = fn(quiver, w, order)
-    _emit_series(s, sys.stdout)
+    _emit_series(TARGETS[args.target](args), sys.stdout)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    name = args.identity
-    if name == "heine":
-        report = verify_heine(args.order)
-    elif name == "product-vs-exp":
-        report = quot.verify_product_vs_exp(args.rank, args.order)
-    elif name == "class1-vs-closed":
-        report = quot.verify_class1_closed(args.rank, args.order)
-    elif name == "duality":
-        report = quot.verify_duality(args.rank, args.nmax)
-    elif name == "zeta-curve":
-        report = specialize.verify_zeta_product_curve(
-            _parse_space(args.space), args.rank, args.q, args.order)
-    elif name == "zeta-surface":
-        report = specialize.verify_zeta_product_surface(
-            _parse_space(args.space), args.rank, args.q, args.order)
-    else:  # power-axioms
-        report = verify_power_axioms(samples=args.samples, order=args.order)
+    report = IDENTITIES[args.identity](args)
     print(report)
     return 0 if report.passed else 1
 
@@ -139,16 +140,17 @@ def _cmd_counts(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: building it
+    costs about a millisecond, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quotmotives",
         description="Exact motive series of Quot schemes and quiver varieties")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="emit a generating series as JSON")
-    p.add_argument("--target", required=True,
-                   choices=["punctual", "quot", "nakajima-M", "nakajima-L",
-                            "nakajima-general"])
+    p.add_argument("--target", required=True, choices=list(TARGETS))
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--dim", type=int, default=2, choices=[1, 2])
     p.add_argument("--order", type=int, required=True)
@@ -163,10 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("verify", help="run an identity check")
-    p.add_argument("identity",
-                   choices=["heine", "product-vs-exp", "class1-vs-closed",
-                            "duality", "zeta-curve", "zeta-surface",
-                            "power-axioms"])
+    p.add_argument("identity", choices=list(IDENTITIES))
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--nmax", type=int, default=4)
@@ -192,13 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_counts)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process: building it
-    costs about a millisecond, and parsing leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -169,8 +169,6 @@ def power_structure(f: TruncatedSeries, a) -> TruncatedSeries:
     and an exponent a in Z[L, L^-1] (or a plain integer)."""
     if not (f.constant_term() == 1):
         raise ValueError("power structure requires constant term 1")
-    if isinstance(a, int):
-        a = LaurentPoly({0: a})
     return exp_pleth(log_pleth(f) * a)
 
 

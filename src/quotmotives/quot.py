@@ -46,19 +46,20 @@ def _check_rd(r: int, d: int):
         raise UnsupportedDimensionError(d)
 
 
-def _exp_argument(c: LaurentPoly, r: int, d: int, order: int) -> TruncatedSeries:
-    """The argument of Exp: c t for d = 1, c t / (1 - L^r t) for d = 2."""
-    arg = TruncatedSeries.variable(order, coeff=c)
+def _closed_series(x: LaurentPoly, r: int, d: int, order: int) -> TruncatedSeries:
+    """The closed form Exp([P^{r-1}] x t) for d = 1 and
+    Exp([P^{r-1}] x t / (1 - L^r t)) for d = 2."""
+    _check_rd(r, d)
+    arg = TruncatedSeries.variable(order, coeff=projective_class(r - 1) * x)
     if d == 2:
         arg = arg * geometric_series(LaurentPoly.lefschetz(r), order)
-    return arg
+    return exp_pleth(arg)
 
 
 def punctual_quot_series(r: int, d: int, order: int) -> TruncatedSeries:
     """Motive series of punctual Quot schemes of a trivial rank-r sheaf
     at a point of a smooth d-fold (d in {1, 2})."""
-    _check_rd(r, d)
-    return exp_pleth(_exp_argument(projective_class(r - 1), r, d, order))
+    return _closed_series(LaurentPoly.one(), r, d, order)
 
 
 def quot_series(x_class: LaurentPoly, d: int, r: int, order: int) -> TruncatedSeries:
@@ -73,11 +74,10 @@ def quot_series(x_class: LaurentPoly, d: int, r: int, order: int) -> TruncatedSe
     equal.  Exp is pure, so the comparison has the outcome it has with
     both series solved, and any difference is still solved and reported.
     """
-    _check_rd(r, d)
     if isinstance(x_class, int):
         x_class = LaurentPoly({0: x_class})
     punctual = punctual_quot_series(r, d, order)
-    closed = exp_pleth(_exp_argument(projective_class(r - 1) * x_class, r, d, order))
+    closed = _closed_series(x_class, r, d, order)
     powered = power_structure(punctual, x_class)
     if closed != powered:
         raise AssertionError(
@@ -94,17 +94,13 @@ def nakajima_framed_series(r: int, order: int) -> TruncatedSeries:
     """Closed form Exp([P^{r-1}] L^{r+1} t / (1 - L^r t)) for the motive
     series of the smooth Nakajima varieties of the one-loop quiver with
     r-dimensional framing (framed torsion-free sheaves on the plane)."""
-    _check_rd(r, 2)
-    return exp_pleth(_exp_argument(projective_class(r - 1) * LaurentPoly.lefschetz(r + 1),
-                                   r, 2, order))
+    return _closed_series(LaurentPoly.lefschetz(r + 1), r, 2, order)
 
 
 def quot_affine_plane_series(r: int, order: int) -> TruncatedSeries:
     """Closed form Exp([P^{r-1}] L^2 t / (1 - L^r t)): motive series of the
     Quot schemes of the trivial rank-r sheaf on the affine plane."""
-    _check_rd(r, 2)
-    return exp_pleth(_exp_argument(projective_class(r - 1) * LaurentPoly.lefschetz(2),
-                                   r, 2, order))
+    return _closed_series(LaurentPoly.lefschetz(2), r, 2, order)
 
 
 def compare_affine_plane_vs_framed(r: int, order: int):
@@ -164,15 +160,13 @@ def verify_duality(r: int, n_max: int) -> CheckReport:
     smooth1 = quot_series(LaurentPoly.lefschetz(), 1, r, n_max)
     failures = []
     for n in range(n_max + 1):
-        # a coefficient the series does not store is the int 0 (every one
-        # for n >= 1 at rank 0); as a class it is the constant polynomial
-        lhs2 = LaurentPoly._coerce(nilp2.coefficient(n)).dual()
-        rhs2 = LaurentPoly.lefschetz(-2 * r * n) * smooth2.coefficient(n)
-        if lhs2 != rhs2:
-            failures.append(f"surface case at n={n}: {lhs2} != {rhs2}")
-        lhs1 = LaurentPoly._coerce(nilp1.coefficient(n)).dual()
-        rhs1 = LaurentPoly.lefschetz(-r * n) * smooth1.coefficient(n)
-        if lhs1 != rhs1:
-            failures.append(f"curve case at n={n}: {lhs1} != {rhs1}")
+        for case, k, nilp, smooth in (("surface", 2, nilp2, smooth2),
+                                      ("curve", 1, nilp1, smooth1)):
+            # an unstored coefficient is the int 0 (every one for n >= 1
+            # at rank 0); as a class it is the constant polynomial
+            lhs = LaurentPoly._coerce(nilp.coefficient(n)).dual()
+            rhs = LaurentPoly.lefschetz(-k * r * n) * smooth.coefficient(n)
+            if lhs != rhs:
+                failures.append(f"{case} case at n={n}: {lhs} != {rhs}")
     detail = "; ".join(failures) if failures else f"r={r}, n<={n_max}"
     return CheckReport("duality", not failures, detail)

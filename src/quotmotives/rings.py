@@ -252,15 +252,18 @@ class LaurentPoly:
     def from_json_obj(cls, obj: dict) -> "LaurentPoly":
         """The inverse of :meth:`to_json_obj`.  Exponents must be JSON
         integers, each at most once, and coefficients JSON integers or
-        integer strings; anything else raises ValueError."""
+        integer strings in the form ``str(int)`` writes; anything else
+        raises ValueError."""
         terms = {}
         for e, c in obj["terms"]:
             if type(e) is not int:  # a JSON integer, not a float or a bool
                 raise ValueError(f"exponent must be an integer, got {e!r}")
             if e in terms:
                 raise ValueError(f"exponent {e} is repeated")
-            if type(c) is not int and type(c) is not str:
-                raise ValueError(f"coefficient must be an integer or a string, got {c!r}")
+            # int() alone also takes spaces, "_", a "+" and leading zeros
+            if not (type(c) is int or type(c) is str and c == str(int(c))):
+                raise ValueError(f"coefficient must be an integer or an integer "
+                                 f"string as str() writes it, got {c!r}")
             terms[e] = int(c)
         return cls(terms)
 

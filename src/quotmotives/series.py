@@ -99,11 +99,9 @@ class TruncatedSeries:
         return cls({_zero_key(arity): c}, order, arity)
 
     @classmethod
-    def variable(cls, order: int, arity: int = 1, index: int = 0, coeff=1) -> "TruncatedSeries":
-        """The series coeff * x_index (t itself when arity is 1)."""
-        m = [0] * arity
-        m[index] = 1
-        return cls({tuple(m): coeff}, order, arity)
+    def variable(cls, order: int, coeff=1) -> "TruncatedSeries":
+        """The univariate series coeff * t."""
+        return cls({(1,): coeff}, order)
 
     # -- access ------------------------------------------------------------
 
@@ -312,22 +310,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self._coeffs!r}, order={self.order}, arity={self.arity})"
-
-    def __str__(self):
-        if not self._coeffs:
-            return f"O(t^{self.order + 1})"
-        parts = []
-        for m, c in self.coefficients():
-            if self.arity == 1:
-                var = "" if m[0] == 0 else ("t" if m[0] == 1 else f"t^{m[0]}")
-            else:
-                var = "*".join(f"z{i}^{e}" if e > 1 else f"z{i}"
-                               for i, e in enumerate(m) if e)
-            cs = str(c)
-            if "+" in cs or "-" in cs.lstrip("-"):
-                cs = f"({cs})"
-            parts.append(f"{cs}*{var}" if var else cs)
-        return " + ".join(parts) + f" + O(deg {self.order + 1})"
 
 
 # ---------------------------------------------------------------------------

@@ -125,11 +125,11 @@ def _verify_zeta(name: str, x_class: LaurentPoly, d: int, r: int, q: int,
                  order: int) -> CheckReport:
     """Point counts of the d-fold Quot series vs the product of the zeta
     functions Z(X; q^{i+rj} t^{j+1}) over i < r, with j = 0 for d = 1 and
-    j < order for d = 2."""
-    require_prime_power(q)
+    j < order for d = 2.  The zeta function comes first: it checks q and
+    the class before the Quot series is solved."""
+    zeta = zeta_series(x_class, q, order)
     counts = point_count_series(quot.quot_series(x_class, d, r, order), q)
     lhs = TruncatedSeries(dict(enumerate(counts)), order)
-    zeta = zeta_series(x_class, q, order)
     rhs = TruncatedSeries.constant(1, order)
     for i in range(r):
         for j in range(1 if d == 1 else order):

@@ -98,6 +98,11 @@ class TestSeries:
         pytest.param('{"terms": [[0.5, "1"]]}', id="float-exponent"),
         pytest.param('{"terms": [[true, "2"]]}', id="bool-exponent"),
         pytest.param('{"terms": [[0, "1"], [0, "2"]]}', id="repeated-exponent"),
+        # int() reads these, but str(int) never writes them
+        pytest.param('{"terms": [[1, " 1_0 "]]}', id="spaces-and-underscore"),
+        pytest.param('{"terms": [[1, "+1"]]}', id="plus-sign"),
+        pytest.param('{"terms": [[1, "01"]]}', id="leading-zero"),
+        pytest.param('{"terms": [[1, "-0"]]}', id="negative-zero"),
     ])
     def test_bad_space(self, capsys, space):
         code, _, err = run_cli(capsys, "series", "--target", "quot", "--dim", "1",
@@ -154,6 +159,45 @@ class TestSeries:
         assert exc.value.code == 2
 
 
+class TestCommandTables:
+    """Every entry of the ``series`` and ``verify`` tables runs."""
+
+    ARGS = {
+        "punctual": ("--rank", "2", "--dim", "1", "--order", "3"),
+        "quot": ("--space", "P1", "--rank", "2", "--order", "3"),
+        "nakajima-M": ("--rank", "2", "--order", "3"),
+        "nakajima-L": ("--rank", "2", "--order", "3"),
+        "nakajima-general": ("--framing", "1", "--order", "3"),
+        "heine": ("--order", "4"),
+        "product-vs-exp": ("--rank", "2", "--order", "4"),
+        "class1-vs-closed": ("--rank", "2", "--order", "3"),
+        "duality": ("--rank", "2", "--nmax", "3"),
+        "zeta-curve": ("--rank", "2", "--order", "3"),
+        "zeta-surface": ("--space", "P2", "--order", "3"),
+        "power-axioms": ("--samples", "2", "--order", "3"),
+    }
+
+    @pytest.mark.parametrize("argv", [("series", "--target", name) for name in cli.TARGETS]
+                             + [("verify", name) for name in cli.IDENTITIES],
+                             ids=lambda argv: argv[-1])
+    def test_entry_runs(self, capsys, tmp_path, argv):
+        extra = self.ARGS[argv[-1]]
+        if argv[-1] == "nakajima-general":
+            qfile = tmp_path / "quiver.json"
+            qfile.write_text(json.dumps({"vertices": 1, "arrows": [[0, 0]]}))
+            extra += ("--quiver", str(qfile))
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert out
+
+    def test_nakajima_l_is_the_punctual_surface_series(self, capsys):
+        nilpotent = run_cli(capsys, "series", "--target", "nakajima-L", "--rank", "2",
+                            "--order", "5")
+        punctual = run_cli(capsys, "series", "--target", "punctual", "--dim", "2",
+                           "--rank", "2", "--order", "5")
+        assert nilpotent[0] == 0 and nilpotent == punctual
+
+
 class TestVerify:
     @pytest.mark.parametrize("argv", [
         ("verify", "heine", "--order", "10"),
@@ -187,6 +231,9 @@ class TestVerify:
         (("verify", "zeta-surface", "--space", "P2", "--q", "6"), "prime power"),
         (("verify", "class1-vs-closed", "--rank", "-1"), "rank must be >= 0"),
         (("verify", "power-axioms", "--samples", "-1"), "samples >= 0"),
+        # the class itself is named, checked before the Quot series is solved
+        (("verify", "zeta-curve", "--space", '{"terms": [[-1, "1"], [0, "1"]]}',
+          "--rank", "2"), "1 + L^-1 has negative exponents"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -257,7 +257,11 @@ class TestExpMemo:
         reset_exp_memo()
         punctual = quot.punctual_quot_series(r, d, order)
         reset_exp_memo()
-        closed = exp_pleth(quot._exp_argument(projective_class(r - 1) * x, r, d, order))
+        # the closed argument, built here and not by quot's helper
+        arg = TruncatedSeries.variable(order, coeff=projective_class(r - 1) * x)
+        if d == 2:
+            arg = arg * geometric_series(LaurentPoly.lefschetz(r), order)
+        closed = exp_pleth(arg)
         reset_exp_memo()
         powered = power_structure(punctual, x)
         assert len(calls) - memoized == 4

@@ -88,6 +88,28 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             TruncatedSeries({(-1,): 1}, 3)
 
+    @given(univariate(), univariate())
+    def test_subtraction_and_negation(self, a, b):
+        assert a - b == a + (-b)
+        assert 1 - a == -(a - 1)
+        assert -(-a) == a
+
+    @given(univariate_q(), univariate_q())
+    def test_subtraction_and_negation_over_qseries(self, a, b):
+        # QSeries equality reads only below the common precision, so the
+        # coefficient types and tracked precisions are compared as well
+        def tracked(s):
+            return [(m, type(c), getattr(c, "prec", None)) for m, c in s.coefficients()]
+
+        for lhs, rhs in ((a - b, a + (-b)), (1 - a, -(a - 1)), (-(-a), a)):
+            assert lhs == rhs
+            assert tracked(lhs) == tracked(rhs)
+
+    def test_repr(self):
+        s = TruncatedSeries({(0,): 1, (2,): LaurentPoly({1: -1})}, 3)
+        assert repr(s) == str(s) == \
+            "TruncatedSeries({(0,): 1, (2,): LaurentPoly({1: -1})}, order=3, arity=1)"
+
 
 class TestInvert:
     def test_geometric(self):

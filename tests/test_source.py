@@ -83,3 +83,16 @@ def test_cli_import_loads_a_fixed_set_of_package_modules():
         f"quotmotives.{name}" for name in ("cli", "oracle", "plethystic", "quiver", "quot",
                                            "report", "rings", "series", "specialize")]
     assert rational == ""
+
+
+def test_public_api_imports_equal_all():
+    # __init__ names each public symbol twice, in its imports and in
+    # __all__; the two lists must stay the same set
+    init = SOURCES[0].parent / "__init__.py"
+    tree = ast.parse(init.read_text(), str(init))
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    exported = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    assert imported == set(ast.literal_eval(exported))
