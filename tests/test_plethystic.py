@@ -320,6 +320,13 @@ class TestPowerStructure:
             f = _random_one_series(rng, 6)
             assert power_structure(f, 0) == TruncatedSeries.constant(1, 6)
 
+    def test_int_power_over_qseries(self):
+        # an int exponent multiplies QSeries coefficients as it is; as a
+        # LaurentPoly it would not (QSeries * LaurentPoly is undefined)
+        h = TruncatedSeries({(0,): exact_q({0: 1}), (1,): exact_q({0: -1}),
+                             (2,): exact_q({1: 3})}, 5)
+        assert _exact_terms(power_structure(h, 2)) == _exact_terms(h * h)
+
     def test_constant_term_must_be_one(self):
         with pytest.raises(ValueError):
             power_structure(TruncatedSeries.constant(2, 4), L)
