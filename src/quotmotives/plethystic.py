@@ -38,7 +38,7 @@ import random
 
 from .rings import ExactnessError, LaurentPoly, QSeries
 from .report import CheckReport
-from .series import TruncatedSeries, _solve_layers, _unit_times, euler_product
+from .series import TruncatedSeries, _solve_layers, euler_product
 
 
 def _mobius(n: int) -> int:
@@ -135,25 +135,11 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of :func:`exp_pleth`, for series with constant term 1.
-
-    u = E(g)/g solves g u = E(g) by one layered solve,
-    u_n = g_0^-1 (n g_n - sum_{d>=1} g_d u_{n-d}), where g_0 = 1 (over
-    QSeries possibly 1 + O(q^N), its own inverse, which then multiplies
-    every layer)."""
+    """Inverse of :func:`exp_pleth`, for series with constant term 1."""
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
-    layers = g._layers()
-    times_g0 = _unit_times(g.constant_term())
-
-    def step(n, acc):
-        layer = {m: c * n for m, c in layers[n]}
-        for m, c in acc.items():
-            layer[m] = layer[m] - c if m in layer else -c
-        return {m: times_g0(c) for m, c in layer.items() if c}
-
-    eh = _adams_sum(_solve_layers(g, 0, step), _mobius)
+    eh = _adams_sum(_euler(g) / g, _mobius)
     # undo E: each division by the total degree is exact or raises ExactnessError
     return TruncatedSeries({m: c / sum(m) for m, c in eh._coeffs.items()},
                            eh.order, eh.arity)

@@ -33,8 +33,8 @@ F(theta) is a geometric series in q^{chi(theta, theta)} z^theta) and
 theta' = 0 ends it.  The z^v coefficients of every F(theta) fill one
 table in order of increasing |v|, and both sums come from it:
 S(w) = 1 + sum_{theta != 0} q^{-w.theta} F(theta) and
-S(0) = 1 + sum_{theta != 0} F(theta).  The ratio is S(w) times the
-inverse of S(0), a power series in z given by one layered solve.
+S(0) = 1 + sum_{theta != 0} F(theta).  The ratio is one layered
+division of power series in z.
 
 Exactness.  The ratio is computed in Z((q)) modulo a tracked power of q
 (:class:`QSeries`), at a precision derived from the inputs:

@@ -49,10 +49,8 @@ pairs of min(v_a + N_b, v_b + N_a), cuts every operand a to its terms
 below P - v_b (and b to those below P - v_a), and packs only the cut
 operands.  The cut is exact: a term q^e of a meets only terms q^f of b
 with f >= v_b, so for e >= P - v_b every product lands at q^(e+f) with
-e + f >= P, above the precision.  An operand with at least half of its
-exponent span below its cut point is passed as it is, keeping its cached
-pack: the kernel multiplies its spare terms for less than packing a cut
-copy costs.  The cut operands still have
+e + f >= P, above the precision.  An operand with nothing to cut is
+passed as it is, keeping its cached pack.  The cut operands still have
 products above q^P (a term just below P - v_b times one above v_b), so
 the kernel decodes only the exponents below P.  Multiplying by an exact
 monomial q^a needs no kernel: :meth:`QSeries.shift` moves the exponents
@@ -386,8 +384,7 @@ class QSeries:
     def sum_of_products(cls, pairs) -> "QSeries":
         """sum of a * b over the (a, b) pairs of QSeries (or ints), known
         modulo q^P for P the smallest precision of the products.  Each
-        operand is cut (:func:`_below`) to the terms that reach below
-        q^P, and the cut
+        operand is cut to the terms that reach below q^P, and the cut
         pairs are summed by the kernel of
         :meth:`LaurentPoly.sum_of_products`, decoded below q^P only."""
         prec = math.inf
@@ -494,10 +491,8 @@ def _packed_sum(pairs, stop) -> LaurentPoly:
 
 
 def _below(p: LaurentPoly, n) -> LaurentPoly:
-    """The terms of p with exponent < n, or p itself, with its cached
-    pack, when at least half of its exponent span lies below n; the
-    kernel decodes only below the precision, so spare terms are harmless."""
-    lo, hi = (p._pack or p._measure())[:2]
-    if 2 * n > lo + hi:
+    """The terms of p with exponent < n; p itself, with its cached pack,
+    when every term is."""
+    if (p._pack or p._measure())[1] < n:
         return p
     return LaurentPoly({e: c for e, c in p._terms.items() if e < n})

@@ -17,14 +17,12 @@ vector and sum each group with one packed big-int kernel
 :meth:`LaurentPoly.sum_of_products`, and groups with a QSeries to
 :meth:`QSeries.sum_of_products`, which cuts its operands to the group's
 precision and calls the same kernel; int groups sum product by product.
-Inversion needs a unit constant term and solves a recurrence layered by
-total degree (:func:`_solve_layers`).  Division multiplies by the
-inverse, so a quotient with QSeries coefficients is known to the
-precision of that product.  A product of factors (1 - c x^m)^(-a)
+Division needs a unit constant term in the denominator and solves a
+recurrence layered by total degree (:func:`_solve_layers`); inversion is
+division of 1, a product of factors (1 - c x^m)^(-a)
 (:func:`euler_product`) is one division by its binomial factors, and the
-plethystic exponential and logarithm in :mod:`quotmotives.plethystic`
-share the same solver, so there is no second recurrence and no second
-exp/log.
+plethystic exponential in :mod:`quotmotives.plethystic` shares the same
+solver, so there is no second recurrence and no second exp/log.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -58,20 +56,14 @@ def _invert_coeff(c):
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
 
 
-def _is_exact_one(u) -> bool:
-    """Whether u is the exact 1 of its coefficient ring (an inexact
-    1 + O(q^N) is not)."""
-    return (type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}
-            or type(u) is QSeries and u.prec == math.inf and u.known._terms == {0: 1})
-
-
 def _unit_times(u):
     """The map c |-> u * c for a unit u of the coefficient ring.  The exact
     1 of any ring returns c itself, unless c is an int, which u * c
     promotes (so that LaurentPoly groups stay on the packed kernel).
     Every other unit multiplies, an inexact 1 + O(q^N) included, so that
     a quotient claims no precision it does not have."""
-    if _is_exact_one(u):
+    if (type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}
+            or type(u) is QSeries and u.prec == math.inf and u.known._terms == {0: 1}):
         return lambda c: u * c if type(c) is int else c
     return lambda c: u * c
 
@@ -192,42 +184,37 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Quotient by a series whose constant term is a unit: ``self``
-        times ``other.invert()``, so that over QSeries coefficients each
-        quotient coefficient is known to the precision of that product.
-        An exact 1 numerator returns the inverse itself (its int
-        coefficients promoted to the numerator's ring)."""
+        """Quotient by a series whose constant term is a unit.
+
+        One layered solve: b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}, where
+        a is ``self`` and b is ``other``.
+        """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = self._compat(other)
-        inv = (other if other.order == order else other.truncate(order)).invert()
-        zero = _zero_key(self.arity)
-        if self._coeffs.keys() == {zero} and _is_exact_one(self._coeffs[zero]):
-            times_one = _unit_times(self._coeffs[zero])
-            return TruncatedSeries({m: times_one(c) for m, c in inv._coeffs.items()},
-                                   order, self.arity)
-        return self * inv
+        c0 = other.constant_term()
+        if c0 == 0:
+            raise ZeroDivisionError("divisor has zero constant term")
+        times_i0 = _unit_times(_invert_coeff(c0))
+        num = self._layers()
+        a0 = self.constant_term()
+
+        def step(n, acc):
+            layer = dict(num[n])
+            for m, c in acc.items():
+                layer[m] = layer[m] - c if m in layer else -c
+            return {m: times_i0(c) for m, c in layer.items() if c}
+
+        den = other if other.order == order else other.truncate(order)
+        return _solve_layers(den, times_i0(a0) if a0 else 0, step)
 
     def __rtruediv__(self, other):
         """A coefficient divided by the series, e.g. ``1 / s``."""
         return TruncatedSeries.constant(other, self.order, self.arity) / self
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit.
-
-        One layered solve: u_0 = 1/b_0 and b_0 u_n = -sum_{d>=1} b_d u_{n-d},
-        where b is ``self``.
-        """
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise ZeroDivisionError("divisor has zero constant term")
-        i0 = _invert_coeff(c0)
-        times_i0 = _unit_times(i0)
-
-        def step(n, acc):
-            return {m: times_i0(-c) for m, c in acc.items() if c}
-
-        return _solve_layers(self, i0, step)
+        """Multiplicative inverse ``1 / self``; the constant term must be a unit."""
+        return 1 / self
 
     def pow_int(self, k: int) -> "TruncatedSeries":
         """Integer power; negative k inverts first."""

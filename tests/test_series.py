@@ -165,15 +165,6 @@ class TestDivide:
         assert got == expect
         assert precisions(got) == precisions(expect)
 
-    def test_cancelled_inverse_coefficient(self):
-        # the t^2 and t^5 coefficients of 1/b cancel to O(q^7) with no known
-        # terms, so O(q^3) times them is O(q^10), and a / b says so too
-        a = TruncatedSeries({(0,): qs({}, 3)}, 5)
-        b = TruncatedSeries({(0,): qs({-2: 1}, 6), (1,): qs({-2: 1}, 3),
-                             (2,): qs({-2: 1}, 3)}, 5)
-        assert precisions(b.invert())[(2,)] == 7
-        assert precisions(a / b) == {(0,): 5, (1,): 5, (2,): 10, (3,): 5, (4,): 5, (5,): 10}
-
     def test_nonunit_constant_term(self):
         a = TruncatedSeries({(0,): 1, (2,): 3}, 4)
         for c in (2, LaurentPoly({0: 1, 1: 1}), qs({0: 2}, 5)):
