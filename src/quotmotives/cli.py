@@ -64,6 +64,8 @@ def _emit_series(s: TruncatedSeries, out) -> None:
 
 
 def _quiver_series(args) -> TruncatedSeries:
+    if not args.quiver or not args.framing:
+        _parser().error("nakajima-general needs --quiver and --framing")
     with open(args.quiver) as fh:
         quiver = Quiver.from_json_obj(json.load(fh))
     w = tuple(int(x) for x in args.framing.split(","))
@@ -194,11 +196,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "series" and args.target == "nakajima-general":
-        if not args.quiver or not args.framing:
-            parser.error("nakajima-general needs --quiver and --framing")
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

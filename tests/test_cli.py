@@ -152,6 +152,21 @@ class TestSeries:
                                  "--order", "2", *extra)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("missing", ["--quiver", "--framing"])
+    def test_quiver_target_needs_quiver_and_framing(self, capsys, tmp_path, missing):
+        qfile = tmp_path / "quiver.json"
+        qfile.write_text(json.dumps({"vertices": 1, "arrows": [[0, 0]]}))
+        given = {"--quiver": str(qfile), "--framing": "1"}
+        del given[missing]
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--target", "nakajima-general", "--order", "2",
+                  *(x for kv in given.items() for x in kv)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quotmotives ")
+        assert err.endswith("quotmotives: error: nakajima-general needs --quiver "
+                            "and --framing\n")
+
     def test_bad_dimension_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--target", "quot", "--space", "A2",
