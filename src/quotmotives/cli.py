@@ -88,7 +88,7 @@ IDENTITIES = {
     "heine": lambda a: verify_heine(a.order),
     "product-vs-exp": lambda a: quot.verify_product_vs_exp(a.rank, a.order),
     "class1-vs-closed": lambda a: quot.verify_class1_closed(a.rank, a.order),
-    "duality": lambda a: quot.verify_duality(a.rank, a.nmax),
+    "duality": lambda a: quot.verify_duality(a.rank, a.order),
     "zeta-curve": lambda a: specialize.verify_zeta_product_curve(
         _parse_space(a.space), a.rank, a.q, a.order),
     "zeta-surface": lambda a: specialize.verify_zeta_product_surface(
@@ -144,8 +144,9 @@ def _cmd_counts(args) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process: building it
-    costs about a millisecond, and parsing leaves it unchanged."""
+    """The parser of :func:`main`, built once per process; parsing leaves
+    it unchanged.  The first build in a process takes 3-5 ms, about 1.5 ms
+    of it gettext importing ``locale``; a later build takes about 1 ms."""
     parser = argparse.ArgumentParser(
         prog="quotmotives",
         description="Exact motive series of Quot schemes and quiver varieties")
@@ -170,7 +171,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("identity", choices=list(IDENTITIES))
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--space", default="P1")
     p.add_argument("--samples", type=int, default=50)

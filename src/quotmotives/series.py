@@ -71,7 +71,7 @@ def _unit_times(u):
 class TruncatedSeries:
     """Power series truncated at a total-degree order, with exact coefficients."""
 
-    __slots__ = ("_coeffs", "order", "arity")
+    __slots__ = ("_coeffs", "order", "arity", "__weakref__")
 
     def __init__(self, coeffs, order: int, arity: int = 1):
         if order < 0:
@@ -212,23 +212,6 @@ class TruncatedSeries:
         """A coefficient divided by the series, e.g. ``1 / s``."""
         return TruncatedSeries.constant(other, self.order, self.arity) / self
 
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse ``1 / self``; the constant term must be a unit."""
-        return 1 / self
-
-    def pow_int(self, k: int) -> "TruncatedSeries":
-        """Integer power; negative k inverts first."""
-        if k < 0:
-            return self.invert().pow_int(-k)
-        out = TruncatedSeries.constant(1, self.order, self.arity)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- substitutions ----------------------------------------------------------
 
     def substitute_power(self, k: int) -> "TruncatedSeries":
@@ -365,17 +348,14 @@ def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
     return TruncatedSeries(out, order, arity)
 
 
-def geometric_series(ratio_coeff, order: int, step: int = 1, arity: int = 1,
-                     index: int = 0) -> TruncatedSeries:
-    """sum_{j>=0} ratio_coeff^j * x_index^(step*j), i.e. 1/(1 - ratio_coeff*x^step)."""
+def geometric_series(ratio_coeff, order: int) -> TruncatedSeries:
+    """sum_{j>=0} ratio_coeff^j t^j, i.e. 1/(1 - ratio_coeff t)."""
     out = {}
     acc = 1
-    for j in range(0, order // step + 1):
-        m = [0] * arity
-        m[index] = step * j
-        out[tuple(m)] = acc
+    for j in range(order + 1):
+        out[(j,)] = acc
         acc = acc * ratio_coeff
-    return TruncatedSeries(out, order, arity)
+    return TruncatedSeries(out, order)
 
 
 def euler_product(factors, order: int, arity: int = 1, one=1) -> TruncatedSeries:

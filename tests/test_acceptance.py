@@ -124,7 +124,8 @@ def test_criterion_09_gottsche_specialization(capsys):
         series = quot_series(affine_class(2), 2, 1, 5)
         product = TruncatedSeries.constant(1, 5)
         for j in range(1, 6):
-            product = product * geometric_series(LaurentPoly.lefschetz(j + 1), 5, step=j)
+            geo = geometric_series(LaurentPoly.lefschetz(j + 1), 5)
+            product = product * geo.substitute_power(j)
         assert series == product
 
 

@@ -186,7 +186,7 @@ class TestCommandTables:
         "heine": ("--order", "4"),
         "product-vs-exp": ("--rank", "2", "--order", "4"),
         "class1-vs-closed": ("--rank", "2", "--order", "3"),
-        "duality": ("--rank", "2", "--nmax", "3"),
+        "duality": ("--rank", "2", "--order", "3"),
         "zeta-curve": ("--rank", "2", "--order", "3"),
         "zeta-surface": ("--space", "P2", "--order", "3"),
         "power-axioms": ("--samples", "2", "--order", "3"),
@@ -216,7 +216,7 @@ class TestCommandTables:
 class TestVerify:
     @pytest.mark.parametrize("argv", [
         ("verify", "heine", "--order", "10"),
-        ("verify", "duality", "--rank", "2", "--nmax", "4"),
+        ("verify", "duality", "--rank", "2", "--order", "4"),
         ("verify", "zeta-surface", "--space", "P2", "--rank", "2",
          "--q", "2", "--order", "4"),
         ("verify", "zeta-curve", "--space", "P1", "--rank", "2",
@@ -232,11 +232,22 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, line", [
         (("verify", "heine", "--order", "0"), "heine: pass (order 0)"),
-        (("verify", "duality", "--rank", "0"), "duality: pass (r=0, n<=4)"),
+        (("verify", "duality", "--rank", "0"), "duality: pass (r=0, n<=8)"),
     ])
     def test_degenerate_sizes_pass(self, capsys, argv, line):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (0, line + "\n", "")
+
+    @pytest.mark.parametrize("identity", list(cli.IDENTITIES))
+    def test_every_identity_reads_order(self, capsys, identity):
+        # each report's detail names its order, so the two outputs differ;
+        # --order is the one truncation option
+        runs = [run_cli(capsys, "verify", identity, "--order", n) for n in ("2", "3")]
+        assert [code for code, _, _ in runs] == [0, 0]
+        assert runs[0][1] != runs[1][1]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", identity, "--nmax", "3"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, message", [
         (("verify", "power-axioms", "--order", "0"), "order >= 1"),

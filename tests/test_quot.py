@@ -18,7 +18,8 @@ def gottsche_product(x_exp, order):
     the oracle for the rank-one surface series."""
     out = TruncatedSeries.constant(1, order)
     for j in range(1, order + 1):
-        out = out * geometric_series(LaurentPoly.lefschetz(j + x_exp - 1), order, step=j)
+        out = out * geometric_series(LaurentPoly.lefschetz(j + x_exp - 1),
+                                     order).substitute_power(j)
     return out
 
 
@@ -97,7 +98,8 @@ def jordan_geometric_product(r, order):
     out = TruncatedSeries.constant(1, order)
     for i in range(1, r + 1):
         for j in range(1, order + 1):
-            out = out * geometric_series(LaurentPoly.lefschetz(r * j - i), order, step=j)
+            out = out * geometric_series(LaurentPoly.lefschetz(r * j - i),
+                                         order).substitute_power(j)
     return out
 
 
