@@ -145,8 +145,8 @@ def _cmd_counts(args) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of :func:`main`, built once per process; parsing leaves
-    it unchanged.  The first build in a process takes 3-5 ms, about 1.5 ms
-    of it gettext importing ``locale``; a later build takes about 1 ms."""
+    it unchanged.  The first build in a process takes 3-5 ms, 1-2 ms of
+    it gettext importing ``locale``; a later build takes about 1 ms."""
     parser = argparse.ArgumentParser(
         prog="quotmotives",
         description="Exact motive series of Quot schemes and quiver varieties")

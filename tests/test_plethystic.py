@@ -338,7 +338,7 @@ class TestPowerStructure:
         assert _exact_terms(power_structure(h, 2)) == _exact_terms(h * h)
 
     def test_constant_term_must_be_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="logarithm requires constant term 1"):
             power_structure(TruncatedSeries.constant(2, 4), L)
 
     def test_axiom_suite(self):
