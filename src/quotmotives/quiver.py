@@ -53,11 +53,18 @@ Exactness.  The ratio is computed in Z((q)) modulo a tracked power of q
   the table and the division only add and multiply: a sum is known to
   the smaller precision, a product to min(v_a + N_b, v_b + N_a), and the
   lowest known exponent v cannot drop as more coefficients become
-  known.  So a pass at N = 1 reports the precision p_v of each
-  R_v, and the window N = 1 + max(0, max_v (d_v/2 + 2 - p_v)) makes every
-  R_v known modulo q^(d/2 + 2), one degree more than determines it.
+  known.
 
-Each R_v is then checked: it is known modulo q^(d/2 + 2), no known
+The ratio is built once, at the window N = 1 + max(0, max_v (d_v + 1))
+over the vectors 0 < |v| <= order, read off the inputs alone.  If some
+R_v is then known only modulo q^(p_v) with p_v < d_v/2 + 2, the
+shortfall s = max_v (d_v/2 + 2 - p_v) is positive and the ratio is
+built once more, at N + s; by the point above that makes every R_v
+known modulo q^(d/2 + 2), one degree more than determines it.  The
+window only decides whether one pass suffices; exactness rests on the
+check that follows.
+
+Each R_v is checked: it is known modulo q^(d/2 + 2), no known
 exponent lies outside [-d/2, d/2] (so the spare coefficient is zero),
 and its motive is effective.  A failure raises AssertionError
 explicitly, which survives ``python -O``.
@@ -177,6 +184,12 @@ def partitions_of(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+def _vectors(quiver: Quiver, order: int) -> list:
+    """The dimension vectors v with 0 < |v| <= order, by increasing |v|."""
+    return sorted((v for v in itertools.product(range(order + 1), repeat=quiver.vertices)
+                   if 0 < sum(v) <= order), key=sum)
+
+
 def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
     """{v: {theta: z^v coefficient of F(theta)}} for 0 < |v| <= order.
 
@@ -197,10 +210,8 @@ def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
             factors[d] = f
         return f
 
-    vectors = sorted((v for v in itertools.product(range(order + 1), repeat=quiver.vertices)
-                      if 0 < sum(v) <= order), key=sum)
     table = {}
-    for v in vectors:
+    for v in _vectors(quiver, order):
         row = {}
         for theta in itertools.product(*(range(x + 1) for x in v)):
             if not any(theta):
@@ -263,21 +274,25 @@ def _ratio(quiver: Quiver, w, order: int, prec: int) -> TruncatedSeries:
 
 
 def _window(quiver: Quiver, w, order: int) -> int:
-    """The window of the module docstring, from a pass at precision 1."""
-    rough = _ratio(quiver, w, order, 1)
-    short = max((nakajima_dim(quiver, v, w) // 2 + 2 - c.prec
-                 for v, c in rough._coeffs.items()), default=0)
-    return 1 + max(0, short)
+    """The window of the module docstring, from the inputs alone."""
+    return 1 + max(0, max((nakajima_dim(quiver, v, w) + 1 for v in _vectors(quiver, order)),
+                          default=0))
 
 
 def nakajima_motive_series(quiver: Quiver, w, order: int) -> TruncatedSeries:
     """Series sum_v [M(v, w)] z^v of motives of the smooth quiver varieties.
 
     The z^v coefficient R_v of S(w)/S(0) is computed at the window of the
-    module docstring, checked as described there, and cleared to
+    module docstring, once more at the window plus the shortfall if that
+    leaves some R_v short, checked as described there, and cleared to
     [M(v, w)] = L^{d/2} R_v(L^{-1}), d = dim M(v, w).
     """
-    ratio = _ratio(quiver, w, order, _window(quiver, w, order))
+    prec = _window(quiver, w, order)
+    ratio = _ratio(quiver, w, order, prec)
+    short = max((nakajima_dim(quiver, v, w) // 2 + 2 - c.prec
+                 for v, c in ratio._coeffs.items()), default=0)
+    if short > 0:
+        ratio = _ratio(quiver, w, order, prec + short)
     out = {}
     for v, c in ratio._coeffs.items():
         half = nakajima_dim(quiver, v, w) // 2

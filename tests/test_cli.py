@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -302,45 +303,92 @@ class TestZetaSelfCheck:
 
 
 class TestWindowSelfCheck:
-    """A precision window too small to determine the motives must fail
-    loudly (exit code 3), never print a truncated series."""
+    """A precision too small to determine the motives must fail loudly
+    (exit code 3), never print a truncated series; a window guessed too
+    low costs one more pass, not a wrong answer."""
 
     TWO_LOOPS = {"vertices": 1, "arrows": [[0, 0], [0, 0]]}
     ARGV = ["series", "--target", "nakajima-general", "--framing", "1",
             "--order", "3", "--quiver"]
+    # every quiver, framing and order that the partition_sums benchmark draws
+    BENCH_CASES = (
+        [((1, ((0, 0),)), (r,), 8) for r in (1, 2)]
+        + [((1, ((0, 0), (0, 0))), (r,), 6) for r in (1, 2)]
+        + [((2, arrows), w, 5)
+           for k in (2, 3)
+           for arrows in itertools.combinations(((0, 0), (0, 1), (1, 0), (1, 1)), k)
+           for w in itertools.product((1, 2), repeat=2)])
 
-    def test_small_window_is_internal_error(self, capsys, monkeypatch, tmp_path):
+    def _quiver_file(self, tmp_path):
         qfile = tmp_path / "quiver.json"
         qfile.write_text(json.dumps(self.TWO_LOOPS))
-        window = quiver._window(quiver.Quiver.from_json_obj(self.TWO_LOOPS), (1,), 3)
-        monkeypatch.setattr(quiver, "_window", lambda *args: window - 1)
-        code, out, err = run_cli(capsys, *self.ARGV, str(qfile))
+        return str(qfile)
+
+    def test_small_window_is_internal_error(self, capsys, monkeypatch, tmp_path):
+        # a low window alone is healed by the retry, so every pass runs at q^1
+        ratio = quiver._ratio
+        monkeypatch.setattr(quiver, "_ratio", lambda q, w, order, prec: ratio(q, w, order, 1))
+        code, out, err = run_cli(capsys, *self.ARGV, self._quiver_file(tmp_path))
         assert code == 3
         assert out == ""
         assert err.startswith("internal error:")
 
+    @staticmethod
+    def _count_passes(monkeypatch) -> list:
+        """The precision of every `quiver._ratio` pass from now on."""
+        ratio = quiver._ratio
+        precs = []
+
+        def counted(q, w, order, prec):
+            precs.append(prec)
+            return ratio(q, w, order, prec)
+
+        monkeypatch.setattr(quiver, "_ratio", counted)
+        return precs
+
+    def test_low_window_is_healed_by_one_retry(self, capsys, monkeypatch, tmp_path):
+        qfile = self._quiver_file(tmp_path)
+        code, expected, _ = run_cli(capsys, *self.ARGV, qfile)
+        assert code == 0
+        monkeypatch.setattr(quiver, "_window", lambda *args: 1)
+        precs = self._count_passes(monkeypatch)
+        code, out, _ = run_cli(capsys, *self.ARGV, qfile)
+        assert code == 0
+        assert out == expected
+        assert len(precs) == 2 and precs[0] == 1
+
+    def test_one_pass_on_benchmark_quivers(self, monkeypatch):
+        precs = self._count_passes(monkeypatch)
+        retried = []
+        for shape, framing, order in self.BENCH_CASES:
+            precs.clear()
+            quiver.nakajima_motive_series(quiver.Quiver(*shape), framing, order)
+            if len(precs) != 1:
+                retried.append((shape, framing, order, precs[:]))
+        assert retried == []
+
     def test_check_survives_optimized_mode(self, tmp_path):
-        qfile = tmp_path / "quiver.json"
-        qfile.write_text(json.dumps(self.TWO_LOOPS))
+        qfile = self._quiver_file(tmp_path)
         script = (
             "import sys\n"
             "from quotmotives import cli, quiver\n"
-            "window = quiver._window\n"
-            "quiver._window = lambda *args: window(*args) - int(sys.argv[1])\n"
+            "ratio = quiver._ratio\n"
+            "if sys.argv[1] == 'short':\n"
+            "    quiver._ratio = lambda q, w, order, prec: ratio(q, w, order, 1)\n"
             "sys.exit(cli.main(sys.argv[2:]))\n")
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         runs = {}
-        for shrink in (0, 1):
-            runs[shrink] = subprocess.run(
-                [sys.executable, "-O", "-c", script, str(shrink), *self.ARGV, str(qfile)],
+        for mode in ("exact", "short"):
+            runs[mode] = subprocess.run(
+                [sys.executable, "-O", "-c", script, mode, *self.ARGV, qfile],
                 capture_output=True, text=True, env=env, timeout=120)
-        assert runs[0].returncode == 0
-        assert json.loads(runs[0].stdout)["terms"][0] == [[0], {"terms": [[0, "1"]]}]
-        assert runs[1].returncode == 3
-        assert runs[1].stdout == ""
-        assert runs[1].stderr.startswith("internal error:")
+        assert runs["exact"].returncode == 0
+        assert json.loads(runs["exact"].stdout)["terms"][0] == [[0], {"terms": [[0, "1"]]}]
+        assert runs["short"].returncode == 3
+        assert runs["short"].stdout == ""
+        assert runs["short"].stderr.startswith("internal error:")
 
 
 class TestOracle:

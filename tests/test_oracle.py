@@ -165,11 +165,22 @@ class TestClassSum:
         # sum_n |C_n| / |GL_n| u^n = prod_{i>=1} prod_{j>=0} (1 - q^(1-j) u^i)^-1
         known = {(1, 2): 4, (2, 2): 88, (3, 2): 7456,
                  (1, 3): 9, (2, 3): 945, (3, 3): 809433}
-        for n, q in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (4, 2)]:
+        for n, q in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3),
+                     (1, 5), (2, 5), (3, 5), (4, 5)]:
             classes = _classsum.conjugacy_classes(n, q, False)
             pairs = sum(size * q ** len(basis) for _, size, basis in classes)
-            assert pairs == gl_order(n, q) * _feit_fine(n, q)
+            assert pairs == _pair_count(n, q, Fraction(q))
             assert pairs == known.get((n, q), pairs)
+
+    def test_nilpotent_commuting_pairs_fulman_guralnick(self):
+        # nilpotent classes, and the nilpotent members of each commutant,
+        # count the commuting pairs of nilpotent matrices (Fulman-Guralnick),
+        # sum_n |N_n| / |GL_n| u^n = prod_{i>=1} prod_{j>=1} (1 - q^(-j) u^i)^-1
+        for n, q in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]:
+            pairs = sum(size * sum(1 for x in _classsum._span(basis, q)
+                                   if _classsum._is_nilpotent(x, n, q))
+                        for _, size, basis in _classsum.conjugacy_classes(n, q, True))
+            assert pairs == _pair_count(n, q, Fraction(1, q))
 
     def test_nilpotency_count(self):
         # the kernel's own nilpotency test finds q^(n^2 - n) nilpotent
@@ -190,19 +201,24 @@ class TestClassSum:
             assert len(_classsum.conjugacy_classes(n, q, True)) == len(parts)
 
 
-def _feit_fine(n, q):
-    """u^n coefficient of prod_{i>=1} prod_{j>=0} (1 - q^(1-j) u^i)^-1.
+def _pair_count(n, q, z):
+    """|GL_n(F_q)| times the u^n coefficient of
+    prod_{i>=1} prod_{j>=0} (1 - z q^-j u^i)^-1, in exact rationals.
 
-    For fixed i the product over j is sum_k (q x)^k / prod_{l<=k} (1 - q^-l)
-    with x = u^i (Euler)."""
+    For fixed i the product over j is sum_k (z x)^k / prod_{l<=k} (1 - q^-l)
+    with x = u^i (Euler).  z = q gives the Feit-Fine product of all
+    commuting pairs, z = 1/q the Fulman-Guralnick product of nilpotent ones."""
     coeffs = [Fraction(1)] + [Fraction(0)] * n
     for i in range(1, n + 1):
         factor = [Fraction(0)] * (n + 1)
         term = Fraction(1)
         for k in range(n // i + 1):
             if k:
-                term *= Fraction(q) / (1 - Fraction(1, q ** k))
+                term *= z / (1 - Fraction(1, q ** k))
             factor[i * k] = term
         coeffs = [sum(coeffs[a] * factor[m - a] for a in range(m + 1))
                   for m in range(n + 1)]
-    return coeffs[n]
+    gl = 1
+    for i in range(n):
+        gl *= q ** n - q ** i
+    return gl * coeffs[n]

@@ -239,6 +239,71 @@ class TestMotiveSeries:
         assert s.coefficient((1, 0)) == LaurentPoly.one()
 
 
+def _poly_mul(a, b):
+    """Product of integer coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(num, den):
+    """num / den by long division; the remainder must be zero."""
+    num, out = list(num), [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c, r = divmod(num[k + len(den) - 1], den[-1])
+        assert r == 0
+        out[k] = c
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    assert not any(num)
+    return out
+
+
+def _q_factorial(k):
+    """[k]_L! = prod_{i=1..k} (1 + L + ... + L^(i-1))."""
+    out = [1]
+    for i in range(1, k + 1):
+        out = _poly_mul(out, [1] * i)
+    return out
+
+
+def _flag_cotangent_class(n, v):
+    """{exponent: coefficient} of [T*Fl(v_m <= ... <= v_1 <= n)] =
+    L^(dim Fl) [n; n - v_1, v_1 - v_2, ..., v_m]_L, or {} when v is not
+    a weakly decreasing sequence in [0, n]."""
+    chain = (n,) + tuple(v) + (0,)
+    if any(a < b for a, b in zip(chain, chain[1:])):
+        return {}
+    den = [1]
+    for a, b in zip(chain, chain[1:]):
+        den = _poly_mul(den, _q_factorial(a - b))
+    multinomial = _poly_div_exact(_q_factorial(n), den)
+    dim = len(multinomial) - 1
+    return {dim + e: c for e, c in enumerate(multinomial) if c}
+
+
+class TestTypeAFlagVarieties:
+    """For the linear A_m quiver framed by w = n e_0, M(v, w) is the
+    cotangent bundle of the partial flag variety Fl(v_m <= ... <= v_1 <= n)
+    (Nakajima 1994, section 7), for either orientation.  Its class comes
+    from q-factorials, sharing nothing with S(w)/S(0)."""
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+    def test_matches_q_multinomials(self, m, n, reverse):
+        arrows = tuple((i + 1, i) if reverse else (i, i + 1) for i in range(m - 1))
+        order = m * n
+        got = nakajima_motive_series(Quiver(m, arrows), (n,) + (0,) * (m - 1), order)
+        got = {v: dict(c.terms()) for v, c in got.coefficients() if c}
+        expect = {}
+        for v in itertools.product(range(order + 1), repeat=m):
+            if sum(v) <= order and _flag_cotangent_class(n, v):
+                expect[v] = _flag_cotangent_class(n, v)
+        assert got == expect
+
+
 class TestHeine:
     def test_heine_small(self):
         assert verify_heine(6).passed
