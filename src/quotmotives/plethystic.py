@@ -35,7 +35,6 @@ Exp(x A_p) computed just before it whenever the two paths agree (see
 
 from __future__ import annotations
 
-import random
 import weakref
 
 from .rings import ExactnessError, LaurentPoly, QSeries
@@ -211,6 +210,8 @@ def verify_power_axioms(samples: int = 50, order: int = 8) -> CheckReport:
         raise ValueError(f"power-axiom checks need order >= 1, got {order}")
     if samples < 0:
         raise ValueError(f"power-axiom checks need samples >= 0, got {samples}")
+    import random  # here, so that importing the package does not load it
+
     rng = random.Random(20240)
     one = TruncatedSeries.constant(1, order)
     failures = []

@@ -166,7 +166,7 @@ class TestClassSum:
         known = {(1, 2): 4, (2, 2): 88, (3, 2): 7456,
                  (1, 3): 9, (2, 3): 945, (3, 3): 809433}
         for n, q in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3),
-                     (1, 5), (2, 5), (3, 5), (4, 5)]:
+                     (1, 5), (2, 5), (3, 5), (4, 5), (1, 7), (2, 7), (3, 7), (4, 7)]:
             classes = _classsum.conjugacy_classes(n, q, False)
             pairs = sum(size * q ** len(basis) for _, size, basis in classes)
             assert pairs == _pair_count(n, q, Fraction(q))

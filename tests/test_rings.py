@@ -139,6 +139,27 @@ def _random_poly(rng: random.Random, bits: int, size: int) -> LaurentPoly:
                         for _ in range(size)})
 
 
+# slot width -> the bit length of the dense operands' coefficients that
+# makes the kernel choose it (B < 2^31, < 2^63 and < 2^127 below)
+SLOT_BITS = {32: 0, 64: 40, 128: 80}
+
+
+@st.composite
+def adams_and_dense(draw, bits):
+    """A pair (psi_k(p), d) in either order, and d: the Adams image of a
+    few-term p, with coefficients +-1 or larger, spread over k Z, and a
+    dense d, every slot of its span nonzero, with coefficients of about
+    ``bits`` bits."""
+    p = LaurentPoly(draw(st.dictionaries(
+        st.integers(-3, 3), st.one_of(st.sampled_from((1, -1)), st.integers(-50, 50).filter(bool)),
+        min_size=1, max_size=4)))
+    image = p.adams(draw(st.integers(2, 7)))
+    lo = draw(st.integers(-6, 6))
+    dense = LaurentPoly({lo + i: draw(st.sampled_from((1, -1))) * (draw(st.integers(1, 9)) << bits)
+                         for i in range(draw(st.integers(1, 12)))})
+    return ((image, dense) if draw(st.booleans()) else (dense, image)), dense
+
+
 class TestSumOfProducts:
     """``LaurentPoly.sum_of_products`` against the sum of dict products."""
 
@@ -216,13 +237,37 @@ class TestSumOfProducts:
         assert _packed_sum(pairs, stop).terms() == expected
 
     def test_shared_operand_at_two_widths(self):
-        # the shared operand's cached pack alternates between 64- and 128-bit slots
-        shared = LaurentPoly({-2: 3, 0: -1, 5: 7})
+        # the shared operand's cached pack alternates between 64- and 128-bit
+        # slots; it is dense, so the kernel packs it next to either partner
+        shared = LaurentPoly({-2: 3, -1: 2, 0: -1, 1: 7})
         small, large = LaurentPoly({1: 2 ** 31}), LaurentPoly({-4: 2 ** 100, 3: -1})
         for _ in range(3):
             for other, width in ((small, 64), (large, 128)):
                 assert LaurentPoly.sum_of_products([(shared, other)]) == shared * other
                 assert shared._pack[4] == width
+
+    @pytest.mark.parametrize("width", sorted(SLOT_BITS))
+    @given(data=st.data())
+    def test_adams_images_by_shifted_adds(self, width, data):
+        # the sparse Adams images are multiplied by shifted adds into the
+        # total, the dense partners packed at the width of the sum (128-bit
+        # slots are unpacked slot by slot)
+        drawn = data.draw(st.lists(adams_and_dense(SLOT_BITS[width]), min_size=1, max_size=5))
+        pairs = [pair for pair, _ in drawn]
+        assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
+        assert all(dense._pack[4] == width for _, dense in drawn)
+
+    def test_sparse_operand_is_never_packed(self):
+        # psi_5(1 + 2L - L^2): 3 terms over 11 slots; the dense partner is packed
+        image, dense = LaurentPoly({0: 1, 1: 2, 2: -1}).adams(5), LaurentPoly({-1: 4, 0: -3})
+        for pair in ((image, dense), (dense, image)):
+            assert LaurentPoly.sum_of_products([pair]) == image * dense
+            assert image._pack[4:] == (0, 0, True)
+            assert dense._pack[4] == 32 and dense._pack[6] is False
+        # two sparse operands: the first is added in shifts, the second packed
+        other = LaurentPoly({0: 1, 9: -1})
+        assert LaurentPoly.sum_of_products([(image, other)]) == image * other
+        assert image._pack[4] == 0 and other._pack[4] == 32
 
     def test_cache_is_invisible(self):
         f, twin = LaurentPoly({-2: 3, 0: -1, 5: 7}), LaurentPoly({-2: 3, 0: -1, 5: 7})
@@ -233,6 +278,19 @@ class TestSumOfProducts:
         assert f.to_json_obj() == twin.to_json_obj()
         assert f.dual() == twin.dual() and f.adams(3) == twin.adams(3)
         assert repr(f.dual()) == repr(twin.dual())
+        # a QSeries keeps the last cut of its known part that a product made
+        x, twin = qs({e: e + 1 for e in range(10)}, 10), qs({e: e + 1 for e in range(10)}, 10)
+        y = qs({-2: 1, 0: 5}, 3)
+        first = _exactly(x * y)
+        cut = x._cut
+        assert cut is not None and cut[0] == 5 and twin._cut is None
+        assert _exactly(x * y) == first == _exactly(_dict_product(twin, y))
+        assert x._cut is cut
+        assert _exactly(x) == _exactly(twin) and repr(x) == repr(twin) and x == twin
+        assert _exactly(x.adams(2)) == _exactly(twin.adams(2))
+        assert _exactly(x * qs({-1: 1}, 3)) == _exactly(_dict_product(twin, qs({-1: 1}, 3)))
+        assert x._cut[0] == 4
+        assert _exactly(x * y) == first
 
     def test_shared_operand_across_threads(self):
         # threads race to replace the shared operand's pack at two widths
@@ -359,6 +417,20 @@ class TestQSeries:
         prod = a * b
         assert _exactly(prod) == (QSeries, [(e, 1) for e in range(-2, 3)], 3)
         assert _exactly(prod) == _exactly(_dict_product(a, b))
+
+    @pytest.mark.parametrize("width", sorted(SLOT_BITS))
+    @given(data=st.data())
+    def test_adams_images_with_a_precision_stop(self, width, data):
+        # Adams images and dense operands, each known to some O(q^N): the
+        # cut operands go through the shifted adds, decoded below P
+        pairs = []
+        for (a, b), _ in data.draw(st.lists(adams_and_dense(SLOT_BITS[width]),
+                                            min_size=1, max_size=4)):
+            pairs.append((QSeries(a, data.draw(precisions)), QSeries(b, data.draw(precisions))))
+        expected = QSeries(LaurentPoly(), math.inf)
+        for a, b in pairs:
+            expected = expected + _dict_product(a, b)
+        assert _exactly(QSeries.sum_of_products(pairs)) == _exactly(expected)
 
     @given(st.lists(st.tuples(wide_qseries, st.one_of(wide_qseries, st.integers(-9, 9))),
                     min_size=1, max_size=6))

@@ -71,18 +71,23 @@ def test_no_package_module_imports_the_test_reference():
 
 def test_cli_import_loads_a_fixed_set_of_package_modules():
     # the oracle kernel _classsum is loaded on the first count, not on
-    # import, and no rational-number module is loaded at all
-    code = ("import sys, quotmotives.cli; "
+    # import, no rational-number module is loaded at all, and random only
+    # by verify_power_axioms.  ``site`` may preload stdlib modules (random
+    # among them, through a .pth file), so the interpreter runs without it
+    # (-S) and the test names what the import adds to the modules it held
+    code = ("import sys; bare = set(sys.modules); import quotmotives.cli; "
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'quotmotives')));"
-            "print(' '.join(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))")
+            "print(' '.join(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules));"
+            "print(' '.join(m for m in ('random',) if m in set(sys.modules) - bare))")
     env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    package, rational = proc.stdout.split("\n")[:2]
+    package, rational, added = proc.stdout.split("\n")[:3]
     assert package.split() == ["quotmotives"] + [
         f"quotmotives.{name}" for name in ("cli", "oracle", "plethystic", "quiver", "quot",
                                            "report", "rings", "series", "specialize")]
     assert rational == ""
+    assert added == ""
 
 
 def test_public_api_imports_equal_all():
