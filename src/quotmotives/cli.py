@@ -68,7 +68,12 @@ def _quiver_series(args) -> TruncatedSeries:
         _parser().error("nakajima-general needs --quiver and --framing")
     with open(args.quiver) as fh:
         quiver = Quiver.from_json_obj(json.load(fh))
-    w = tuple(int(x) for x in args.framing.split(","))
+    entries = [e.strip() for e in args.framing.split(",")]
+    for e in entries:
+        # int() alone also takes "_", a "+" and leading zeros
+        if not (e.removeprefix("-").isdecimal() and e == str(int(e))):
+            raise ValueError(f"--framing entries must be integers, got {e!r}")
+    w = tuple(map(int, entries))
     fn = nilpotent_motive_series if args.nilpotent else nakajima_motive_series
     return fn(quiver, w, args.order)
 
@@ -89,10 +94,10 @@ IDENTITIES = {
     "product-vs-exp": lambda a: quot.verify_product_vs_exp(a.rank, a.order),
     "class1-vs-closed": lambda a: quot.verify_class1_closed(a.rank, a.order),
     "duality": lambda a: quot.verify_duality(a.rank, a.order),
-    "zeta-curve": lambda a: specialize.verify_zeta_product_curve(
-        _parse_space(a.space), a.rank, a.q, a.order),
-    "zeta-surface": lambda a: specialize.verify_zeta_product_surface(
-        _parse_space(a.space), a.rank, a.q, a.order),
+    "zeta-curve": lambda a: specialize.verify_zeta_product(
+        _parse_space(a.space), 1, a.rank, a.q, a.order),
+    "zeta-surface": lambda a: specialize.verify_zeta_product(
+        _parse_space(a.space), 2, a.rank, a.q, a.order),
     "power-axioms": lambda a: verify_power_axioms(samples=a.samples, order=a.order),
 }
 

@@ -97,14 +97,3 @@ def orbit_count(n: int, r: int, q: int, d: int, punctual: bool) -> tuple:
             "this indicates a bug in the stability test")
     return raw, raw // g
 
-
-def count_punctual(n: int, r: int, q: int, d: int) -> int:
-    """Number of F_q-points of the punctual Quot scheme (quotients of the
-    trivial rank-r sheaf on affine d-space supported at the origin)."""
-    return orbit_count(n, r, q, d, punctual=True)[1]
-
-
-def count_global_affine(n: int, r: int, q: int, d: int) -> int:
-    """Number of F_q-points of the Quot scheme of the trivial rank-r sheaf
-    on affine d-space."""
-    return orbit_count(n, r, q, d, punctual=False)[1]

@@ -39,7 +39,7 @@ import weakref
 
 from .rings import ExactnessError, LaurentPoly, QSeries
 from .report import CheckReport
-from .series import TruncatedSeries, _solve_layers, euler_product
+from .series import TruncatedSeries, _solve_layers, _unit, euler_product
 
 
 def _mobius(n: int) -> int:
@@ -129,10 +129,9 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     last = last_ref()
     if last is not None and key == last_key:
         return last
-    # h_0 is the unit of the coefficient ring (LaurentPoly or QSeries)
-    one = next((type(c).one() for c in f._coeffs.values()), 1)
     g = _adams_sum(_euler(f), lambda k: 1)
-    h = _solve_layers(g, one, lambda n, acc: {m: c / n for m, c in acc.items() if c})
+    h = _solve_layers(g, _unit(f._coeffs.values()),
+                      lambda n, acc: {m: c / n for m, c in acc.items() if c})
     _exp_memo = (key, weakref.ref(h))
     return h
 
@@ -164,7 +163,7 @@ def exp_pleth_product(f: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(c, LaurentPoly):
             raise ExactnessError("product form needs Laurent coefficients")
         factors += [(m, LaurentPoly.lefschetz(e), a) for e, a in c.terms()]
-    return euler_product(factors, f.order, f.arity, LaurentPoly.one())
+    return euler_product(factors, f.order, f.arity)
 
 
 def power_structure(f: TruncatedSeries, a) -> TruncatedSeries:

@@ -97,27 +97,6 @@ def nakajima_framed_series(r: int, order: int) -> TruncatedSeries:
     return _closed_series(LaurentPoly.lefschetz(r + 1), r, 2, order)
 
 
-def quot_affine_plane_series(r: int, order: int) -> TruncatedSeries:
-    """Closed form Exp([P^{r-1}] L^2 t / (1 - L^r t)): motive series of the
-    Quot schemes of the trivial rank-r sheaf on the affine plane."""
-    return _closed_series(LaurentPoly.lefschetz(2), r, 2, order)
-
-
-def compare_affine_plane_vs_framed(r: int, order: int):
-    """Compare the affine-plane Quot series with the framed-moduli series.
-
-    Returns (first_diff, lhs, rhs): the first exponent where they differ
-    (None when equal through the order) and the two coefficient values
-    there.  They agree termwise exactly for r = 1.
-    """
-    lhs = quot_affine_plane_series(r, order)
-    rhs = nakajima_framed_series(r, order)
-    m = lhs.first_difference(rhs)
-    if m is None:
-        return None, None, None
-    return m[0], lhs.coefficient(m), rhs.coefficient(m)
-
-
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
@@ -127,8 +106,7 @@ def jordan_product_series(r: int, order: int) -> TruncatedSeries:
     equals the punctual d=2 series (nilpotent one-loop quiver varieties).
     One division of 1 by its binomials with j <= order (:func:`euler_product`)."""
     return euler_product([((j,), LaurentPoly.lefschetz(r * j - i), 1)
-                          for i in range(1, r + 1) for j in range(1, order + 1)],
-                         order, one=LaurentPoly.one())
+                          for i in range(1, r + 1) for j in range(1, order + 1)], order)
 
 
 def verify_product_vs_exp(r: int, order: int) -> CheckReport:

@@ -56,6 +56,12 @@ def _invert_coeff(c):
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
 
 
+def _unit(coeffs):
+    """The 1 of the coefficients' ring: ``one()`` of the first non-int
+    one's type, else the int 1 (LaurentPoly groups stay packed)."""
+    return next((type(c).one() for c in coeffs if type(c) is not int), 1)
+
+
 def _unit_times(u):
     """The map c |-> u * c for a unit u of the coefficient ring.  The exact
     1 of any ring returns c itself, unless c is an int, which u * c
@@ -349,23 +355,25 @@ def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
 
 
 def geometric_series(ratio_coeff, order: int) -> TruncatedSeries:
-    """sum_{j>=0} ratio_coeff^j t^j, i.e. 1/(1 - ratio_coeff t)."""
+    """sum_{j>=0} ratio_coeff^j t^j, i.e. 1/(1 - ratio_coeff t), from the
+    unit of the ring of ratio_coeff (:func:`_unit`)."""
     out = {}
-    acc = 1
+    acc = _unit([ratio_coeff])
     for j in range(order + 1):
         out[(j,)] = acc
         acc = acc * ratio_coeff
     return TruncatedSeries(out, order)
 
 
-def euler_product(factors, order: int, arity: int = 1, one=1) -> TruncatedSeries:
+def euler_product(factors, order: int, arity: int = 1) -> TruncatedSeries:
     """prod over the (m, c, a) factors of (1 - c x^m)^(-a), for exponent
     vectors m of positive total degree and int multiplicities a: the
     binomials with a < 0 multiplied out and divided once, by one layered
-    solve, by the product of those with a > 0.  ``one`` is the unit of the
-    coefficient ring, so that LaurentPoly groups stay pure and go through
-    the packed kernel.  Binomials of high degree go first, which keeps
-    the partial products sparse."""
+    solve, by the product of those with a > 0.  The constant 1 is the
+    unit of the ring of the c (:func:`_unit`; the int 1 with no factors).
+    Binomials of high degree go first, which keeps the partial products
+    sparse."""
+    one = _unit(c for _, c, _ in factors)
     num = den = TruncatedSeries.constant(one, order, arity)
     for m, c, a in sorted(factors, key=lambda f: -sum(f[0])):
         binomial = TruncatedSeries({_zero_key(arity): one, m: -c}, order, arity)

@@ -121,12 +121,15 @@ def zeta_series(x_class: LaurentPoly, q: int, order: int) -> TruncatedSeries:
     return out
 
 
-def _verify_zeta(name: str, x_class: LaurentPoly, d: int, r: int, q: int,
-                 order: int) -> CheckReport:
+def verify_zeta_product(x_class: LaurentPoly, d: int, r: int, q: int,
+                        order: int) -> CheckReport:
     """Point counts of the d-fold Quot series vs the product of the zeta
-    functions Z(X; q^{i+rj} t^{j+1}) over i < r, with j = 0 for d = 1 and
-    j < order for d = 2.  The zeta function comes first: it checks q and
+    functions Z(X; q^{i+rj} t^{j+1}) over i < r, with j = 0 for d = 1
+    (``zeta-curve``) and j < order for d = 2 (``zeta-surface``).  The
+    dimension and then the zeta function come first: they check d, q and
     the class before the Quot series is solved."""
+    if d not in (1, 2):
+        raise quot.UnsupportedDimensionError(d)
     zeta = zeta_series(x_class, q, order)
     counts = point_count_series(quot.quot_series(x_class, d, r, order), q)
     lhs = TruncatedSeries(dict(enumerate(counts)), order)
@@ -134,18 +137,5 @@ def _verify_zeta(name: str, x_class: LaurentPoly, d: int, r: int, q: int,
     for i in range(r):
         for j in range(1 if d == 1 else order):
             rhs = rhs * zeta.scale_variable(q ** (i + r * j)).substitute_power(j + 1)
+    name = "zeta-curve" if d == 1 else "zeta-surface"
     return CheckReport.compare(name, lhs, rhs, f"X={x_class}, r={r}, q={q}, order {order}")
-
-
-def verify_zeta_product_curve(x_class: LaurentPoly, r: int, q: int,
-                              order: int) -> CheckReport:
-    """Point counts of the curve Quot series vs the product of shifted
-    zeta functions."""
-    return _verify_zeta("zeta-curve", x_class, 1, r, q, order)
-
-
-def verify_zeta_product_surface(x_class: LaurentPoly, r: int, q: int,
-                                order: int) -> CheckReport:
-    """Point counts of the surface Quot series vs the double product of
-    zeta functions Z(X; q^{i+rj} t^{j+1})."""
-    return _verify_zeta("zeta-surface", x_class, 2, r, q, order)

@@ -8,19 +8,16 @@ Run with `pytest tests/test_acceptance.py -v`.
 import time
 from contextlib import contextmanager
 
+import classical
 from quotmotives.rings import LaurentPoly, affine_class, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import verify_power_axioms
 from quotmotives.quiver import verify_heine
-from quotmotives.quot import (compare_affine_plane_vs_framed,
-                              nakajima_framed_series, punctual_quot_series,
-                              quot_affine_plane_series, quot_series,
-                              verify_class1_closed, verify_duality,
+from quotmotives.quot import (nakajima_framed_series, punctual_quot_series,
+                              quot_series, verify_class1_closed, verify_duality,
                               verify_product_vs_exp)
-from quotmotives.specialize import (point_count_series,
-                                    verify_zeta_product_curve,
-                                    verify_zeta_product_surface)
-from quotmotives.oracle import active_backend, count_global_affine, count_punctual
+from quotmotives.specialize import point_count_series, verify_zeta_product
+from quotmotives.oracle import active_backend, orbit_count
 
 
 @contextmanager
@@ -86,7 +83,7 @@ def test_criterion_06_oracle_punctual(capsys):
         for n, r, d, q in PUNCTUAL_GRID:
             series = punctual_quot_series(r, d, n)
             expected = point_count_series(series, q)[n]
-            got = count_punctual(n, r, q, d)
+            got = orbit_count(n, r, q, d, True)[1]
             assert got == expected, (n, r, d, q, got, expected)
 
 
@@ -102,7 +99,7 @@ def test_criterion_07_oracle_global(capsys):
         for n, r, d, q in GLOBAL_GRID:
             series = quot_series(affine_class(d), d, r, n)
             expected = point_count_series(series, q)[n]
-            got = count_global_affine(n, r, q, d)
+            got = orbit_count(n, r, q, d, False)[1]
             assert got == expected, (n, r, d, q, got, expected)
 
 
@@ -111,11 +108,11 @@ def test_criterion_08_zeta_products(capsys):
         for x in (projective_class(1), affine_class(1)):
             for r in (1, 2):
                 for q in (2, 3):
-                    report = verify_zeta_product_curve(x, r, q, 6)
+                    report = verify_zeta_product(x, 1, r, q, 6)
                     assert report.passed, report.detail
         for x in (projective_class(2), affine_class(2)):
             for r in (1, 2):
-                report = verify_zeta_product_surface(x, r, 2, 4)
+                report = verify_zeta_product(x, 2, r, 2, 4)
                 assert report.passed, report.detail
 
 
@@ -131,8 +128,29 @@ def test_criterion_09_gottsche_specialization(capsys):
 
 def test_criterion_10_affine_plane_vs_framed(capsys):
     with criterion(capsys, 10, "affine-plane Quot series vs framed series", 1.0):
-        assert quot_affine_plane_series(1, 6) == nakajima_framed_series(1, 6)
-        n, lhs, rhs = compare_affine_plane_vs_framed(2, 6)
-        assert n == 1
-        assert lhs == LaurentPoly({2: 1, 3: 1})
-        assert rhs == LaurentPoly({3: 1, 4: 1})
+        plane = affine_class(2)
+        assert quot_series(plane, 2, 1, 6) == nakajima_framed_series(1, 6)
+        lhs, rhs = quot_series(plane, 2, 2, 6), nakajima_framed_series(2, 6)
+        assert lhs.first_difference(rhs) == (1,)
+        assert lhs.coefficient(1) == LaurentPoly({2: 1, 3: 1})
+        assert rhs.coefficient(1) == LaurentPoly({3: 1, 4: 1})
+
+
+def test_criterion_11_type_a_geometry(capsys):
+    label = "type-A quiver varieties from their geometry (flags, Euler characteristics)"
+    with criterion(capsys, 11, label, 30.0):
+        for m, n in classical.FLAG_SIZES:
+            for reverse in (False, True):
+                classical.check_flag_variety(m, n, reverse)
+        for n, w, reverse in classical.EULER_CASES:
+            classical.check_euler_characteristics(n, w, reverse)
+
+
+def test_criterion_12_commuting_pairs(capsys):
+    label = (f"commuting-pair counts of the oracle's class list "
+             f"({active_backend()} kernel)")
+    with criterion(capsys, 12, label, 60.0):
+        for n, q in classical.FEIT_FINE_CASES:
+            classical.check_feit_fine(n, q)
+        for n, q in classical.NILPOTENT_PAIR_CASES + [(4, 2)]:
+            classical.check_nilpotent_pairs(n, q)

@@ -119,6 +119,15 @@ class TestSeries:
         pytest.param(LOOP, "-1", ("--nilpotent",),
                      "framing vector entries must be >= 0, got (-1,)",
                      id="negative-framing-nilpotent"),
+        # int() alone would read "1_0" as 10, and take "+1" and "01"
+        pytest.param(LOOP, "1_0", (), "--framing entries must be integers, got '1_0'",
+                     id="framing-underscore"),
+        pytest.param(LOOP, "+1", (), "--framing entries must be integers, got '+1'",
+                     id="framing-plus"),
+        pytest.param(LOOP, "01", (), "--framing entries must be integers, got '01'",
+                     id="framing-leading-zero"),
+        pytest.param(LOOP, "x", (), "--framing entries must be integers, got 'x'",
+                     id="framing-not-a-number"),
         pytest.param({"vertices": 1}, "1", (),
                      'quiver must be an object with "vertices" and "arrows"',
                      id="missing-arrows"),

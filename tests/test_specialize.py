@@ -5,10 +5,10 @@ import pytest
 from quotmotives.rings import LaurentPoly, affine_class, projective_class
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import symmetric_power
-from quotmotives.quot import punctual_quot_series, quot_series
+from quotmotives import quot, specialize
+from quotmotives.quot import UnsupportedDimensionError, punctual_quot_series, quot_series
 from quotmotives.specialize import (point_count_series, require_prime_power,
-                                    verify_zeta_product_curve,
-                                    verify_zeta_product_surface, zeta_series)
+                                    verify_zeta_product, zeta_series)
 
 L = LaurentPoly.lefschetz()
 
@@ -152,7 +152,7 @@ class TestIntegerOnly:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-        assert verify_zeta_product_surface(projective_class(2), 2, 3, 6).passed
+        assert verify_zeta_product(projective_class(2), 2, 2, 3, 6).passed
         z = zeta_series(projective_class(2), 3, 6)
         assert made == []
         assert all(type(c) is int for c in z.univariate_coefficients())
@@ -167,22 +167,37 @@ class TestIntegerOnly:
 
 class TestZetaProducts:
     def test_curve_p1(self):
-        assert verify_zeta_product_curve(projective_class(1), 2, 2, 6).passed
+        assert verify_zeta_product(projective_class(1), 1, 2, 2, 6).passed
 
     def test_curve_rank_one_is_zeta(self):
-        assert verify_zeta_product_curve(projective_class(1), 1, 3, 5).passed
+        assert verify_zeta_product(projective_class(1), 1, 1, 3, 5).passed
 
     def test_curve_point(self):
-        assert verify_zeta_product_curve(LaurentPoly.one(), 1, 2, 5).passed
+        assert verify_zeta_product(LaurentPoly.one(), 1, 1, 2, 5).passed
 
     def test_surface_p2(self):
-        assert verify_zeta_product_surface(projective_class(2), 1, 2, 4).passed
+        assert verify_zeta_product(projective_class(2), 2, 1, 2, 4).passed
 
     def test_surface_affine_plane_rank2(self):
-        assert verify_zeta_product_surface(affine_class(2), 2, 2, 4).passed
+        assert verify_zeta_product(affine_class(2), 2, 2, 2, 4).passed
 
     def test_order_zero(self):
-        assert verify_zeta_product_surface(projective_class(2), 2, 2, 0).passed
+        assert verify_zeta_product(projective_class(2), 2, 2, 2, 0).passed
+
+    def test_report_is_named_by_dimension(self):
+        for d, name in ((1, "zeta-curve"), (2, "zeta-surface")):
+            report = verify_zeta_product(projective_class(1), d, 1, 2, 3)
+            assert (report.name, report.passed) == (name, True)
+
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_other_dimension_rejected_before_any_series(self, monkeypatch, d):
+        def never(*args):
+            raise AssertionError("a series was solved")
+
+        monkeypatch.setattr(specialize, "zeta_series", never)
+        monkeypatch.setattr(quot, "quot_series", never)
+        with pytest.raises(UnsupportedDimensionError):
+            verify_zeta_product(projective_class(1), d, 1, 2, 3)
 
 
 class TestPoincare:
