@@ -373,9 +373,10 @@ def euler_product(factors, order: int, arity: int = 1) -> TruncatedSeries:
     unit of the ring of the c (:func:`_unit`; the int 1 with no factors).
     Binomials of high degree go first, which keeps the partial products
     sparse."""
+    factors = sorted(factors, key=lambda f: -sum(f[0]))
     one = _unit(c for _, c, _ in factors)
     num = den = TruncatedSeries.constant(one, order, arity)
-    for m, c, a in sorted(factors, key=lambda f: -sum(f[0])):
+    for m, c, a in factors:
         binomial = TruncatedSeries({_zero_key(arity): one, m: -c}, order, arity)
         for _ in range(abs(a)):
             if a > 0:
