@@ -146,8 +146,7 @@ def check_flag_variety(m, n, reverse):
     order = m * n
     got = nakajima_motive_series(linear_quiver(m, reverse), (n,) + (0,) * (m - 1), order)
     got = {v: dict(c.terms()) for v, c in got.coefficients() if c}
-    expect = {v: flag_cotangent_class(n, v) for v in _vectors(m, order)
-              if flag_cotangent_class(n, v)}
+    expect = {v: c for v in _vectors(m, order) if (c := flag_cotangent_class(n, v))}
     assert got == expect
 
 
@@ -180,17 +179,17 @@ EULER_CASES = [
 EULER_ORDER = 10
 
 
-def check_euler_characteristics(n, w, reverse, order=EULER_ORDER):
+def check_euler_characteristics(n, w, reverse):
     """[M(v, w)] at L = 1 is the multiplicity of the weight
     lambda - sum_i v_i alpha_i, lambda = sum_i w_i omega_i, in the module
     of :func:`weight_multiplicities` (Nakajima, JAMS 2001: the homology of
     M(w) is a standard module, whose fundamental modules restrict to the
-    V(omega_i) in type A), for every |v| <= order, zeros included.  In
+    V(omega_i) in type A), for every |v| <= EULER_ORDER, zeros included.  In
     eps coordinates, omega_k = eps_1 + ... + eps_k and
     alpha_i = eps_i - eps_(i+1)."""
-    got = nakajima_motive_series(linear_quiver(n, reverse), w, order)
+    got = nakajima_motive_series(linear_quiver(n, reverse), w, EULER_ORDER)
     multiplicity = weight_multiplicities(w)
-    for v in _vectors(n, order):
+    for v in _vectors(n, EULER_ORDER):
         padded = (0,) + v + (0,)
         weight = tuple(sum(w[j:]) - padded[j + 1] + padded[j] for j in range(n + 1))
         c = got.coefficient(v)
