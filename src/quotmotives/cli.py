@@ -37,7 +37,7 @@ def _parse_space(text: str) -> LaurentPoly:
         return NAMED_SPACES[text]
     try:
         return LaurentPoly.from_json_obj(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+    except ValueError:  # json.JSONDecodeError is one
         raise ValueError(
             f"unknown space {text!r}: use one of {sorted(NAMED_SPACES)} or a JSON "
             'object like {"terms": [[0, "1"], [1, "1"]]}')

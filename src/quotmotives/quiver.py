@@ -70,10 +70,8 @@ and its motive is effective.  A failure raises AssertionError
 explicitly, which survives ``python -O``.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rings import LaurentPoly, QSeries
 from .report import CheckReport
@@ -81,20 +79,16 @@ from .series import TruncatedSeries
 from .plethystic import exp_pleth
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(namedtuple("Quiver", "vertices arrows")):
     """Finite directed multigraph; loops and parallel arrows are allowed.
 
     ``vertices`` must be an int >= 1 and ``arrows`` a list or tuple of
     (source, target) pairs of vertex indices, given as ints; anything else
-    raises ValueError, whether the quiver is built here or read by
-    :meth:`from_json_obj`."""
+    raises ValueError, also from ``_make``, ``_replace``, copy and unpickling."""
 
-    vertices: int
-    arrows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        vertices, arrows = self.vertices, self.arrows
+    def __new__(cls, vertices: int, arrows):
         if type(vertices) is not int:  # not a float or a bool
             raise ValueError(f"quiver vertex count must be an integer, got {vertices!r}")
         if not isinstance(arrows, (list, tuple)) or not all(
@@ -104,10 +98,15 @@ class Quiver:
                              f"got {arrows!r}")
         if vertices < 1:
             raise ValueError("a quiver needs at least one vertex")
-        object.__setattr__(self, "arrows", tuple(map(tuple, arrows)))
-        for s, t in self.arrows:
-            if not (0 <= s < self.vertices and 0 <= t < self.vertices):
+        arrows = tuple(map(tuple, arrows))
+        for s, t in arrows:
+            if not (0 <= s < vertices and 0 <= t < vertices):
                 raise ValueError(f"arrow ({s}, {t}) out of range")
+        return super().__new__(cls, vertices, arrows)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's skips __new__, and _replace calls it
+        return cls(*iterable)
 
     @classmethod
     def jordan(cls) -> "Quiver":
@@ -138,6 +137,8 @@ def euler_form(quiver: Quiver, v, w) -> int:
 
 def nakajima_dim(quiver: Quiver, v, w) -> int:
     """Dimension 2(v.w - chi(v, v)) of the smooth variety M(v, w); always even."""
+    if len(w) != quiver.vertices:
+        raise ValueError("framing vector size does not match the quiver")
     return 2 * (sum(a * b for a, b in zip(v, w)) - euler_form(quiver, v, v))
 
 

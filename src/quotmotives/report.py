@@ -1,17 +1,12 @@
 """Result record shared by the identity-verification helpers."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "name passed detail", defaults=("",))):
     """Outcome of one identity verification."""
 
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
     @classmethod
     def compare(cls, name: str, lhs, rhs, detail: str) -> "CheckReport":

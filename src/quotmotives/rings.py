@@ -280,8 +280,11 @@ class LaurentPoly:
         integers, each at most once, and coefficients JSON integers or
         integer strings in the form ``str(int)`` writes; anything else
         raises ValueError."""
+        pairs = obj.get("terms") if isinstance(obj, dict) else None
+        if not isinstance(pairs, list) or any(type(p) is not list or len(p) != 2 for p in pairs):
+            raise ValueError('a class must be an object {"terms": [[exponent, coefficient], ...]}')
         terms = {}
-        for e, c in obj["terms"]:
+        for e, c in pairs:
             if type(e) is not int:  # a JSON integer, not a float or a bool
                 raise ValueError(f"exponent must be an integer, got {e!r}")
             if e in terms:

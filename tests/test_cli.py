@@ -95,6 +95,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("space", [
         pytest.param("nope", id="nope"),
+        # from_json_obj raises ValueError for each shape, which the CLI reports
+        pytest.param("[]", id="list"),
+        pytest.param("{}", id="no-terms"),
+        pytest.param('{"terms": 5}', id="terms-not-a-list"),
+        pytest.param('{"terms": [5]}', id="term-not-a-pair"),
         pytest.param('{"terms": [[0, 1.5]]}', id="float-coefficient"),
         pytest.param('{"terms": [[0.5, "1"]]}', id="float-exponent"),
         pytest.param('{"terms": [[true, "2"]]}', id="bool-exponent"),
@@ -128,6 +133,10 @@ class TestSeries:
                      id="framing-leading-zero"),
         pytest.param(LOOP, "x", (), "--framing entries must be integers, got 'x'",
                      id="framing-not-a-number"),
+        pytest.param({"vertices": 2, "arrows": [[0, 1]]}, "1", (),
+                     "framing vector size does not match the quiver", id="framing-too-short"),
+        pytest.param(LOOP, "1,1", (), "framing vector size does not match the quiver",
+                     id="framing-too-long"),
         pytest.param({"vertices": 1}, "1", (),
                      'quiver must be an object with "vertices" and "arrows"',
                      id="missing-arrows"),

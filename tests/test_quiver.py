@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ import classical
 from quotmotives.rings import LaurentPoly, QSeries
 from quotmotives.series import TruncatedSeries
 from quotmotives.plethystic import exp_pleth
+from quotmotives.report import CheckReport
 from quotmotives.quiver import (Quiver, _inverse_q_pochhammers, euler_form,
                                 nakajima_dim, nakajima_motive_series,
                                 nakajima_partition_sum, nilpotent_motive_series,
@@ -73,6 +76,34 @@ class TestQuiver:
         q = Quiver(3, ((0, 1), (1, 2), (2, 2)))
         assert Quiver.from_json_obj(q.to_json_obj()) == q
 
+    def test_record_semantics(self):
+        q = Quiver(2, [[0, 1], [1, 1]])
+        assert repr(q) == "Quiver(vertices=2, arrows=((0, 1), (1, 1)))"
+        twin = Quiver(2, ((0, 1), (1, 1)))
+        assert q == twin and hash(q) == hash(twin) and len({q, twin}) == 1
+        assert q != Quiver(2, ((1, 0), (1, 1)))
+        assert q == (2, ((0, 1), (1, 1)))  # a namedtuple equals its bare tuple
+        for name in ("vertices", "arrows", "other"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, 1)
+        for copied in (copy.copy(q), copy.deepcopy(q),
+                       *(pickle.loads(pickle.dumps(q, p))
+                         for p in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(copied) is Quiver and copied == q
+        assert q._replace(arrows=[[1, 0]]) == Quiver(2, ((1, 0),))
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: JORDAN._replace(vertices=0), id="replace"),
+        pytest.param(lambda: Quiver._make((0, ())), id="make"),
+        # a pickle of an invalid record: tuple.__new__ skips the checks
+        *(pytest.param(lambda p=p: pickle.loads(pickle.dumps(tuple.__new__(Quiver, (0, ())), p)),
+                       id=f"unpickle-protocol-{p}")
+          for p in range(2, pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    def test_every_constructor_validates(self, build):
+        with pytest.raises(ValueError, match="^a quiver needs at least one vertex$"):
+            build()
+
 
 class TestEulerForm:
     def test_jordan_vanishes(self):
@@ -107,6 +138,12 @@ class TestDim:
 
     def test_point_quiver(self):
         assert nakajima_dim(POINT, (1,), (2,)) == 2
+
+    @pytest.mark.parametrize("w", [(1,), (1, 1, 1)])
+    def test_framing_size_mismatch(self, w):
+        # zip would read a short or long framing without an error
+        with pytest.raises(ValueError, match="^framing vector size does not match the quiver$"):
+            nakajima_dim(A2_QUIVER, (1, 1), w)
 
 
 class TestPochhammer:
@@ -267,6 +304,16 @@ class TestHeine:
     def test_heine_reports_order(self):
         r = verify_heine(4)
         assert "4" in r.detail
+
+
+class TestCheckReport:
+    def test_record(self):
+        assert str(CheckReport("heine", True, "order 4")) == "heine: pass (order 4)"
+        assert str(CheckReport("heine", False)) == "heine: FAIL"
+        assert CheckReport("x", True).detail == ""
+        assert repr(CheckReport("x", True)) == "CheckReport(name='x', passed=True, detail='')"
+        with pytest.raises(AttributeError):
+            CheckReport("x", True).passed = False
 
 
 def _sympy_motive_series(sp, quiver, w, order):

@@ -118,6 +118,14 @@ class TestLaurentPoly:
         assert obj["terms"] == [[-2, "3"], [0, "-1"], [5, "7"]]
         assert LaurentPoly.from_json_obj(obj) == f
 
+    @pytest.mark.parametrize("obj", [
+        [], "x", {}, {"terms": 5}, {"terms": [5]}, {"terms": [[0]]}, {"terms": [[0, 1, 2]]},
+        {"terms": [[0.5, "1"]]}, {"terms": [[0, "1"], [0, "2"]]}, {"terms": [[0, "01"]]},
+    ])
+    def test_malformed_json_raises_value_error(self, obj):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_obj(obj)
+
     def test_integer_only_coefficients(self):
         with pytest.raises(ExactnessError):
             projective_class(1) / 2

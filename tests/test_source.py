@@ -69,9 +69,10 @@ def test_no_package_module_imports_the_test_reference():
     assert not found, f"test reference imported by the package: {found}"
 
 
-# The stdlib modules the package imports when the CLI loads: dropping one
-# (as ROADMAP item 8 plans for dataclasses) shrinks this list
-CLI_STDLIB_IMPORTS = ("__future__", "argparse", "csv", "dataclasses", "functools",
+# The stdlib modules the package imports when the CLI loads.  The records
+# Quiver and CheckReport are namedtuples (collections, which functools
+# loads anyway): dataclasses would also load inspect, ast and dis
+CLI_STDLIB_IMPORTS = ("__future__", "argparse", "collections", "csv", "functools",
                       "itertools", "json", "math", "operator", "weakref")
 
 
@@ -89,16 +90,17 @@ def _modules_added(statement):
 
 def test_cli_import_loads_a_fixed_set_of_package_modules():
     # the oracle kernel _classsum is loaded on the first count, not on
-    # import, no rational-number module is loaded at all, and random only
-    # by verify_power_axioms
+    # import, no rational-number module is loaded at all, random only by
+    # verify_power_axioms, and dataclasses and inspect not at all
     added = _modules_added("import quotmotives.cli")
     assert [m for m in added if m.split(".")[0] == "quotmotives"] == ["quotmotives"] + [
         f"quotmotives.{name}" for name in ("cli", "oracle", "plethystic", "quiver", "quot",
                                            "report", "rings", "series", "specialize")]
-    assert not {"fractions", "decimal", "numbers", "random"} & set(added)
+    assert not {"fractions", "decimal", "numbers", "random", "dataclasses",
+                "inspect"} & set(added)
     # every other module comes in through the listed stdlib imports, so a
-    # new eager import (typing, decimal, inspect once dataclasses is gone)
-    # fails here, on any Python version
+    # new eager import (typing, decimal, inspect) fails here, on any
+    # Python version
     stdlib = _modules_added("import " + ", ".join(CLI_STDLIB_IMPORTS))
     top_level = sorted({m.split(".")[0] for m in added} - {"quotmotives"})
     assert top_level == sorted({m.split(".")[0] for m in stdlib})
