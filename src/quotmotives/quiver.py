@@ -84,7 +84,7 @@ class Quiver(namedtuple("Quiver", "vertices arrows")):
 
     ``vertices`` must be an int >= 1 and ``arrows`` a list or tuple of
     (source, target) pairs of vertex indices, given as ints; anything else
-    raises ValueError, also from ``_make``, ``_replace``, copy and unpickling."""
+    raises ValueError, also from ``_make``, ``_replace``, copy and pickle protocol 2+."""
 
     __slots__ = ()
 
