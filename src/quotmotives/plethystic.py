@@ -10,16 +10,23 @@ are implemented:
   times n), Exp(f) = exp(sum_{k>=1} psi_k(f)/k) satisfies
   E(Exp f) = g Exp(f) for the integral series g = sum_k psi_k(E f), so
   n h_n = sum_{d<=n} g_d h_{n-d} with an exact division by n, and
-* the product path  Exp(sum_m f_m x^m) = prod_m sigma_{x^m}(f_m), one
-  division by its binomial factors (1 - L^e x^m).
+* the product path  Exp(sum_m f_m x^m) = prod_m sigma_{x^m}(f_m), its
+  binomial factors (1 - L^e x^m) multiplied out and divided once
+  (:func:`~quotmotives.series.euler_product`).
 
-Both run entirely in integer arithmetic over Z[L, L^-1].  ``Log``
-inverts the Euler path: E(Log h) = sum_k mu(k) psi_k(E(h)/h), followed
-by an exact division by the total degree.  The power structure is
-f^a = Exp(a Log f).  The Euler path also works for series with
+Both run entirely in integer arithmetic over Z[L, L^-1].  The ring of
+the coefficients picks how the Euler path is solved.  Over Z[L, L^-1]
+(:func:`_exp_exact`) the recurrence is written per monomial b L^e x^m
+of E f, n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-k|m|), and runs on
+layers packed into ints: a monomial of low degree |m| keeps its k-sum
+as a running sum, one shifted add per layer, and the other monomials'
+terms of equal k|m| are merged, each adding a shifted h_(n-k|m|).  With
 QSeries coefficients (where psi_k sends q to q^k and scales the
-precision), which is what q-series identities like the Heine formula
-need.
+precision), which q-series identities like the Heine formula need, g
+is built as a series and the layered solve of :mod:`quotmotives.series`
+runs with the packed product kernel.  ``Log`` inverts the Euler path:
+E(Log h) = sum_k mu(k) psi_k(E(h)/h), followed by an exact division by
+the total degree.  The power structure is f^a = Exp(a Log f).
 
 :func:`exp_pleth` keeps its last argument, and a weak reference to its
 result, in one slot; a result that nothing else holds is freed.  The
@@ -37,9 +44,9 @@ from __future__ import annotations
 
 import weakref
 
-from .rings import ExactnessError, LaurentPoly, QSeries
+from .rings import ExactnessError, LaurentPoly, QSeries, _decode, _rewiden, _slot_width
 from .report import CheckReport
-from .series import TruncatedSeries, _solve_layers, _unit, euler_product
+from .series import TruncatedSeries, _solve_layers, _unit, _zero_key, euler_product
 
 
 def _mobius(n: int) -> int:
@@ -112,8 +119,10 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
 
     Coefficients may be LaurentPoly (or plain integers, which are
     promoted) or QSeries.  Solves n h_n = sum_{d<=n} g_d h_{n-d} with
-    g = sum_k psi_k(E f); over Z[L, L^-1] each division by n is exact
-    (an inexact one raises ExactnessError).
+    g = sum_k psi_k(E f): over Z[L, L^-1] by :func:`_exp_exact`, and with
+    QSeries coefficients by the layered solve of the series module.  Each
+    division by n is exact over Z[L, L^-1] (an inexact one raises
+    ExactnessError).
 
     An argument equal, by :func:`_exp_key`, to that of the previous call
     returns the previous result without a solve while that result is
@@ -129,11 +138,178 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     last = last_ref()
     if last is not None and key == last_key:
         return last
-    g = _adams_sum(_euler(f), lambda k: 1)
-    h = _solve_layers(g, _unit(f._coeffs.values()),
-                      lambda n, acc: {m: c / n for m, c in acc.items() if c})
+    if any(type(c) is QSeries for c in f._coeffs.values()):
+        g = _adams_sum(_euler(f), lambda k: 1)
+        h = _solve_layers(g, _unit(f._coeffs.values()),
+                          lambda n, acc: {m: c / n for m, c in acc.items() if c})
+    else:
+        h = _exp_exact(f)
     _exp_memo = (key, weakref.ref(h))
     return h
+
+
+# monomials of E f of t-degree at most this keep their k-sum as a running
+# sum in _exp_exact, and the others expand it (see _exp_exact)
+_RUNNING_DEGREE = 2
+
+
+def _monomials(f: TruncatedSeries) -> list:
+    """The monomials b L^e x^m of E f as (b, e, m), b = |m| a for each
+    term a L^e of the LaurentPoly coefficient f_m."""
+    return [(sum(m) * a, e, m) for m, c in f._coeffs.items() for e, a in c._terms.items()]
+
+
+def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
+    """Exp of a series with LaurentPoly coefficients, on packed layers.
+
+    Written per monomial b L^e x^m of E f, with j = |m|, the recurrence
+    is n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-kj).  Each layer h_n is
+    one int: its entry c L^E x^M is the digit c in slot (E - lo) P +
+    pos(M) of width w, where lo is the layer's lowest exponent, pos(M)
+    reads M without its first entry in base order + 1, so that x^m moves
+    every slot by pos(m), and P exceeds every pos (P = 1 in one
+    variable).  A monomial with j <= _RUNNING_DEGREE keeps its k-sum as a
+    running sum R(n) = L^e x^m (h_(n-j) + R(n-j)), one shifted add per
+    layer.  The others are expanded: their terms b L^(ek) x^(km) with
+    kj = d are merged by slot shift, and each merged term adds the pack
+    of h_(n-d), shifted and times its weight.
+
+    The width of layer n is the kernel's (:func:`rings._slot_width`) for
+    a bound on the digits of n h_n from the actual norms of the earlier
+    layers; a pack made at another width is moved to this one
+    (:func:`rings._rewiden`).  The pack of h_n is that of n h_n divided
+    by n, taken only after every digit of n h_n, decoded by
+    :func:`rings._decode`, is checked to divide by n (ExactnessError
+    otherwise).  A layer's pack is dropped once no later layer reads it.
+    Running sums for every j would cost j packs each in memory, hence the
+    small cut-off, fixed by measurement.
+    """
+    order, arity = f.order, f.arity
+    out = {_zero_key(arity): _unit(f._coeffs.values())}
+    base = order + 1
+    P = order * base ** (arity - 2) + 1 if arity > 1 else 1
+    running = []
+    weights = {}  # j -> sum of |b| over the running monomials of t-degree j
+    merged = [{} for _ in range(order + 1)]  # d -> {slot shift: weight}
+    for b, e, m in _monomials(f):
+        j = sum(m)
+        p = sum(mi * base ** i for i, mi in enumerate(m[1:])) if arity > 1 else 0
+        if j <= _RUNNING_DEGREE:
+            running.append((b, e, j, p, [None] * j))
+            weights[j] = weights.get(j, 0) + abs(b)
+            continue
+        step = e * P + p
+        for k in range(1, order // j + 1):
+            g = merged[k * j]
+            g[k * step] = g.get(k * step, 0) + b
+    # per d, the expanded terms merged by slot shift: the (shift, weight)
+    # pairs, their l1 norm, their lowest exponent and their highest shift
+    adams = [None] * (order + 1)
+    for d, g in enumerate(merged):
+        pairs = [(s, c) for s, c in g.items() if c]
+        if pairs:
+            adams[d] = (pairs, sum(abs(c) for _, c in pairs), min(pairs)[0] // P,
+                        max(pairs)[0])
+    # layer n reads back to layer n - reach; older packs are dropped
+    reach = max([j for j in weights] + [d for d, g in enumerate(adams) if g], default=0)
+    sums = {j: [0] * (order + 1) for j in weights}  # sum_k ||h_(n-kj)||_inf
+    # per layer None (zero) or [lowest exponent, slots, width, pack, norm]
+    layers = [[0, 1, 32, 1, 1]]
+
+    def packed(obj, w):
+        if obj[2] != w:
+            obj[3] = _rewiden(obj[3], obj[2], w, obj[1])
+            obj[2] = w
+        return obj[3]
+
+    for n in range(1, order + 1):
+        if n > reach:
+            layers[n - reach - 1] = None
+        bound = 0
+        for j, s in sums.items():
+            if j <= n:
+                h = layers[n - j]
+                s[n] = (h[4] if h else 0) + s[n - j]
+                bound += weights[j] * s[n]
+        # the (merged terms of d, layer n - d) pairs that add anything
+        active = [(g, h) for g, h in zip(adams[1:n + 1], layers[n - 1::-1]) if g and h]
+        for g, h in active:
+            bound += g[1] * h[4]
+        if not bound:
+            layers.append(None)
+            continue
+        w = _slot_width(bound)
+        if bound >> (w - 1):
+            raise AssertionError(f"slot width {w} does not hold the bound {bound}")
+        terms = []  # (weight, lowest exponent, slots, pack) of the running sums
+        for b, e, j, p, chain in running:
+            if j > n:
+                continue
+            # R(n) = L^e x^m (h_(n-j) + R(n-j)), the two aligned at the
+            # lower of their lowest exponents
+            parts = [o for o in (layers[n - j], chain[n % j]) if o is not None]
+            if not parts:
+                continue
+            lo = min(o[0] for o in parts)
+            x = slots = 0
+            for o in parts:
+                s = (o[0] - lo) * P
+                x += packed(o, w) << w * s
+                slots = max(slots, s + o[1])
+            if p:
+                x <<= w * p
+                slots += p
+            chain[n % j] = [lo + e, slots, w, x]
+            terms.append((b, lo + e, slots, x))
+        lo_n = min([t[1] for t in terms] + [h[0] + g[2] for g, h in active])
+        acc = top = 0
+        for b, lo, slots, x in terms:
+            s = (lo - lo_n) * P
+            if s + slots > top:
+                top = s + slots
+            if b == 1:
+                acc += x << w * s
+            elif b == -1:
+                acc -= x << w * s
+            else:
+                acc += x * b << w * s
+        for (pairs, _, _, hi), h in active:
+            x = h[3] if h[2] == w else packed(h, w)
+            off = (h[0] - lo_n) * P
+            if off + hi + h[1] > top:
+                top = off + hi + h[1]
+            for s, c in pairs:
+                acc += x * c << w * (off + s)
+        if any(map(n.__rmod__, _decode(acc, w, top))):
+            raise ExactnessError(f"layer {n} of Exp is not divisible by {n}")
+        acc //= n
+        quotient = _decode(acc, w, top)
+        if arity == 1:
+            c = LaurentPoly(dict(zip(range(lo_n, lo_n + top), quotient)))
+            if c:
+                out[(n,)] = c
+                lo, hi = min(c._terms), max(c._terms)
+                layers.append([lo, hi - lo + 1, w, acc >> w * (lo - lo_n),
+                               max(max(quotient), -min(quotient))])
+                continue
+        elif any(quotient):
+            nonzero = [i for i, c in enumerate(quotient) if c]
+            first = nonzero[0] // P
+            layers.append([lo_n + first, nonzero[-1] + 1 - first * P, w, acc >> w * first * P,
+                           max(max(quotient), -min(quotient))])
+            rows = {}
+            for i in nonzero:
+                q, p = divmod(i, P)
+                rows.setdefault(p, {})[lo_n + q] = quotient[i]
+            for p, row in rows.items():
+                tail = []
+                for _ in range(arity - 1):
+                    p, mi = divmod(p, base)
+                    tail.append(mi)
+                out[(n - sum(tail), *tail)] = LaurentPoly(row)
+            continue
+        layers.append(None)
+    return TruncatedSeries(out, order, arity)
 
 
 def log_pleth(g: TruncatedSeries) -> TruncatedSeries:

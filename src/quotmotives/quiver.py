@@ -84,7 +84,7 @@ class Quiver(namedtuple("Quiver", "vertices arrows")):
 
     ``vertices`` must be an int >= 1 and ``arrows`` a list or tuple of
     (source, target) pairs of vertex indices, given as ints; anything else
-    raises ValueError, also from ``_make``, ``_replace``, copy and pickle protocol 2+."""
+    raises ValueError, also from ``_make``, ``_replace``, copy and pickle."""
 
     __slots__ = ()
 
@@ -107,6 +107,9 @@ class Quiver(namedtuple("Quiver", "vertices arrows")):
     @classmethod
     def _make(cls, iterable):  # namedtuple's skips __new__, and _replace calls it
         return cls(*iterable)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__ too
+        return type(self), tuple(self)
 
     @classmethod
     def jordan(cls) -> "Quiver":

@@ -42,12 +42,16 @@ words, few enough that the pack of an operand used in many sums is
 mostly reused, while the 32-bit slots of the many sums with small
 coefficients halve the size of what is multiplied.
 ``LaurentPoly.__mul__`` itself stays the dict product, which is faster
-for the few-term operands it mostly sees.
+for the few-term operands it mostly sees.  The width rule
+(:func:`_slot_width`) and the unpacking (:func:`_decode`) are shared with
+the Exp over Z[L, L^-1] in :mod:`quotmotives.plethystic`, which packs
+whole layers itself and moves a pack to a new width by its bytes
+(:func:`_rewiden`).
 
-Sparse operands.  The Euler recurrence of Exp multiplies every layer by
-sums of Adams images psi_k(c), whose terms are those of c spread over
-k Z: packed, they are mostly zero slots, which CPython's near-quadratic
-product pays for.  An operand with t terms over a span of s + 1 slots is
+Sparse operands.  The Euler recurrence of Exp with QSeries
+coefficients multiplies every layer by sums of Adams images psi_k(c),
+whose terms are those of c spread over k Z: packed, they are mostly
+zero slots, which CPython's near-quadratic product pays for.  An operand with t terms over a span of s + 1 slots is
 sparse when 2 t <= s, and the kernel never packs it: for each of its
 terms c_e L^e it adds c_e (Y << w (e - min exp)) into the total, Y the
 pack of the other operand, with no multiply for c_e = +-1 (when both
@@ -498,8 +502,7 @@ def _packed_sum(pairs, stop) -> LaurentPoly:
         top = stop - 1
     if top < base:
         return LaurentPoly()
-    n = bound.bit_length() + 1
-    w = 32 if n <= 32 else -(-n // 64) * 64
+    w = _slot_width(bound)
     if bound >> (w - 1):
         raise AssertionError(f"slot width {w} does not hold the bound {bound}")
     total = 0
@@ -521,23 +524,54 @@ def _packed_sum(pairs, stop) -> LaurentPoly:
             continue
         x = (pa[5] if pa[4] == w else a._packed(w)) * (pb[5] if pb[4] == w else b._packed(w))
         total += x << (w * (lo - base)) if lo != base else x
-    # bias every slot by 2^(w-1): each digit c + 2^(w-1) lies in [1, 2^w)
     slots = top - base + 1
+    return LaurentPoly(dict(zip(range(base, base + slots), _decode(total, w, slots))))
+
+
+def _slot_width(bound: int) -> int:
+    """The kernel's slot width for coefficients of absolute value at most
+    ``bound``: 32 if bound < 2^31, else the smallest multiple of 64 with
+    bound < 2^(w-1).  Callers check that inequality explicitly."""
+    n = bound.bit_length() + 1
+    return 32 if n <= 32 else -(-n // 64) * 64
+
+
+def _bias(w: int, slots: int, u: int = 0) -> int:
+    """2^(u-1) in each of ``slots`` slots of w bits (u = w by default)."""
+    return int.from_bytes((1 << ((u or w) - 1)).to_bytes(w >> 3, "little") * slots, "little")
+
+
+def _decode(total: int, w: int, slots: int) -> list:
+    """The signed digits c_0, ..., c_(slots-1) of total = sum_i c_i 2^(w i),
+    each |c_i| < 2^(w-1); the digits from ``slots`` on are dropped."""
+    # bias every slot by 2^(w-1): each digit c + 2^(w-1) lies in [1, 2^w)
     nbytes = w >> 3
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+    bias = _bias(w, slots)
     total += bias
     if total >> (w * slots):
-        # drop the slots from ``stop`` on, whose digits the bias did not cover
+        # drop the slots from ``slots`` on, whose digits the bias did not cover
         total &= (1 << (w * slots)) - 1
     fmt = _SIGNED_WORDS.get(w)
     if fmt:
         # the XOR turns each digit c + 2^(w-1) into the two's complement of c
-        words = memoryview((total ^ bias).to_bytes(nbytes * slots, "little")).cast(fmt)
-        return LaurentPoly(dict(zip(range(base, base + slots), words.tolist())))
+        return memoryview((total ^ bias).to_bytes(nbytes * slots, "little")).cast(fmt).tolist()
     data = total.to_bytes(nbytes * slots, "little")
     half = 1 << (w - 1)
-    return LaurentPoly({base + k: int.from_bytes(data[k * nbytes:(k + 1) * nbytes], "little")
-                        - half for k in range(slots)})
+    return [int.from_bytes(data[k * nbytes:(k + 1) * nbytes], "little") - half
+            for k in range(slots)]
+
+
+def _rewiden(x: int, w: int, v: int, slots: int) -> int:
+    """The int with the digits of x in ``slots`` slots of w bits, moved to
+    slots of v bits; every digit must lie below 2^(min(w, v) - 1) in
+    absolute value.  Biased by 2^(min(w, v) - 1), each digit is the low
+    min(w, v) / 8 bytes of its slot, so the slots are moved as bytes."""
+    u = min(w, v)
+    data = (x + _bias(w, slots, u)).to_bytes((w >> 3) * slots, "little")
+    out = bytearray((v >> 3) * slots)
+    for i in range(u >> 3):
+        out[i::v >> 3] = data[i::w >> 3]
+    return int.from_bytes(out, "little") - _bias(v, slots, u)
 
 
 def _below(x: QSeries, n) -> LaurentPoly:

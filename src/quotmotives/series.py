@@ -19,10 +19,12 @@ vector and sum each group with one packed big-int kernel
 precision and calls the same kernel; int groups sum product by product.
 Division needs a unit constant term in the denominator and solves a
 recurrence layered by total degree (:func:`_solve_layers`); inversion is
-division of 1, a product of factors (1 - c x^m)^(-a)
-(:func:`euler_product`) is one division by its binomial factors, and the
-plethystic exponential in :mod:`quotmotives.plethystic` shares the same
-solver, so there is no second recurrence and no second exp/log.
+division of 1, and a product of factors (1 - c x^m)^(-a)
+(:func:`euler_product`) multiplies its binomials out, each one as
+s_k - c s_(k-m), and divides once.  The plethystic exponential in
+:mod:`quotmotives.plethystic` runs this solver only for QSeries
+coefficients; over Z[L, L^-1] it has its own recurrence on packed
+layers, which none of this module's functions calls.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -369,18 +371,24 @@ def euler_product(factors, order: int, arity: int = 1) -> TruncatedSeries:
     """prod over the (m, c, a) factors of (1 - c x^m)^(-a), for exponent
     vectors m of positive total degree and int multiplicities a: the
     binomials with a < 0 multiplied out and divided once, by one layered
-    solve, by the product of those with a > 0.  The constant 1 is the
-    unit of the ring of the c (:func:`_unit`; the int 1 with no factors).
-    Binomials of high degree go first, which keeps the partial products
-    sparse."""
+    solve, by the product of those with a > 0.  Multiplying s by a
+    binomial is s_k - c s_(k-m) for every exponent vector k.  The
+    constant 1 is the unit of the ring of the c (:func:`_unit`; the int 1
+    with no factors).  Binomials of high degree go first, which keeps
+    the partial products sparse."""
     factors = sorted(factors, key=lambda f: -sum(f[0]))
     one = _unit(c for _, c, _ in factors)
-    num = den = TruncatedSeries.constant(one, order, arity)
+    num, den = {_zero_key(arity): one}, {_zero_key(arity): one}
     for m, c, a in factors:
-        binomial = TruncatedSeries({_zero_key(arity): one, m: -c}, order, arity)
+        s = den if a > 0 else num
+        room = order - sum(m)
         for _ in range(abs(a)):
-            if a > 0:
-                den = den * binomial
-            else:
-                num = num * binomial
-    return num / den
+            # the products c s_(k-m), all taken before s changes
+            for k, v in [(tuple(map(add, k0, m)), c * v) for k0, v in s.items()
+                         if sum(k0) <= room]:
+                v = s.get(k, 0) - v
+                if v:
+                    s[k] = v
+                else:
+                    del s[k]
+    return TruncatedSeries(num, order, arity) / TruncatedSeries(den, order, arity)

@@ -529,6 +529,41 @@ class TestQuotSelfCheck:
         assert runs[1].stderr.startswith("internal error:")
         assert "first difference at (2,)" in runs[1].stderr
 
+    def test_exp_fault_survives_optimized_mode(self):
+        # one monomial of E f seen by the exact-coefficient Exp gets a wrong
+        # (still integral) weight: the two-path Exp check of power-axioms
+        # and the Quot cross-check must both fail, in optimized mode too
+        script = (
+            "import sys\n"
+            "from quotmotives import cli, plethystic\n"
+            "monomials = plethystic._monomials\n"
+            "def corrupted(f):\n"
+            "    out = monomials(f)\n"
+            "    if sys.argv[1] == '1' and out:\n"
+            "        b, e, m = out[0]\n"
+            "        out[0] = (b + sum(m), e, m)\n"
+            "    return out\n"
+            "plethystic._monomials = corrupted\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        axioms = ["verify", "power-axioms", "--samples", "3", "--order", "6"]
+        runs = {}
+        for argv in (axioms, self.ARGV):
+            for bump in (0, 1):
+                runs[argv[1], bump] = subprocess.run(
+                    [sys.executable, "-O", "-c", script, str(bump), *argv],
+                    capture_output=True, text=True, env=env, timeout=120)
+        assert runs["power-axioms", 0].returncode == 0
+        assert runs["power-axioms", 1].returncode == 1
+        assert "two-path Exp agreement" in runs["power-axioms", 1].stdout
+        assert runs["--target", 0].returncode == 0
+        assert runs["--target", 1].returncode == 3
+        assert runs["--target", 1].stdout == ""
+        assert runs["--target", 1].stderr.startswith("internal error: power-structure and "
+                                                      "Exp evaluations of the Quot series disagree")
+
 
 class TestCounts:
     def test_table(self, capsys):

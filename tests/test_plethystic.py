@@ -1,15 +1,22 @@
 import gc
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quotmotives import plethystic, quot, series
-from quotmotives.rings import LaurentPoly, QSeries, affine_class, projective_class
+from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
+                               projective_class)
 from quotmotives.series import TruncatedSeries, geometric_series
-from quotmotives.plethystic import (_adams_sum, _mobius, exp_pleth, exp_pleth_product,
+from quotmotives.plethystic import (_RUNNING_DEGREE, _adams_sum, _coerce_laurent_coeffs,
+                                    _exp_exact, _mobius, exp_pleth, exp_pleth_product,
                                     log_pleth, power_structure, symmetric_power,
                                     verify_power_axioms)
 
@@ -156,18 +163,164 @@ class TestExp:
         assert log_pleth(exp_pleth(f)) == f
 
 
+@st.composite
+def exact_arguments(draw, coefficients=st.integers(-6, 6), max_order=9):
+    """A series with zero constant term over Z[L, L^-1] in one or two
+    variables: virtual classes with negative exponents, and ints, at
+    exponent vectors of every degree up to the order, on both sides of the
+    running-sum cut-off."""
+    arity = draw(st.sampled_from((1, 2)))
+    order = draw(st.integers(0, max_order if arity == 1 else max_order - 3))
+    vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
+               if 1 <= sum(m) <= order]
+    classes = st.one_of(
+        st.dictionaries(st.integers(-4, 4), coefficients, max_size=4).map(LaurentPoly),
+        coefficients)
+    coeffs = draw(st.dictionaries(st.sampled_from(vectors), classes, max_size=8)
+                  if vectors else st.just({}))
+    return TruncatedSeries(coeffs, order, arity)
+
+
+def record_widths(monkeypatch):
+    """The slot width of every layer of the exact-coefficient Exp."""
+    widths = []
+    width = plethystic._slot_width
+
+    def recorded(bound):
+        widths.append(width(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(plethystic, "_slot_width", recorded)
+    return widths
+
+
+def surface_quot_argument(x, r, order):
+    return TruncatedSeries.variable(order, coeff=projective_class(r - 1) * x) \
+        * geometric_series(LaurentPoly.lefschetz(r), order)
+
+
+class TestExactExp:
+    """Exp over Z[L, L^-1] on packed layers (_exp_exact) against the
+    product form, which shares no formula with it."""
+
+    @given(exact_arguments())
+    @example(TruncatedSeries({}, 0))
+    @example(TruncatedSeries({(1,): LaurentPoly({-2: 3, 1: -1})}, 1))
+    @example(TruncatedSeries({(1, 0): -2, (0, 1): LaurentPoly({-1: 1})}, 1, 2))
+    @example(TruncatedSeries({(1,): LaurentPoly({-1: 2, 0: -3}), (2,): 1,
+                              (3,): LaurentPoly({4: -1}), (5,): 2}, 9))
+    def test_matches_the_product_form(self, f):
+        expected = _exact_terms(exp_pleth_product(f))
+        assert _exact_terms(_exp_exact(_coerce_laurent_coeffs(f))) == expected
+        reset_exp_memo()
+        assert _exact_terms(exp_pleth(f)) == expected
+
+    @given(exact_arguments(st.integers(-2 ** 70, 2 ** 70), max_order=5))
+    @example(TruncatedSeries({(3,): 2 ** 30}, 5))
+    @example(TruncatedSeries({(1,): 2 ** 62, (2,): -(2 ** 62), (4,): 2 ** 61}, 4))
+    def test_wide_coefficients_match_the_layered_solve(self, f):
+        # coefficients up to 2^70 (the product form takes them as
+        # multiplicities) against the solve that QSeries arguments take,
+        # over the packed product kernel
+        f = _coerce_laurent_coeffs(f)
+        g = _adams_sum(plethystic._euler(f), lambda k: 1)
+        layered = series._solve_layers(
+            g, series._unit(f._coeffs.values()),
+            lambda n, acc: {m: c / n for m, c in acc.items() if c})
+        assert _exact_terms(_exp_exact(f)) == _exact_terms(layered)
+
+    @pytest.mark.parametrize("j", range(1, _RUNNING_DEGREE + 3))
+    def test_each_side_of_the_running_sum_cut_off(self, j):
+        # degrees <= _RUNNING_DEGREE keep a running sum, the others expand
+        c = LaurentPoly({-1: 2, 0: -3, 2: 1})
+        for f in (TruncatedSeries({(j,): c}, 12),
+                  TruncatedSeries({(j, 0): c, (0, j): -c, (1, 1): L}, 8, 2)):
+            assert _exact_terms(_exp_exact(f)) == _exact_terms(exp_pleth_product(f))
+
+    def test_slots_widen_past_64_bits(self, monkeypatch):
+        # the closed surface Quot series of 2 + 3L + 2L^2 at rank 4 reaches
+        # 63-bit coefficients by order 30, so the last layers need 128-bit
+        # slots and the earlier packs are moved to them
+        widths = record_widths(monkeypatch)
+        f = surface_quot_argument(LaurentPoly({0: 2, 1: 3, 2: 2}), 4, 30)
+        h = _exp_exact(f)
+        assert widths[0] == 32 and 64 in widths and widths[-1] == 128
+        assert widths == sorted(widths)
+        assert max(abs(c) for _, p in h.coefficients() for _, c in p.terms()).bit_length() == 63
+        assert _exact_terms(h) == _exact_terms(exp_pleth_product(f))
+
+    def test_qseries_arguments_keep_the_layered_solve(self, monkeypatch):
+        reset_exp_memo()
+        calls = []
+        monkeypatch.setattr(plethystic, "_exp_exact", lambda f: calls.append(f))
+        f = TruncatedSeries({(1,): QSeries(LaurentPoly({1: 2}), 9)}, 4)
+        assert exp_pleth(f).coefficient(1) == f.coefficient(1)
+        assert not calls
+
+    def test_inexact_layer_raises(self, monkeypatch):
+        # a weight of E f that its degree does not divide is no Exp argument:
+        # the layer of that degree is not divisible and no quotient is taken
+        monomials = plethystic._monomials
+        monkeypatch.setattr(plethystic, "_monomials",
+                            lambda f: [(b + 1 if sum(m) == 3 else b, e, m)
+                                       for b, e, m in monomials(f)])
+        with pytest.raises(ExactnessError, match="layer 3 of Exp is not divisible by 3"):
+            _exp_exact(TruncatedSeries({(1,): L, (3,): L}, 5))
+
+    def test_exceeded_slot_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(plethystic, "_slot_width", lambda bound: 32)
+        f = surface_quot_argument(LaurentPoly({0: 2, 1: 3, 2: 2}), 4, 30)
+        with pytest.raises(AssertionError, match="slot width 32 does not hold the bound"):
+            _exp_exact(f)
+
+    def test_checks_survive_optimized_mode(self):
+        # both checks raise explicitly, so python -O keeps them
+        script = (
+            "from quotmotives import plethystic\n"
+            "from quotmotives.rings import LaurentPoly\n"
+            "from quotmotives.series import TruncatedSeries as T, geometric_series\n"
+            "monomials = plethystic._monomials\n"
+            "plethystic._monomials = lambda f: [(b + (sum(m) == 3), e, m)\n"
+            "                                   for b, e, m in monomials(f)]\n"
+            "L = LaurentPoly.lefschetz()\n"
+            "try:\n"
+            "    plethystic._exp_exact(T({(1,): L, (3,): L}, 5))\n"
+            "except ArithmeticError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+            "plethystic._monomials = monomials\n"
+            "plethystic._slot_width = lambda bound: 32\n"
+            "x = LaurentPoly({0: 2, 1: 3, 2: 2}) * LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1})\n"
+            "try:\n"
+            "    plethystic._exp_exact(T.variable(30, coeff=x)\n"
+            "                          * geometric_series(LaurentPoly.lefschetz(4), 30))\n"
+            "except AssertionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[0] == "ExactnessError layer 3 of Exp is not divisible by 3"
+        assert lines[1].startswith("AssertionError slot width 32 does not hold the bound")
+
+
 def count_solves(monkeypatch):
-    """Count the layered solves of both modules that call _solve_layers:
-    plethystic for Exp, series for division (and so for Log)."""
+    """Count the solves: the exact-coefficient Exp (_exp_exact) and the
+    layered solves of both modules that call _solve_layers, plethystic
+    for the Exp of QSeries coefficients and series for division (and so
+    for Log)."""
     calls = []
-    for module in (plethystic, series):
-        solve = module._solve_layers
+    for module, name in ((plethystic, "_exp_exact"), (plethystic, "_solve_layers"),
+                         (series, "_solve_layers")):
+        solve = getattr(module, name)
 
         def counted(*args, solve=solve):
             calls.append(1)
             return solve(*args)
 
-        monkeypatch.setattr(module, "_solve_layers", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

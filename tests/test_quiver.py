@@ -98,7 +98,7 @@ class TestQuiver:
         # a pickle of an invalid record: tuple.__new__ skips the checks
         *(pytest.param(lambda p=p: pickle.loads(pickle.dumps(tuple.__new__(Quiver, (0, ())), p)),
                        id=f"unpickle-protocol-{p}")
-          for p in range(2, pickle.HIGHEST_PROTOCOL + 1)),
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
     ])
     def test_every_constructor_validates(self, build):
         with pytest.raises(ValueError, match="^a quiver needs at least one vertex$"):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _packed_sum,
-                               affine_class, projective_class)
+from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _decode, _packed_sum,
+                               _rewiden, affine_class, projective_class)
 from quotmotives.series import _sum_products
 
 
@@ -327,6 +327,17 @@ class TestSumOfProducts:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+    @given(data=st.data())
+    def test_rewiden_moves_every_digit(self, data):
+        # the Exp over Z[L, L^-1] moves a layer's pack to the width of a
+        # later layer, wider or narrower, by its bytes
+        w, v = (data.draw(st.sampled_from((32, 64, 128, 192))) for _ in range(2))
+        top = (1 << (min(w, v) - 1)) - 1
+        digits = data.draw(st.lists(st.integers(-top, top) | st.just(0), min_size=1, max_size=9))
+        moved = _rewiden(sum(c << w * i for i, c in enumerate(digits)), w, v, len(digits))
+        assert moved == sum(c << v * i for i, c in enumerate(digits))
+        assert _decode(moved, v, len(digits)) == digits
 
 
 class TestQSeries:
