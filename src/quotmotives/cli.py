@@ -46,21 +46,23 @@ def _parse_space(text: str) -> LaurentPoly:
 def _emit_series(s: TruncatedSeries, out) -> None:
     """Write {"format": SERIES_FORMAT} | s.to_json_obj(), every coefficient
     as a LaurentPoly JSON object, in the text of ``json.dump(obj, out,
-    indent=2)`` and a newline.  The text is joined directly: with
-    ``indent`` set, json.dump runs its pure-Python encoder, several times
-    slower on a large series."""
+    indent=2)`` and a newline.  The text is written directly, one
+    coefficient at a time: with ``indent`` set, json.dump runs its
+    pure-Python encoder, several times slower on a large series, and
+    joining the whole text first would hold it several times over."""
     # pk starts a new line at nesting depth k
     p1, p2, p3, p4, p5, p6 = ("\n" + "  " * k for k in range(1, 7))
-    terms = []
+    out.write(f'{{{p1}"format": "{SERIES_FORMAT}",{p1}"order": {s.order},'
+              f'{p1}"arity": {s.arity},{p1}"terms": ')
+    sep = "["
     for m, c in s.coefficients():
         exps = f",{p4}".join(map(str, m))
         pairs = f",{p5}".join(f'[{p6}{e},{p6}"{a}"{p5}]'
                               for e, a in LaurentPoly._coerce(c).terms())
         coeff = f'{{{p4}"terms": [{p5}{pairs}{p4}]{p3}}}'
-        terms.append(f"[{p3}[{p4}{exps}{p3}],{p3}{coeff}{p2}]")
-    body = f"[{p2}" + f",{p2}".join(terms) + f"{p1}]" if terms else "[]"
-    out.write(f'{{{p1}"format": "{SERIES_FORMAT}",{p1}"order": {s.order},'
-              f'{p1}"arity": {s.arity},{p1}"terms": {body}\n}}\n')
+        out.write(f"{sep}{p2}[{p3}[{p4}{exps}{p3}],{p3}{coeff}{p2}]")
+        sep = ","
+    out.write(f"{p1}]\n}}\n" if sep == "," else "[]\n}\n")
 
 
 def _quiver_series(args) -> TruncatedSeries:

@@ -18,9 +18,9 @@ Both run entirely in integer arithmetic over Z[L, L^-1].  The ring of
 the coefficients picks how the Euler path is solved.  Over Z[L, L^-1]
 (:func:`_exp_exact`) the recurrence is written per monomial b L^e x^m
 of E f, n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-k|m|), and runs on
-layers packed into ints: a monomial of low degree |m| keeps its k-sum
-as a running sum, one shifted add per layer, and the other monomials'
-terms of equal k|m| are merged, each adding a shifted h_(n-k|m|).  With
+layers packed into ints: a monomial whose k-sum is long keeps it as a
+running sum, one shifted add per layer, and the other monomials' terms
+of equal k|m| are merged, each adding a shifted h_(n-k|m|).  With
 QSeries coefficients (where psi_k sends q to q^k and scales the
 precision), which q-series identities like the Heine formula need, g
 is built as a series and the layered solve of :mod:`quotmotives.series`
@@ -148,9 +148,9 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     return h
 
 
-# monomials of E f of t-degree at most this keep their k-sum as a running
-# sum in _exp_exact, and the others expand it (see _exp_exact)
-_RUNNING_DEGREE = 2
+# a monomial of E f whose k-sum has at least this many terms keeps it as a
+# running sum in _exp_exact, and the others expand it (see _exp_exact)
+_RUNNING_TERMS = 15
 
 
 def _monomials(f: TruncatedSeries) -> list:
@@ -168,11 +168,11 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
     pos(M) of width w, where lo is the layer's lowest exponent, pos(M)
     reads M without its first entry in base order + 1, so that x^m moves
     every slot by pos(m), and P exceeds every pos (P = 1 in one
-    variable).  A monomial with j <= _RUNNING_DEGREE keeps its k-sum as a
-    running sum R(n) = L^e x^m (h_(n-j) + R(n-j)), one shifted add per
-    layer.  The others are expanded: their terms b L^(ek) x^(km) with
-    kj = d are merged by slot shift, and each merged term adds the pack
-    of h_(n-d), shifted and times its weight.
+    variable).  A monomial whose k-sum has order // j >= _RUNNING_TERMS
+    terms keeps it as a running sum R(n) = L^e x^m (h_(n-j) + R(n-j)),
+    one shifted add per layer.  The others are expanded: their terms
+    b L^(ek) x^(km) with kj = d are merged by slot shift, and each merged
+    term adds the pack of h_(n-d), shifted and times its weight.
 
     The width of layer n is the kernel's (:func:`rings._slot_width`) for
     a bound on the digits of n h_n from the actual norms of the earlier
@@ -181,8 +181,9 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
     by n, taken only after every digit of n h_n, decoded by
     :func:`rings._decode`, is checked to divide by n (ExactnessError
     otherwise).  A layer's pack is dropped once no later layer reads it.
-    Running sums for every j would cost j packs each in memory, hence the
-    small cut-off, fixed by measurement.
+    A running sum costs a fixed amount per layer and holds j packs, and
+    the expanded sum of layer n about n / j adds, so the cut-off, fixed by
+    measurement, gives running sums only to the monomials of long k-sums.
     """
     order, arity = f.order, f.arity
     out = {_zero_key(arity): _unit(f._coeffs.values())}
@@ -194,7 +195,7 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
     for b, e, m in _monomials(f):
         j = sum(m)
         p = sum(mi * base ** i for i, mi in enumerate(m[1:])) if arity > 1 else 0
-        if j <= _RUNNING_DEGREE:
+        if order // j >= _RUNNING_TERMS:
             running.append((b, e, j, p, [None] * j))
             weights[j] = weights.get(j, 0) + abs(b)
             continue
@@ -284,15 +285,7 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
             raise ExactnessError(f"layer {n} of Exp is not divisible by {n}")
         acc //= n
         quotient = _decode(acc, w, top)
-        if arity == 1:
-            c = LaurentPoly(dict(zip(range(lo_n, lo_n + top), quotient)))
-            if c:
-                out[(n,)] = c
-                lo, hi = min(c._terms), max(c._terms)
-                layers.append([lo, hi - lo + 1, w, acc >> w * (lo - lo_n),
-                               max(max(quotient), -min(quotient))])
-                continue
-        elif any(quotient):
+        if any(quotient):
             nonzero = [i for i, c in enumerate(quotient) if c]
             first = nonzero[0] // P
             layers.append([lo_n + first, nonzero[-1] + 1 - first * P, w, acc >> w * first * P,

@@ -51,8 +51,9 @@ whole layers itself and moves a pack to a new width by its bytes
 Sparse operands.  The Euler recurrence of Exp with QSeries
 coefficients multiplies every layer by sums of Adams images psi_k(c),
 whose terms are those of c spread over k Z: packed, they are mostly
-zero slots, which CPython's near-quadratic product pays for.  An operand with t terms over a span of s + 1 slots is
-sparse when 2 t <= s, and the kernel never packs it: for each of its
+zero slots, which CPython's near-quadratic product pays for.  An
+operand with t terms over a span of s + 1 slots is sparse when
+2 t <= s, and the kernel never packs it: for each of its
 terms c_e L^e it adds c_e (Y << w (e - min exp)) into the total, Y the
 pack of the other operand, with no multiply for c_e = +-1 (when both
 operands are sparse, the second is packed).  That sum is the packed

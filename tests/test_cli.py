@@ -561,8 +561,8 @@ class TestQuotSelfCheck:
         assert runs["--target", 0].returncode == 0
         assert runs["--target", 1].returncode == 3
         assert runs["--target", 1].stdout == ""
-        assert runs["--target", 1].stderr.startswith("internal error: power-structure and "
-                                                      "Exp evaluations of the Quot series disagree")
+        assert runs["--target", 1].stderr.startswith(
+            "internal error: power-structure and Exp evaluations of the Quot series disagree")
 
 
 class TestCounts:

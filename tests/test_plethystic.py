@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,7 +16,7 @@ from quotmotives import plethystic, quot, series
 from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
                                projective_class)
 from quotmotives.series import TruncatedSeries, geometric_series
-from quotmotives.plethystic import (_RUNNING_DEGREE, _adams_sum, _coerce_laurent_coeffs,
+from quotmotives.plethystic import (_RUNNING_TERMS, _adams_sum, _coerce_laurent_coeffs,
                                     _exp_exact, _mobius, exp_pleth, exp_pleth_product,
                                     log_pleth, power_structure, symmetric_power,
                                     verify_power_axioms)
@@ -165,12 +166,11 @@ class TestExp:
 
 @st.composite
 def exact_arguments(draw, coefficients=st.integers(-6, 6), max_order=9):
-    """A series with zero constant term over Z[L, L^-1] in one or two
+    """A series with zero constant term over Z[L, L^-1] in one to three
     variables: virtual classes with negative exponents, and ints, at
-    exponent vectors of every degree up to the order, on both sides of the
-    running-sum cut-off."""
-    arity = draw(st.sampled_from((1, 2)))
-    order = draw(st.integers(0, max_order if arity == 1 else max_order - 3))
+    exponent vectors of every degree up to the order."""
+    arity = draw(st.sampled_from((1, 2, 3)))
+    order = draw(st.integers(0, (max_order, max_order - 3, max(max_order - 5, 1))[arity - 1]))
     vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
                if 1 <= sum(m) <= order]
     classes = st.one_of(
@@ -203,17 +203,22 @@ class TestExactExp:
     """Exp over Z[L, L^-1] on packed layers (_exp_exact) against the
     product form, which shares no formula with it."""
 
-    @given(exact_arguments())
-    @example(TruncatedSeries({}, 0))
-    @example(TruncatedSeries({(1,): LaurentPoly({-2: 3, 1: -1})}, 1))
-    @example(TruncatedSeries({(1, 0): -2, (0, 1): LaurentPoly({-1: 1})}, 1, 2))
+    @given(exact_arguments(), st.integers(1, 12))
+    @example(TruncatedSeries({}, 0), _RUNNING_TERMS)
+    @example(TruncatedSeries({(1,): LaurentPoly({-2: 3, 1: -1})}, 1), 1)
+    @example(TruncatedSeries({(1, 0): -2, (0, 1): LaurentPoly({-1: 1})}, 1, 2), 1)
+    @example(TruncatedSeries({(1, 0, 0): L, (0, 1, 0): -2, (0, 0, 1): LaurentPoly({-1: 1}),
+                              (1, 1, 1): 3, (0, 2, 1): LaurentPoly({2: -1, -3: 2})}, 4, 3), 2)
     @example(TruncatedSeries({(1,): LaurentPoly({-1: 2, 0: -3}), (2,): 1,
-                              (3,): LaurentPoly({4: -1}), (5,): 2}, 9))
-    def test_matches_the_product_form(self, f):
+                              (3,): LaurentPoly({4: -1}), (5,): 2}, 9), 3)
+    def test_matches_the_product_form(self, f, terms):
+        # the drawn cut-off puts the monomials of these small orders on
+        # both sides of it: k-sums of at least ``terms`` terms run
         expected = _exact_terms(exp_pleth_product(f))
-        assert _exact_terms(_exp_exact(_coerce_laurent_coeffs(f))) == expected
-        reset_exp_memo()
-        assert _exact_terms(exp_pleth(f)) == expected
+        with mock.patch.object(plethystic, "_RUNNING_TERMS", terms):
+            assert _exact_terms(_exp_exact(_coerce_laurent_coeffs(f))) == expected
+            reset_exp_memo()
+            assert _exact_terms(exp_pleth(f)) == expected
 
     @given(exact_arguments(st.integers(-2 ** 70, 2 ** 70), max_order=5))
     @example(TruncatedSeries({(3,): 2 ** 30}, 5))
@@ -229,13 +234,13 @@ class TestExactExp:
             lambda n, acc: {m: c / n for m, c in acc.items() if c})
         assert _exact_terms(_exp_exact(f)) == _exact_terms(layered)
 
-    @pytest.mark.parametrize("j", range(1, _RUNNING_DEGREE + 3))
+    @pytest.mark.parametrize("j", range(1, 5))
     def test_each_side_of_the_running_sum_cut_off(self, j):
-        # degrees <= _RUNNING_DEGREE keep a running sum, the others expand
+        # at order 2 _RUNNING_TERMS, degrees 1 and 2 keep a running sum and
+        # the others expand
         c = LaurentPoly({-1: 2, 0: -3, 2: 1})
-        for f in (TruncatedSeries({(j,): c}, 12),
-                  TruncatedSeries({(j, 0): c, (0, j): -c, (1, 1): L}, 8, 2)):
-            assert _exact_terms(_exp_exact(f)) == _exact_terms(exp_pleth_product(f))
+        f = TruncatedSeries({(j,): c}, 2 * _RUNNING_TERMS)
+        assert _exact_terms(_exp_exact(f)) == _exact_terms(exp_pleth_product(f))
 
     def test_slots_widen_past_64_bits(self, monkeypatch):
         # the closed surface Quot series of 2 + 3L + 2L^2 at rank 4 reaches
