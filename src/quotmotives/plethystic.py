@@ -18,9 +18,8 @@ Both run entirely in integer arithmetic over Z[L, L^-1].  The ring of
 the coefficients picks how the Euler path is solved.  Over Z[L, L^-1]
 (:func:`_exp_exact`) the recurrence is written per monomial b L^e x^m
 of E f, n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-k|m|), and runs on
-layers packed into ints: a monomial whose k-sum is long keeps it as a
-running sum, one shifted add per layer, and the other monomials' terms
-of equal k|m| are merged, each adding a shifted h_(n-k|m|).  With
+layers packed into ints: the terms of equal k|m| are merged by slot,
+and each adds a shifted multiple of the pack of h_(n-k|m|).  With
 QSeries coefficients (where psi_k sends q to q^k and scales the
 precision), which q-series identities like the Heine formula need, g
 is built as a series and the layered solve of :mod:`quotmotives.series`
@@ -148,11 +147,6 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     return h
 
 
-# a monomial of E f whose k-sum has at least this many terms keeps it as a
-# running sum in _exp_exact, and the others expand it (see _exp_exact)
-_RUNNING_TERMS = 15
-
-
 def _monomials(f: TruncatedSeries) -> list:
     """The monomials b L^e x^m of E f as (b, e, m), b = |m| a for each
     term a L^e of the LaurentPoly coefficient f_m."""
@@ -168,11 +162,9 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
     pos(M) of width w, where lo is the layer's lowest exponent, pos(M)
     reads M without its first entry in base order + 1, so that x^m moves
     every slot by pos(m), and P exceeds every pos (P = 1 in one
-    variable).  A monomial whose k-sum has order // j >= _RUNNING_TERMS
-    terms keeps it as a running sum R(n) = L^e x^m (h_(n-j) + R(n-j)),
-    one shifted add per layer.  The others are expanded: their terms
-    b L^(ek) x^(km) with kj = d are merged by slot shift, and each merged
-    term adds the pack of h_(n-d), shifted and times its weight.
+    variable).  The terms b L^(ek) x^(km) with kj = d are merged by slot
+    shift, and each merged term adds the pack of h_(n-d), shifted and
+    times its weight.
 
     The width of layer n is the kernel's (:func:`rings._slot_width`) for
     a bound on the digits of n h_n from the actual norms of the earlier
@@ -181,30 +173,20 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
     by n, taken only after every digit of n h_n, decoded by
     :func:`rings._decode`, is checked to divide by n (ExactnessError
     otherwise).  A layer's pack is dropped once no later layer reads it.
-    A running sum costs a fixed amount per layer and holds j packs, and
-    the expanded sum of layer n about n / j adds, so the cut-off, fixed by
-    measurement, gives running sums only to the monomials of long k-sums.
     """
     order, arity = f.order, f.arity
     out = {_zero_key(arity): _unit(f._coeffs.values())}
     base = order + 1
     P = order * base ** (arity - 2) + 1 if arity > 1 else 1
-    running = []
-    weights = {}  # j -> sum of |b| over the running monomials of t-degree j
     merged = [{} for _ in range(order + 1)]  # d -> {slot shift: weight}
     for b, e, m in _monomials(f):
+        step = e * P + sum(mi * base ** i for i, mi in enumerate(m[1:]))
         j = sum(m)
-        p = sum(mi * base ** i for i, mi in enumerate(m[1:])) if arity > 1 else 0
-        if order // j >= _RUNNING_TERMS:
-            running.append((b, e, j, p, [None] * j))
-            weights[j] = weights.get(j, 0) + abs(b)
-            continue
-        step = e * P + p
         for k in range(1, order // j + 1):
             g = merged[k * j]
             g[k * step] = g.get(k * step, 0) + b
-    # per d, the expanded terms merged by slot shift: the (shift, weight)
-    # pairs, their l1 norm, their lowest exponent and their highest shift
+    # per d, the merged terms: the (shift, weight) pairs, their l1 norm,
+    # their lowest exponent and their highest shift
     adams = [None] * (order + 1)
     for d, g in enumerate(merged):
         pairs = [(s, c) for s, c in g.items() if c]
@@ -212,70 +194,27 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
             adams[d] = (pairs, sum(abs(c) for _, c in pairs), min(pairs)[0] // P,
                         max(pairs)[0])
     # layer n reads back to layer n - reach; older packs are dropped
-    reach = max([j for j in weights] + [d for d, g in enumerate(adams) if g], default=0)
-    sums = {j: [0] * (order + 1) for j in weights}  # sum_k ||h_(n-kj)||_inf
+    reach = max([d for d, g in enumerate(adams) if g], default=0)
     # per layer None (zero) or [lowest exponent, slots, width, pack, norm]
     layers = [[0, 1, 32, 1, 1]]
-
-    def packed(obj, w):
-        if obj[2] != w:
-            obj[3] = _rewiden(obj[3], obj[2], w, obj[1])
-            obj[2] = w
-        return obj[3]
-
     for n in range(1, order + 1):
         if n > reach:
             layers[n - reach - 1] = None
-        bound = 0
-        for j, s in sums.items():
-            if j <= n:
-                h = layers[n - j]
-                s[n] = (h[4] if h else 0) + s[n - j]
-                bound += weights[j] * s[n]
         # the (merged terms of d, layer n - d) pairs that add anything
         active = [(g, h) for g, h in zip(adams[1:n + 1], layers[n - 1::-1]) if g and h]
-        for g, h in active:
-            bound += g[1] * h[4]
+        bound = sum(g[1] * h[4] for g, h in active)
         if not bound:
             layers.append(None)
             continue
         w = _slot_width(bound)
         if bound >> (w - 1):
             raise AssertionError(f"slot width {w} does not hold the bound {bound}")
-        terms = []  # (weight, lowest exponent, slots, pack) of the running sums
-        for b, e, j, p, chain in running:
-            if j > n:
-                continue
-            # R(n) = L^e x^m (h_(n-j) + R(n-j)), the two aligned at the
-            # lower of their lowest exponents
-            parts = [o for o in (layers[n - j], chain[n % j]) if o is not None]
-            if not parts:
-                continue
-            lo = min(o[0] for o in parts)
-            x = slots = 0
-            for o in parts:
-                s = (o[0] - lo) * P
-                x += packed(o, w) << w * s
-                slots = max(slots, s + o[1])
-            if p:
-                x <<= w * p
-                slots += p
-            chain[n % j] = [lo + e, slots, w, x]
-            terms.append((b, lo + e, slots, x))
-        lo_n = min([t[1] for t in terms] + [h[0] + g[2] for g, h in active])
+        lo_n = min(h[0] + g[2] for g, h in active)
         acc = top = 0
-        for b, lo, slots, x in terms:
-            s = (lo - lo_n) * P
-            if s + slots > top:
-                top = s + slots
-            if b == 1:
-                acc += x << w * s
-            elif b == -1:
-                acc -= x << w * s
-            else:
-                acc += x * b << w * s
         for (pairs, _, _, hi), h in active:
-            x = h[3] if h[2] == w else packed(h, w)
+            if h[2] != w:
+                h[3], h[2] = _rewiden(h[3], h[2], w, h[1]), w
+            x = h[3]
             off = (h[0] - lo_n) * P
             if off + hi + h[1] > top:
                 top = off + hi + h[1]

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import weakref
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,8 +15,8 @@ from quotmotives import plethystic, quot, series
 from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
                                projective_class)
 from quotmotives.series import TruncatedSeries, geometric_series
-from quotmotives.plethystic import (_RUNNING_TERMS, _adams_sum, _coerce_laurent_coeffs,
-                                    _exp_exact, _mobius, exp_pleth, exp_pleth_product,
+from quotmotives.plethystic import (_adams_sum, _coerce_laurent_coeffs, _exp_exact,
+                                    _mobius, exp_pleth, exp_pleth_product,
                                     log_pleth, power_structure, symmetric_power,
                                     verify_power_axioms)
 
@@ -203,22 +202,19 @@ class TestExactExp:
     """Exp over Z[L, L^-1] on packed layers (_exp_exact) against the
     product form, which shares no formula with it."""
 
-    @given(exact_arguments(), st.integers(1, 12))
-    @example(TruncatedSeries({}, 0), _RUNNING_TERMS)
-    @example(TruncatedSeries({(1,): LaurentPoly({-2: 3, 1: -1})}, 1), 1)
-    @example(TruncatedSeries({(1, 0): -2, (0, 1): LaurentPoly({-1: 1})}, 1, 2), 1)
+    @given(exact_arguments())
+    @example(TruncatedSeries({}, 0))
+    @example(TruncatedSeries({(1,): LaurentPoly({-2: 3, 1: -1})}, 1))
+    @example(TruncatedSeries({(1, 0): -2, (0, 1): LaurentPoly({-1: 1})}, 1, 2))
     @example(TruncatedSeries({(1, 0, 0): L, (0, 1, 0): -2, (0, 0, 1): LaurentPoly({-1: 1}),
-                              (1, 1, 1): 3, (0, 2, 1): LaurentPoly({2: -1, -3: 2})}, 4, 3), 2)
+                              (1, 1, 1): 3, (0, 2, 1): LaurentPoly({2: -1, -3: 2})}, 4, 3))
     @example(TruncatedSeries({(1,): LaurentPoly({-1: 2, 0: -3}), (2,): 1,
-                              (3,): LaurentPoly({4: -1}), (5,): 2}, 9), 3)
-    def test_matches_the_product_form(self, f, terms):
-        # the drawn cut-off puts the monomials of these small orders on
-        # both sides of it: k-sums of at least ``terms`` terms run
+                              (3,): LaurentPoly({4: -1}), (5,): 2}, 9))
+    def test_matches_the_product_form(self, f):
         expected = _exact_terms(exp_pleth_product(f))
-        with mock.patch.object(plethystic, "_RUNNING_TERMS", terms):
-            assert _exact_terms(_exp_exact(_coerce_laurent_coeffs(f))) == expected
-            reset_exp_memo()
-            assert _exact_terms(exp_pleth(f)) == expected
+        assert _exact_terms(_exp_exact(_coerce_laurent_coeffs(f))) == expected
+        reset_exp_memo()
+        assert _exact_terms(exp_pleth(f)) == expected
 
     @given(exact_arguments(st.integers(-2 ** 70, 2 ** 70), max_order=5))
     @example(TruncatedSeries({(3,): 2 ** 30}, 5))
@@ -233,14 +229,6 @@ class TestExactExp:
             g, series._unit(f._coeffs.values()),
             lambda n, acc: {m: c / n for m, c in acc.items() if c})
         assert _exact_terms(_exp_exact(f)) == _exact_terms(layered)
-
-    @pytest.mark.parametrize("j", range(1, 5))
-    def test_each_side_of_the_running_sum_cut_off(self, j):
-        # at order 2 _RUNNING_TERMS, degrees 1 and 2 keep a running sum and
-        # the others expand
-        c = LaurentPoly({-1: 2, 0: -3, 2: 1})
-        f = TruncatedSeries({(j,): c}, 2 * _RUNNING_TERMS)
-        assert _exact_terms(_exp_exact(f)) == _exact_terms(exp_pleth_product(f))
 
     def test_slots_widen_past_64_bits(self, monkeypatch):
         # the closed surface Quot series of 2 + 3L + 2L^2 at rank 4 reaches
