@@ -14,18 +14,15 @@ are implemented:
   binomial factors (1 - L^e x^m) multiplied out and divided once
   (:func:`~quotmotives.series.euler_product`).
 
-Both run entirely in integer arithmetic over Z[L, L^-1].  The ring of
-the coefficients picks how the Euler path is solved.  Over Z[L, L^-1]
-(:func:`_exp_exact`) the recurrence is written per monomial b L^e x^m
-of E f, n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-k|m|), and runs on
-layers packed into ints: the terms of equal k|m| are merged by slot,
-and each adds a shifted multiple of the pack of h_(n-k|m|).  With
-QSeries coefficients (where psi_k sends q to q^k and scales the
-precision), which q-series identities like the Heine formula need, g
-is built as a series and the layered solve of :mod:`quotmotives.series`
-runs with the packed product kernel.  ``Log`` inverts the Euler path:
-E(Log h) = sum_k mu(k) psi_k(E(h)/h), followed by an exact division by
-the total degree.  The power structure is f^a = Exp(a Log f).
+Both run entirely in integer arithmetic over Z[L, L^-1].  The Euler
+path (:func:`_exp_exact`) is written per monomial b L^e x^m of E f,
+n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-k|m|), and runs on layers
+packed into ints: the terms of equal k|m| are merged by slot, and each
+adds a shifted multiple of the pack of h_(n-k|m|); QSeries
+coefficients (Heine's formula) take it modulo q^N, N their least
+precision.  ``Log`` inverts the Euler path: E(Log h) =
+sum_k mu(k) psi_k(E(h)/h), followed by an exact division by the total
+degree.  The power structure is f^a = Exp(a Log f).
 
 :func:`exp_pleth` keeps its last argument, and a weak reference to its
 result, in one slot; a result that nothing else holds is freed.  The
@@ -41,11 +38,12 @@ Exp(x A_p) computed just before it whenever the two paths agree (see
 
 from __future__ import annotations
 
+import math
 import weakref
 
 from .rings import ExactnessError, LaurentPoly, QSeries, _decode, _rewiden, _slot_width
 from .report import CheckReport
-from .series import TruncatedSeries, _solve_layers, _unit, _zero_key, euler_product
+from .series import TruncatedSeries, _unit, _zero_key, euler_product
 
 
 def _mobius(n: int) -> int:
@@ -61,12 +59,6 @@ def _mobius(n: int) -> int:
     if n > 1:
         out = -out
     return out
-
-
-def _euler(s: TruncatedSeries) -> TruncatedSeries:
-    """The Euler operator E: the total-degree-n part multiplied by n."""
-    return TruncatedSeries({m: c * sum(m) for m, c in s._coeffs.items()},
-                           s.order, s.arity)
 
 
 def _adams_sum(s: TruncatedSeries, sign) -> TruncatedSeries:
@@ -117,11 +109,10 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     """Plethystic exponential of a series with zero constant term.
 
     Coefficients may be LaurentPoly (or plain integers, which are
-    promoted) or QSeries.  Solves n h_n = sum_{d<=n} g_d h_{n-d} with
-    g = sum_k psi_k(E f): over Z[L, L^-1] by :func:`_exp_exact`, and with
-    QSeries coefficients by the layered solve of the series module.  Each
-    division by n is exact over Z[L, L^-1] (an inexact one raises
-    ExactnessError).
+    promoted) or QSeries; :func:`_exp_exact` solves the Euler recurrence
+    (an inexact division by n raises ExactnessError).  QSeries of least
+    precision N < inf need exponents >= 0 (else ValueError), and every
+    coefficient but the exact 1 is then known modulo q^N.
 
     An argument equal, by :func:`_exp_key`, to that of the previous call
     returns the previous result without a solve while that result is
@@ -138,9 +129,19 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     if last is not None and key == last_key:
         return last
     if any(type(c) is QSeries for c in f._coeffs.values()):
-        g = _adams_sum(_euler(f), lambda k: 1)
-        h = _solve_layers(g, _unit(f._coeffs.values()),
-                          lambda n, acc: {m: c / n for m, c in acc.items() if c})
+        if not all(type(c) is QSeries for c in f._coeffs.values()):
+            raise TypeError("Exp mixes QSeries with other coefficients")
+        stop = min(c.prec for c in f._coeffs.values())
+        if stop < math.inf and min(c.valuation() for c in f._coeffs.values()) < 0:
+            raise ValueError("finite-precision QSeries Exp needs exponents >= 0")
+        # each sum of exponent vectors of f gets a coefficient, O(q^N) if 0
+        sums = {_zero_key(f.arity)}
+        for _ in range(f.order):
+            sums |= {tuple(x + y for x, y in zip(a, m)) for a in sums for m in f._coeffs
+                     if sum(a) + sum(m) <= f.order}
+        h = _exp_exact(f.map_coefficients(lambda c: c.known), stop)._coeffs
+        h = TruncatedSeries({**{m: QSeries(h.get(m, LaurentPoly()), stop) for m in sums if any(m)},
+                             _zero_key(f.arity): QSeries.one()}, f.order, f.arity)
     else:
         h = _exp_exact(f)
     _exp_memo = (key, weakref.ref(h))
@@ -153,7 +154,7 @@ def _monomials(f: TruncatedSeries) -> list:
     return [(sum(m) * a, e, m) for m, c in f._coeffs.items() for e, a in c._terms.items()]
 
 
-def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
+def _exp_exact(f: TruncatedSeries, stop=math.inf) -> TruncatedSeries:
     """Exp of a series with LaurentPoly coefficients, on packed layers.
 
     Written per monomial b L^e x^m of E f, with j = |m|, the recurrence
@@ -164,7 +165,9 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
     every slot by pos(m), and P exceeds every pos (P = 1 in one
     variable).  The terms b L^(ek) x^(km) with kj = d are merged by slot
     shift, and each merged term adds the pack of h_(n-d), shifted and
-    times its weight.
+    times its weight (1: a shift alone).  A finite ``stop`` (exponents
+    >= 0) solves modulo L^stop: no term with ek >= stop is merged, and
+    each layer keeps only its digits below L^stop.
 
     The width of layer n is the kernel's (:func:`rings._slot_width`) for
     a bound on the digits of n h_n from the actual norms of the earlier
@@ -183,6 +186,8 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
         step = e * P + sum(mi * base ** i for i, mi in enumerate(m[1:]))
         j = sum(m)
         for k in range(1, order // j + 1):
+            if e * k >= stop:
+                break
             g = merged[k * j]
             g[k * step] = g.get(k * step, 0) + b
     # per d, the merged terms: the (shift, weight) pairs, their l1 norm,
@@ -219,7 +224,12 @@ def _exp_exact(f: TruncatedSeries) -> TruncatedSeries:
             if off + hi + h[1] > top:
                 top = off + hi + h[1]
             for s, c in pairs:
-                acc += x * c << w * (off + s)
+                acc += (x if c == 1 else x * c) << w * (off + s)
+        if (stop - lo_n) * P < top:
+            # the signed digits of acc below L^stop
+            top = max((stop - lo_n) * P, 0)
+            low = (1 << w * top) - 1
+            acc = ((acc + (low + 1 >> 1)) & low) - (low + 1 >> 1)
         if any(map(n.__rmod__, _decode(acc, w, top))):
             raise ExactnessError(f"layer {n} of Exp is not divisible by {n}")
         acc //= n
@@ -249,7 +259,9 @@ def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
-    eh = _adams_sum(_euler(g) / g, _mobius)
+    # E g / g, where E multiplies the total-degree-n part by n
+    eh = _adams_sum(TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()},
+                                    g.order, g.arity) / g, _mobius)
     # undo E: each division by the total degree is exact or raises ExactnessError
     return TruncatedSeries({m: c / sum(m) for m, c in eh._coeffs.items()},
                            eh.order, eh.arity)

@@ -44,16 +44,14 @@ coefficients halve the size of what is multiplied.
 ``LaurentPoly.__mul__`` itself stays the dict product, which is faster
 for the few-term operands it mostly sees.  The width rule
 (:func:`_slot_width`) and the unpacking (:func:`_decode`) are shared with
-the Exp over Z[L, L^-1] in :mod:`quotmotives.plethystic`, which packs
-whole layers itself and moves a pack to a new width by its bytes
-(:func:`_rewiden`).
+the Exp in :mod:`quotmotives.plethystic`, which packs whole layers
+itself and moves a pack to a new width by its bytes (:func:`_rewiden`).
 
-Sparse operands.  The Euler recurrence of Exp with QSeries
-coefficients multiplies every layer by sums of Adams images psi_k(c),
-whose terms are those of c spread over k Z: packed, they are mostly
-zero slots, which CPython's near-quadratic product pays for.  An
-operand with t terms over a span of s + 1 slots is sparse when
-2 t <= s, and the kernel never packs it: for each of its
+Sparse operands.  Spread-out terms, as in an Adams image psi_k(c), pack
+to mostly zero slots, which CPython's near-quadratic product pays for;
+Log's division E g / g has most of them (3873 of 7285 kernel pairs in a
+closed_forms pass).  An operand with t terms over a span of s + 1 slots
+is sparse when 2 t <= s, and the kernel never packs it: for each of its
 terms c_e L^e it adds c_e (Y << w (e - min exp)) into the total, Y the
 pack of the other operand, with no multiply for c_e = +-1 (when both
 operands are sparse, the second is packed).  That sum is the packed
@@ -62,8 +60,8 @@ unpacking are those above.  The test runs once per operand, when it is
 measured, and its result is cached with the measurement.  The constant 2
 was measured: at t = s/2, t shifted adds and one multiply by a cached
 pack took about the same time for spans of 32 to 128 slots against packs
-of 30 to 4000 words, and Heine's Exp and the Quot series at orders
-30-120 ran slower with 3 or 4 in its place.
+of 30 to 4000 words, and Heine's Exp (then on this kernel) and the
+Quot series ran slower with 3 or 4 in its place.
 
 QSeries products use the same kernel: :meth:`QSeries.sum_of_products`
 (and ``*``, its one-pair case) takes the precision P = min over the
@@ -73,11 +71,11 @@ operands.  The cut is exact: a term q^e of a meets only terms q^f of b
 with f >= v_b, so for e >= P - v_b every product lands at q^(e+f) with
 e + f >= P, above the precision.  An operand with nothing to cut is
 passed as it is, keeping its cached pack, and each QSeries keeps its
-last cut with the exponent it was cut at (the layered solve of an Exp
-cuts the same Adams sums at the same exponent on every layer, and a new
-cut would measure and pack again).  The cut operands still have
-products above q^P (a term just below P - v_b times one above v_b), so
-the kernel decodes only the exponents below P.  Multiplying by an exact
+last cut with its exponent: division pairs each divisor coefficient
+with every later layer, often at one precision, and a new cut would
+measure and pack again.  The cut operands still have products above
+q^P (a term just below P - v_b times one above v_b), so the kernel
+decodes only the exponents below P.  Multiplying by an exact
 monomial q^a needs no kernel: :meth:`QSeries.shift` moves the exponents
 and the precision by a.
 

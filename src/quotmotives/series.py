@@ -11,20 +11,18 @@ Coefficients are ints, :class:`LaurentPoly` or :class:`QSeries`, so no
 operation leaves the integers; the arithmetic is duck-typed and mixing
 genuinely incompatible rings fails in the coefficient operations.  A
 coefficient is dropped only when it is falsy, i.e. an exact zero.
-Products and the layered solver group their terms by target exponent
-vector and sum each group with one packed big-int kernel
-(:func:`_sum_products`): LaurentPoly pairs go to
-:meth:`LaurentPoly.sum_of_products`, and groups with a QSeries to
-:meth:`QSeries.sum_of_products`, which cuts its operands to the group's
-precision and calls the same kernel; int groups sum product by product.
-Division needs a unit constant term in the denominator and solves a
-recurrence layered by total degree (:func:`_solve_layers`); inversion is
-division of 1, and a product of factors (1 - c x^m)^(-a)
+Products and division group their terms by target exponent vector and
+sum each group with one packed big-int kernel (:func:`_sum_products`):
+LaurentPoly pairs go to :meth:`LaurentPoly.sum_of_products`, and groups
+with a QSeries to :meth:`QSeries.sum_of_products`, which cuts its
+operands to the group's precision and calls the same kernel; int groups
+sum product by product.  Division needs a unit constant term in the
+denominator and solves a recurrence layered by total degree; inversion
+is division of 1, and a product of factors (1 - c x^m)^(-a)
 (:func:`euler_product`) multiplies its binomials out, each one as
-s_k - c s_(k-m), and divides once.  The plethystic exponential in
-:mod:`quotmotives.plethystic` runs this solver only for QSeries
-coefficients; over Z[L, L^-1] it has its own recurrence on packed
-layers, which none of this module's functions calls.
+s_k - c s_(k-m), and divides once.  The plethystic exponential of
+:mod:`quotmotives.plethystic` solves its own recurrence on packed
+layers; nothing here calls it.
 Values are immutable after construction and all operations are pure.
 """
 
@@ -204,17 +202,25 @@ class TruncatedSeries:
         if c0 == 0:
             raise ZeroDivisionError("divisor has zero constant term")
         times_i0 = _unit_times(_invert_coeff(c0))
-        num = self._layers()
-        a0 = self.constant_term()
-
-        def step(n, acc):
+        num, den = self._layers(), other._layers()
+        u = [{m: times_i0(c) for m, c in num[0]}]
+        for n in range(1, order + 1):
+            groups = {}
+            for d, prev in zip(range(1, n + 1), u[n - 1::-1]):
+                for m1, c1 in den[d] if prev else ():
+                    for m2, c2 in prev.items():
+                        m = tuple(map(add, m1, m2))
+                        pairs = groups.get(m)
+                        if pairs is None:
+                            groups[m] = [(c1, c2)]
+                        else:
+                            pairs.append((c1, c2))
             layer = dict(num[n])
-            for m, c in acc.items():
+            for m, pairs in groups.items():
+                c = _sum_products(pairs)
                 layer[m] = layer[m] - c if m in layer else -c
-            return {m: times_i0(c) for m, c in layer.items() if c}
-
-        den = other if other.order == order else other.truncate(order)
-        return _solve_layers(den, times_i0(a0) if a0 else 0, step)
+            u.append({m: times_i0(c) for m, c in layer.items() if c})
+        return TruncatedSeries({m: c for layer in u for m, c in layer.items()}, order, self.arity)
 
     def __rtruediv__(self, other):
         """A coefficient divided by the series, e.g. ``1 / s``."""
@@ -304,7 +310,7 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# The layered recurrence behind division and Exp
+# Sums of coefficient products
 # ---------------------------------------------------------------------------
 
 def _sum_products(pairs):
@@ -322,38 +328,6 @@ def _sum_products(pairs):
             return QSeries.sum_of_products(pairs)
         acc = acc + c1 * c2
     return acc
-
-
-def _solve_layers(a: TruncatedSeries, first, step) -> TruncatedSeries:
-    """The series u with constant term ``first`` whose total-degree-n part,
-    for n = 1..order, is ``step(n, acc)``, where ``acc`` maps exponent
-    vectors to the coefficients of sum_{d=1..n} a_d u_{n-d} and a_d is
-    the total-degree-d part of ``a``.
-
-    ``step`` must return the degree-n layer without zero coefficients.
-    """
-    order, arity = a.order, a.arity
-    a_layers = a._layers()
-    u = [{_zero_key(arity): first} if first else {}]
-    for n in range(1, order + 1):
-        groups = {}
-        for d in range(1, n + 1):
-            layer = u[n - d]
-            if not layer:
-                continue
-            for m1, c1 in a_layers[d]:
-                for m2, c2 in layer.items():
-                    m = tuple(map(add, m1, m2))
-                    pairs = groups.get(m)
-                    if pairs is None:
-                        groups[m] = [(c1, c2)]
-                    else:
-                        pairs.append((c1, c2))
-        u.append(step(n, {m: _sum_products(pairs) for m, pairs in groups.items()}))
-    out = {}
-    for layer in u:
-        out.update(layer)
-    return TruncatedSeries(out, order, arity)
 
 
 def geometric_series(ratio_coeff, order: int) -> TruncatedSeries:

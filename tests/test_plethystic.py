@@ -11,9 +11,10 @@ import weakref
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quotmotives import plethystic, quot, series
+from quotmotives import plethystic, quot
 from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
                                projective_class)
+from quotmotives.quiver import verify_heine
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import (_adams_sum, _coerce_laurent_coeffs, _exp_exact,
                                     _mobius, exp_pleth, exp_pleth_product,
@@ -60,6 +61,12 @@ def reference_adams_sum(s, sign):
             for m, c in s.adams(k)._coeffs.items():
                 out[m] = out.get(m, 0) + c if w > 0 else out.get(m, 0) - c
     return TruncatedSeries(out, s.order, s.arity)
+
+
+def terms_below(c, prec):
+    """The terms of c (an int, LaurentPoly or QSeries) below q^prec."""
+    c = LaurentPoly({0: c}) if type(c) is int else c
+    return [(e, a) for e, a in c.terms() if e < prec]
 
 
 def _exact_terms(s):
@@ -193,6 +200,22 @@ def record_widths(monkeypatch):
     return widths
 
 
+@st.composite
+def qseries_arguments(draw):
+    """A series with zero constant term and QSeries coefficients in one to
+    three variables: exponents >= 0 and precisions 3, 6, 9 or exact."""
+    arity = draw(st.sampled_from((1, 2, 3)))
+    order = draw(st.integers(1, (7, 4, 3)[arity - 1]))
+    vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
+               if 1 <= sum(m) <= order]
+    classes = st.builds(
+        lambda terms, prec: QSeries(LaurentPoly(terms), prec),
+        st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=3),
+        st.sampled_from((3, 6, 9, math.inf))).filter(bool)
+    return TruncatedSeries(draw(st.dictionaries(st.sampled_from(vectors), classes,
+                                                min_size=1, max_size=5)), order, arity)
+
+
 def surface_quot_argument(x, r, order):
     return TruncatedSeries.variable(order, coeff=projective_class(r - 1) * x) \
         * geometric_series(LaurentPoly.lefschetz(r), order)
@@ -219,16 +242,12 @@ class TestExactExp:
     @given(exact_arguments(st.integers(-2 ** 70, 2 ** 70), max_order=5))
     @example(TruncatedSeries({(3,): 2 ** 30}, 5))
     @example(TruncatedSeries({(1,): 2 ** 62, (2,): -(2 ** 62), (4,): 2 ** 61}, 4))
-    def test_wide_coefficients_match_the_layered_solve(self, f):
+    def test_wide_coefficients_round_trip_through_log(self, f):
         # coefficients up to 2^70 (the product form takes them as
-        # multiplicities) against the solve that QSeries arguments take,
-        # over the packed product kernel
+        # multiplicities) against Log, which runs on division and the
+        # packed product kernel, not on _exp_exact
         f = _coerce_laurent_coeffs(f)
-        g = _adams_sum(plethystic._euler(f), lambda k: 1)
-        layered = series._solve_layers(
-            g, series._unit(f._coeffs.values()),
-            lambda n, acc: {m: c / n for m, c in acc.items() if c})
-        assert _exact_terms(_exp_exact(f)) == _exact_terms(layered)
+        assert _exact_terms(log_pleth(_exp_exact(f))) == _exact_terms(f)
 
     def test_slots_widen_past_64_bits(self, monkeypatch):
         # the closed surface Quot series of 2 + 3L + 2L^2 at rank 4 reaches
@@ -242,13 +261,62 @@ class TestExactExp:
         assert max(abs(c) for _, p in h.coefficients() for _, c in p.terms()).bit_length() == 63
         assert _exact_terms(h) == _exact_terms(exp_pleth_product(f))
 
-    def test_qseries_arguments_keep_the_layered_solve(self, monkeypatch):
+    def test_qseries_arguments_stop_at_their_least_precision(self, monkeypatch):
         reset_exp_memo()
-        calls = []
-        monkeypatch.setattr(plethystic, "_exp_exact", lambda f: calls.append(f))
-        f = TruncatedSeries({(1,): QSeries(LaurentPoly({1: 2}), 9)}, 4)
-        assert exp_pleth(f).coefficient(1) == f.coefficient(1)
-        assert not calls
+        stops = []
+        exact = plethystic._exp_exact
+        monkeypatch.setattr(plethystic, "_exp_exact",
+                            lambda f, stop=math.inf: stops.append(stop) or exact(f, stop))
+        f = TruncatedSeries({(1,): QSeries(LaurentPoly({1: 2}), 9),
+                             (2,): QSeries(LaurentPoly({0: -1, 3: 1}), 7)}, 4)
+        h = exp_pleth(f)
+        assert stops == [7]
+        assert h.coefficient(1) == f.coefficient(1)
+        assert {m: c.prec for m, c in h.coefficients()} == {
+            (0,): math.inf, (1,): 7, (2,): 7, (3,): 7, (4,): 7}
+
+    @given(qseries_arguments())
+    @example(TruncatedSeries({(1,): QSeries(LaurentPoly({7: 1}), 9),
+                              (2,): QSeries(LaurentPoly(), 3)}, 4))
+    @example(TruncatedSeries({(1, 0): QSeries(LaurentPoly({0: 1, 1: 1, 2: 1}), 3),
+                              (0, 1): QSeries(LaurentPoly({2: 1}), math.inf)}, 3, 2))
+    def test_qseries_arguments_match_the_product_form_below_their_precision(self, f):
+        # the known parts' product form, read below q^N; every exponent
+        # vector it reaches is in the result, an O(q^N) where its terms
+        # all lie at q^N and up
+        prec = min(c.prec for c in f._coeffs.values())
+        reset_exp_memo()
+        h = exp_pleth(f)
+        expect = exp_pleth_product(f.map_coefficients(lambda c: c.known))
+        assert set(expect._coeffs) <= set(h._coeffs)
+        assert all(terms_below(h.coefficient(m), prec) == terms_below(expect.coefficient(m), prec)
+                   for m in h._coeffs)
+        one = h.constant_term()
+        assert (one.terms(), one.prec) == ([(0, 1)], math.inf)
+        assert all(c.prec == prec for m, c in h.coefficients() if any(m))
+
+    def test_negative_exponents_need_an_exact_qseries_argument(self):
+        f = lambda prec: TruncatedSeries({(1,): QSeries(LaurentPoly({-1: 2, 0: 1}), prec),
+                                          (2,): QSeries(LaurentPoly({1: -1}), math.inf)}, 4)
+        reset_exp_memo()
+        with pytest.raises(ValueError, match="exponents >= 0"):
+            exp_pleth(f(6))
+        expect = exp_pleth_product(f(math.inf).map_coefficients(lambda c: c.known))
+        assert _exact_terms(exp_pleth(f(math.inf))) == _exact_terms(
+            expect.map_coefficients(lambda c: QSeries(c, math.inf)))
+
+    def test_qseries_mixed_with_another_ring_is_a_type_error(self):
+        q = QSeries(LaurentPoly({0: 1}), 5)
+        for other in (L, 2):
+            with pytest.raises(TypeError, match="mixes QSeries"):
+                exp_pleth(TruncatedSeries({(1,): other, (2,): q}, 3))
+
+    def test_a_cut_one_exponent_too_low_fails_heine(self, monkeypatch):
+        exact = plethystic._exp_exact
+        monkeypatch.setattr(plethystic, "_exp_exact",
+                            lambda f, stop=math.inf: exact(f, stop - 1))
+        reset_exp_memo()
+        assert str(verify_heine(6)) == "heine: FAIL (first difference at (1,))"
 
     def test_inexact_layer_raises(self, monkeypatch):
         # a weight of E f that its degree does not divide is no Exp argument:
@@ -300,20 +368,17 @@ class TestExactExp:
 
 
 def count_solves(monkeypatch):
-    """Count the solves: the exact-coefficient Exp (_exp_exact) and the
-    layered solves of both modules that call _solve_layers, plethystic
-    for the Exp of QSeries coefficients and series for division (and so
-    for Log)."""
+    """Count the solves: the Exp (_exp_exact, for every coefficient ring)
+    and the layered division (TruncatedSeries.__truediv__, and so Log)."""
     calls = []
-    for module, name in ((plethystic, "_exp_exact"), (plethystic, "_solve_layers"),
-                         (series, "_solve_layers")):
-        solve = getattr(module, name)
+    for owner, name in ((plethystic, "_exp_exact"), (TruncatedSeries, "__truediv__")):
+        solve = getattr(owner, name)
 
         def counted(*args, solve=solve):
             calls.append(1)
             return solve(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 

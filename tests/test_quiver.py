@@ -198,14 +198,17 @@ class TestPartitionSum:
         assert s.coefficient(1).prec == 6
 
     def test_jordan_closed_form(self):
-        # S(r, q, t) = Exp(q^{-r} t / ((1-q)(1-t))) for the one-loop quiver
+        # S(r, q, t) = Exp(q^{-r} t / ((1-q)(1-t))) for the one-loop quiver,
+        # solved with t -> q^r t, whose argument has exponents >= 0, and the
+        # t^n coefficient shifted back by q^(-rn)
         order, prec = 5, 12
+        inverse = _inverse_q_pochhammers(1, prec)
         for r in (0, 1, 2):
             lhs = nakajima_partition_sum(JORDAN, (r,), order, prec)
-            coeff = QSeries(LaurentPoly.lefschetz(-r), math.inf) * _inverse_q_pochhammers(1, prec)[1]
             arg = TruncatedSeries(
-                {(m,): coeff for m in range(1, order + 1)}, order)
-            rhs = exp_pleth(arg)
+                {(m,): inverse[1].shift(r * (m - 1)) for m in range(1, order + 1)}, order)
+            rhs = TruncatedSeries({m: c.shift(-r * m[0])
+                                   for m, c in exp_pleth(arg).coefficients()}, order)
             assert lhs == rhs
             assert min(c.prec for _, c in rhs.coefficients()) >= prec - order * r
 
