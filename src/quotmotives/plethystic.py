@@ -20,9 +20,11 @@ n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-k|m|), and runs on layers
 packed into ints: the terms of equal k|m| are merged by slot, and each
 adds a shifted multiple of the pack of h_(n-k|m|); QSeries
 coefficients (Heine's formula) take it modulo q^N, N their least
-precision.  ``Log`` inverts the Euler path: E(Log h) =
-sum_k mu(k) psi_k(E(h)/h), followed by an exact division by the total
-degree.  The power structure is f^a = Exp(a Log f).
+precision.  ``Log`` inverts the Euler path: E(h)/h =
+sum_{k>=1} psi_k(E(Log h)), so degree by degree E(Log h) is E(h)/h less
+the Adams images psi_k, k >= 2, of its own lower layers, and each layer
+is divided exactly by its degree.  The power structure is
+f^a = Exp(a Log f).
 
 :func:`exp_pleth` keeps its last argument, and a weak reference to its
 result, in one slot; a result that nothing else holds is freed.  The
@@ -44,48 +46,6 @@ import weakref
 from .rings import ExactnessError, LaurentPoly, QSeries, _decode, _rewiden, _slot_width
 from .report import CheckReport
 from .series import TruncatedSeries, _unit, _zero_key, euler_product
-
-
-def _mobius(n: int) -> int:
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def _adams_sum(s: TruncatedSeries, sign) -> TruncatedSeries:
-    """sum_{k>=1} sign(k) psi_k(s) truncated at the order of s, for
-    sign(k) in {-1, 0, 1}: each term c x^m adds sign(k) psi_k(c) x^(km)
-    for every k with k deg(m) <= order (every k <= order in degree 0)."""
-    order = s.order
-    signs = [sign(k) for k in range(1, order + 1)]
-    out = {}
-    for m, c in s._coeffs.items():
-        d = sum(m)
-        symbolic = isinstance(c, (LaurentPoly, QSeries))
-        for k in range(1, order // d + 1 if d else order + 1):
-            w = signs[k - 1]
-            if not w:
-                continue
-            if k > 1:
-                key = tuple([e * k for e in m])
-                ck = c.adams(k) if symbolic else c
-            else:
-                key, ck = m, c
-            prev = out.get(key)
-            if prev is None:
-                out[key] = ck if w > 0 else -ck
-            else:
-                out[key] = prev + ck if w > 0 else prev - ck
-    return TruncatedSeries(out, order, s.arity)
 
 
 def _coerce_laurent_coeffs(f: TruncatedSeries) -> TruncatedSeries:
@@ -255,16 +215,31 @@ def _exp_exact(f: TruncatedSeries, stop=math.inf) -> TruncatedSeries:
 
 
 def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of :func:`exp_pleth`, for series with constant term 1."""
+    """Inverse of :func:`exp_pleth`, for series with constant term 1.
+
+    E g / g = sum_{k>=1} psi_k(E Log g), E the Euler operator, so layer n
+    of E Log g is that of E g / g less the images psi_k(c) x^(km), k >= 2,
+    of the terms c x^m of its own lower layers.  The same pass divides
+    each term of layer n by n: exactly, or ExactnessError.
+    """
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
+    order = g.order
     # E g / g, where E multiplies the total-degree-n part by n
-    eh = _adams_sum(TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()},
-                                    g.order, g.arity) / g, _mobius)
-    # undo E: each division by the total degree is exact or raises ExactnessError
-    return TruncatedSeries({m: c / sum(m) for m, c in eh._coeffs.items()},
-                           eh.order, eh.arity)
+    eg = TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()}, order, g.arity) / g
+    layers = [dict(layer) for layer in eg._layers()]
+    for n in range(1, order + 1):
+        layer = layers[n]
+        for m, c in layer.items():
+            layer[m] = c / n
+            if 2 * n > order:
+                continue
+            minus = -c
+            for k in range(2, order // n + 1):
+                key, ck, peel = tuple([e * k for e in m]), minus.adams(k), layers[k * n]
+                peel[key] = peel[key] + ck if key in peel else ck
+    return TruncatedSeries({m: c for layer in layers for m, c in layer.items()}, order, g.arity)
 
 
 def exp_pleth_product(f: TruncatedSeries) -> TruncatedSeries:

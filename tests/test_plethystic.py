@@ -16,10 +16,9 @@ from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries, affine_clas
                                projective_class)
 from quotmotives.quiver import verify_heine
 from quotmotives.series import TruncatedSeries, geometric_series
-from quotmotives.plethystic import (_adams_sum, _coerce_laurent_coeffs, _exp_exact,
-                                    _mobius, exp_pleth, exp_pleth_product,
-                                    log_pleth, power_structure, symmetric_power,
-                                    verify_power_axioms)
+from quotmotives.plethystic import (_coerce_laurent_coeffs, _exp_exact, exp_pleth,
+                                    exp_pleth_product, log_pleth, power_structure,
+                                    symmetric_power, verify_power_axioms)
 
 L = LaurentPoly.lefschetz()
 
@@ -51,9 +50,21 @@ def geometric_exp_product(f):
     return out
 
 
+def _mobius(n):
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 def reference_adams_sum(s, sign):
-    """sum_k sign(k) psi_k(s) as _adams_sum built it before it summed
-    term by term: one Adams series s.adams(k) per k, added up."""
+    """sum_k sign(k) psi_k(s): one Adams series s.adams(k) per k, added up."""
     out = {}
     for k in range(1, s.order + 1):
         w = sign(k)
@@ -61,6 +72,16 @@ def reference_adams_sum(s, sign):
             for m, c in s.adams(k)._coeffs.items():
                 out[m] = out.get(m, 0) + c if w > 0 else out.get(m, 0) - c
     return TruncatedSeries(out, s.order, s.arity)
+
+
+def reference_log(g):
+    """Log g by the Moebius formula, the way log_pleth took it before it
+    peeled: E(Log g) = sum_k mu(k) psi_k(E g / g), then each term divided
+    by its total degree."""
+    g = _coerce_laurent_coeffs(g)
+    eg = TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()}, g.order, g.arity) / g
+    eh = reference_adams_sum(eg, _mobius)
+    return TruncatedSeries({m: c / sum(m) for m, c in eh._coeffs.items()}, eh.order, eh.arity)
 
 
 def terms_below(c, prec):
@@ -77,32 +98,6 @@ def _exact_terms(s):
             return QSeries, c.terms(), c.prec
         return type(c), (c.terms() if isinstance(c, LaurentPoly) else c)
     return s.order, s.arity, [(m, exact(c)) for m, c in s.coefficients()]
-
-
-class TestAdamsSum:
-    RINGS = {
-        "int": lambda rng: rng.randint(-5, 5),
-        "laurent": lambda rng: LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
-                                            for _ in range(rng.randint(1, 3))}),
-        "qseries": lambda rng: QSeries(
-            LaurentPoly({rng.randint(-2, 4): rng.randint(-4, 4)
-                         for _ in range(rng.randint(0, 3))}),
-            rng.choice((3, 6, math.inf))),
-    }
-
-    @pytest.mark.parametrize("ring", sorted(RINGS))
-    @pytest.mark.parametrize("arity, order", [(1, 9), (2, 5), (3, 4)])
-    @pytest.mark.parametrize("sign", [lambda k: 1, _mobius], ids=["one", "mobius"])
-    def test_matches_the_per_k_sum(self, ring, arity, order, sign):
-        rng = random.Random(f"{ring}-{arity}-{order}")
-        draw = self.RINGS[ring]
-        for _ in range(8):
-            coeffs = {m: draw(rng)
-                      for m in itertools.product(range(order + 1), repeat=arity)
-                      if sum(m) <= order and rng.random() < 0.6}
-            s = TruncatedSeries(coeffs, order, arity)
-            assert _exact_terms(_adams_sum(s, sign)) == \
-                _exact_terms(reference_adams_sum(s, sign))
 
 
 class TestExp:
@@ -499,7 +494,37 @@ class TestExpMemo:
             assert len(calls) == 3 * n
 
 
+@st.composite
+def log_arguments(draw):
+    """A series with constant term 1 in one to three variables over one
+    ring: ints, Z[L, L^-1], or QSeries known to q^3, q^6, q^9 or exactly,
+    whose constant term 1 is then a QSeries too."""
+    arity = draw(st.sampled_from((1, 2, 3)))
+    order = draw(st.integers(0, (9, 5, 4)[arity - 1]))
+    vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
+               if 1 <= sum(m) <= order]
+    laurent = st.dictionaries(st.integers(-3, 4), st.integers(-4, 4), max_size=3).map(LaurentPoly)
+    precs = st.sampled_from((3, 6, 9, math.inf))
+    classes, one = draw(st.sampled_from((
+        (st.integers(-5, 5), st.just(1)),
+        (laurent, st.just(LaurentPoly.one())),
+        (st.builds(QSeries, laurent, precs), st.builds(QSeries, st.just(LaurentPoly.one()), precs)))))
+    coeffs = draw(st.dictionaries(st.sampled_from(vectors), classes, max_size=8)
+                  if vectors else st.just({}))
+    return TruncatedSeries({**coeffs, (0,) * arity: draw(one)}, order, arity)
+
+
 class TestLog:
+    @given(log_arguments())
+    @example(TruncatedSeries({(0,): 1, (1,): L, (2,): LaurentPoly({-1: 2, 0: -1}), (4,): 3}, 8))
+    @example(TruncatedSeries({(0,): exact_q({0: 1}), (1,): exact_q({1: 2}, 3),
+                              (2,): exact_q({-1: -1, 2: 1}, 6), (4,): exact_q({0: 1}, 9)}, 8))
+    @example(TruncatedSeries({(0, 0): 1, (1, 0): L, (0, 1): -1, (1, 1): 2}, 4, 2))
+    def test_matches_the_mobius_formula(self, g):
+        # mu(4) = mu(8) = 0, yet the peel takes psi_2 and psi_4 images off
+        # those layers: they must cancel term for term, precisions included
+        assert _exact_terms(log_pleth(g)) == _exact_terms(reference_log(g))
+
     def test_log_geometric(self):
         assert log_pleth(geometric_series(1, 8)) == TruncatedSeries.variable(8)
 

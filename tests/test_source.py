@@ -38,8 +38,7 @@ def test_product_forms_name_no_euler_path_function():
     # product-vs-exp and the two-path Exp check compare the product form
     # with exp_pleth; they are independent checks only while the product
     # side shares no formula with the Euler path
-    euler_path = {"exp_pleth", "log_pleth", "power_structure", "_adams_sum", "_exp_exact",
-                  "_monomials"}
+    euler_path = {"exp_pleth", "log_pleth", "power_structure", "_exp_exact", "_monomials"}
     product_forms = {"euler_product", "jordan_product_series", "exp_pleth_product"}
     named = {}
     for path in SOURCES:
