@@ -74,12 +74,17 @@ def reference_adams_sum(s, sign):
     return TruncatedSeries(out, s.order, s.arity)
 
 
+def euler(s):
+    """E s: the total-degree-n part of s multiplied by n."""
+    return TruncatedSeries({m: c * sum(m) for m, c in s._coeffs.items()}, s.order, s.arity)
+
+
 def reference_log(g):
     """Log g by the Moebius formula, the way log_pleth took it before it
     peeled: E(Log g) = sum_k mu(k) psi_k(E g / g), then each term divided
     by its total degree."""
     g = _coerce_laurent_coeffs(g)
-    eg = TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()}, g.order, g.arity) / g
+    eg = euler(g) / g
     eh = reference_adams_sum(eg, _mobius)
     return TruncatedSeries({m: c / sum(m) for m, c in eh._coeffs.items()}, eh.order, eh.arity)
 
@@ -98,6 +103,47 @@ def _exact_terms(s):
             return QSeries, c.terms(), c.prec
         return type(c), (c.terms() if isinstance(c, LaurentPoly) else c)
     return s.order, s.arity, [(m, exact(c)) for m, c in s.coefficients()]
+
+
+class TestAdamsSum:
+    """sum_k sign(k) psi_k, the sum under Exp and Log, against one Adams
+    series per k: sign one is E(Exp f) / Exp f = sum_k psi_k(E f), and the
+    Moebius sign is the peel in log_pleth, E(Log g) = sum_k mu(k) psi_k(E g / g)."""
+    RINGS = {
+        "int": lambda rng: rng.randint(-5, 5),
+        "laurent": lambda rng: LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
+                                            for _ in range(rng.randint(1, 3))}),
+        "qseries": lambda rng: QSeries(
+            LaurentPoly({rng.randint(-2, 4): rng.randint(-4, 4)
+                         for _ in range(rng.randint(0, 3))}),
+            rng.choice((3, 6, math.inf))),
+    }
+    ONES = {
+        "int": lambda rng: 1,
+        "laurent": lambda rng: LaurentPoly.one(),
+        "qseries": lambda rng: QSeries(LaurentPoly.one(), rng.choice((3, 6, math.inf))),
+    }
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @pytest.mark.parametrize("arity, order", [(1, 9), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("sign", [lambda k: 1, _mobius], ids=["one", "mobius"])
+    def test_matches_the_per_k_sum(self, ring, arity, order, sign):
+        rng = random.Random(f"{ring}-{arity}-{order}")
+        draw = self.RINGS[ring]
+        for _ in range(8):
+            coeffs = {m: draw(rng)
+                      for m in itertools.product(range(order + 1), repeat=arity)
+                      if 1 <= sum(m) <= order and rng.random() < 0.6}
+            if sign is _mobius:
+                g = TruncatedSeries({**coeffs, (0,) * arity: self.ONES[ring](rng)}, order, arity)
+                assert _exact_terms(log_pleth(g)) == _exact_terms(reference_log(g))
+            else:
+                if ring == "qseries":
+                    # a finite-precision QSeries Exp takes exponents >= 0 only
+                    coeffs = {m: QSeries(c.known * L ** 2, c.prec + 2) for m, c in coeffs.items()}
+                f = _coerce_laurent_coeffs(TruncatedSeries(coeffs, order, arity))
+                g = exp_pleth(f)
+                assert euler(g) / g == reference_adams_sum(euler(f), sign)
 
 
 class TestExp:
