@@ -17,14 +17,29 @@ are implemented:
 Both run entirely in integer arithmetic over Z[L, L^-1].  The Euler
 path (:func:`_exp_exact`) is written per monomial b L^e x^m of E f,
 n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-k|m|), and runs on layers
-packed into ints: the terms of equal k|m| are merged by slot, and each
-adds a shifted multiple of the pack of h_(n-k|m|); QSeries
-coefficients (Heine's formula) take it modulo q^N, N their least
-precision.  ``Log`` inverts the Euler path: E(h)/h =
-sum_{k>=1} psi_k(E(Log h)), so degree by degree E(Log h) is E(h)/h less
-the Adams images psi_k, k >= 2, of its own lower layers, and each layer
-is divided exactly by its degree.  The power structure is
-f^a = Exp(a Log f).
+packed into ints (:func:`_layer_loop`): the terms of equal k|m| are
+merged by slot, and each adds a shifted multiple of the pack of
+h_(n-k|m|).  A monomial of t-degree 1 whose k-sum has at least
+_RUNNING_TERMS terms keeps it instead as a running sum
+R(n) = L^e x^m (h_(n-1) + R(n-1)): two shifted adds per layer in place
+of n.  The cut-off is measured.  Running sums for every degree-1
+monomial made ``verify_heine(16)`` twice as slow (its argument has 137
+of them, most with short k-sums), and running sums for degrees up to 2
+or 4 gained no more than degree 1 alone.  QSeries coefficients (Heine's
+formula) take the solve modulo q^N, N their least precision.
+
+``Log`` inverts the Euler path: E(h)/h = sum_{k>=1} psi_k(E(Log h)), so
+degree by degree E(Log h) is E(h)/h less the Adams images psi_k,
+k >= 2, of its own lower layers, and each layer is divided exactly by
+its degree.  For int and LaurentPoly coefficients the division E(h)/h
+runs on the same layer loop (:func:`_euler_quotient`): the layers of h
+are packed once, and each quotient layer is kept as (shift, weight)
+pairs, so every step is shifted adds.  Log uses neither the monomials
+of E f nor the running sums, so the Quot self-check, Exp(x Log P)
+against the closed Exp, still tests the Exp against an independent
+Log.  A QSeries Log divides by ``TruncatedSeries.__truediv__``, which
+tracks a precision per quotient coefficient; the layer loop keeps one
+cut for every layer.  The power structure is f^a = Exp(a Log f).
 
 :func:`exp_pleth` keeps its last argument, and a weak reference to its
 result, in one slot; a result that nothing else holds is freed.  The
@@ -108,50 +123,149 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     return h
 
 
+# a monomial of E f of t-degree 1 whose k-sum has at least this many
+# terms keeps it as a running sum in _exp_exact (fixed by measurement)
+_RUNNING_TERMS = 15
+
+
 def _monomials(f: TruncatedSeries) -> list:
     """The monomials b L^e x^m of E f as (b, e, m), b = |m| a for each
     term a L^e of the LaurentPoly coefficient f_m."""
     return [(sum(m) * a, e, m) for m, c in f._coeffs.items() for e, a in c._terms.items()]
 
 
+def _grid(order: int, arity: int) -> tuple:
+    """(base, P): a term L^E x^M of a packed layer sits in slot
+    (E - lo) P + pos(M), pos(M) reading M without its first entry in base
+    order + 1, and P exceeds every pos (P = 1 in one variable)."""
+    base = order + 1
+    return base, order * base ** (arity - 2) + 1 if arity > 1 else 1
+
+
+def _pos(m, base: int) -> int:
+    """pos(m) of :func:`_grid` for an exponent vector m."""
+    return sum(mi * base ** i for i, mi in enumerate(m[1:])) if len(m) > 1 else 0
+
+
+def _read_layer(digits, lo: int, P: int, base: int, arity: int, n: int, out: dict):
+    """Write the coefficients of layer n, whose digit i belongs to
+    L^(lo + i // P) x^M with pos(M) = i % P, into ``out``: one slice of
+    the digits per residue mod P."""
+    if P == 1:
+        out[(n,)] = LaurentPoly(dict(zip(range(lo, lo + len(digits)), digits)))
+        return
+    for p in range(min(P, len(digits))):
+        row = digits[p::P]
+        if any(row):
+            tail, q = [], p
+            for _ in range(arity - 1):
+                q, mi = divmod(q, base)
+                tail.append(mi)
+            out[(n - sum(tail), *tail)] = LaurentPoly(dict(zip(range(lo, lo + len(row)), row)))
+
+
+def _shifted_sum(active: list, P: int, stop, w: int = 0) -> tuple:
+    """(acc, width, lowest exponent, slots, bound): acc is the sum over
+    the (terms, pack) pairs of ``active`` of the pack times each weight,
+    shifted by each shift of the terms, with only its digits below
+    L^stop kept.
+
+    A pack is [lowest exponent, slots, width, int, norm]: its digit i
+    belongs to L^(lowest + i // P) x^M with pos(M) = i % P, and norm
+    bounds every digit.  Terms are (pairs, l1 norm, lowest exponent,
+    highest shift), the pairs (shift, weight) of slot shifts E P + pos(M).
+    The width is w if it holds the bound sum ||weights||_1 ||pack||_inf,
+    and otherwise the kernel's (:func:`rings._slot_width`), checked
+    explicitly; a pack made at another width is moved to this one
+    (:func:`rings._rewiden`).
+    """
+    bound = sum([g[1] * h[4] for g, h in active])
+    if not bound:
+        return 0, 32, 0, 0, 0
+    if not w or bound >> (w - 1):
+        w = _slot_width(bound)
+        if bound >> (w - 1):
+            raise AssertionError(f"slot width {w} does not hold the bound {bound}")
+    lo = min([h[0] + g[2] for g, h in active])
+    acc = top = 0
+    for (pairs, _, _, hi), h in active:
+        if h[2] != w:
+            h[3], h[2] = _rewiden(h[3], h[2], w, h[1]), w
+        x = h[3]
+        off = (h[0] - lo) * P
+        if off + hi + h[1] > top:
+            top = off + hi + h[1]
+        for s, c in pairs:
+            if c == 1:
+                acc += x << w * (off + s)
+            elif c == -1:
+                acc -= x << w * (off + s)
+            else:
+                acc += x * c << w * (off + s)
+    if (stop - lo) * P < top:
+        # the signed digits of acc below L^stop
+        top = max((stop - lo) * P, 0)
+        low = (1 << w * top) - 1
+        acc = ((acc + (low + 1 >> 1)) & low) - (low + 1 >> 1)
+    return acc, w, lo, top, bound
+
+
+def _layer_loop(order: int, P: int, terms: list, packs: list, extra: list, step,
+                stop=math.inf):
+    """The packed layer loop of the Exp and of Log's division.
+
+    For n = 1..order, layer n sums (:func:`_shifted_sum`, below L^stop)
+    the pairs (terms[d], packs[n - d]) for d = 1..n, and the (terms,
+    pack) pairs of ``extra``.  ``step(n, acc, width, lowest exponent,
+    slots)`` turns that sum into layer n, which it appends to ``terms``
+    or to ``packs``, and returns the ``extra`` of layer n + 1.
+    """
+    for n in range(1, order + 1):
+        active = extra + [(g, h) for g, h in zip(terms[1:n + 1], packs[n - 1::-1]) if g and h]
+        extra = step(n, *_shifted_sum(active, P, stop)[:4])
+
+
 def _exp_exact(f: TruncatedSeries, stop=math.inf) -> TruncatedSeries:
     """Exp of a series with LaurentPoly coefficients, on packed layers.
 
     Written per monomial b L^e x^m of E f, with j = |m|, the recurrence
-    is n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-kj).  Each layer h_n is
-    one int: its entry c L^E x^M is the digit c in slot (E - lo) P +
-    pos(M) of width w, where lo is the layer's lowest exponent, pos(M)
-    reads M without its first entry in base order + 1, so that x^m moves
-    every slot by pos(m), and P exceeds every pos (P = 1 in one
-    variable).  The terms b L^(ek) x^(km) with kj = d are merged by slot
-    shift, and each merged term adds the pack of h_(n-d), shifted and
-    times its weight (1: a shift alone).  A finite ``stop`` (exponents
-    >= 0) solves modulo L^stop: no term with ek >= stop is merged, and
-    each layer keeps only its digits below L^stop.
+    is n h_n = sum b sum_{k>=1} L^(ek) x^(km) h_(n-kj), solved by
+    :func:`_layer_loop` with the layers h_n as its packs.  A monomial of
+    t-degree 1 whose k-sum has at least _RUNNING_TERMS terms (k <= order
+    with ek < stop) keeps it as a running sum R(n) = L^e x^m (h_(n-1) +
+    R(n-1)), one pack cut below L^stop and added to layer n times b: two
+    shifted adds per layer in place of n.  The other terms
+    b L^(ek) x^(km) with kj = d are merged by slot shift, and each merged
+    term adds the pack of h_(n-d), shifted and times its weight (1: a
+    shift alone).  A finite ``stop`` (exponents >= 0) solves modulo
+    L^stop: no term with ek >= stop is merged, and each layer keeps only
+    its digits below L^stop.
 
-    The width of layer n is the kernel's (:func:`rings._slot_width`) for
-    a bound on the digits of n h_n from the actual norms of the earlier
-    layers; a pack made at another width is moved to this one
-    (:func:`rings._rewiden`).  The pack of h_n is that of n h_n divided
-    by n, taken only after every digit of n h_n, decoded by
-    :func:`rings._decode`, is checked to divide by n (ExactnessError
-    otherwise).  A layer's pack is dropped once no later layer reads it.
+    The pack of h_n is that of n h_n divided by n, taken only after every
+    digit of n h_n, decoded by :func:`rings._decode`, is checked to
+    divide by n (ExactnessError otherwise).  A layer's pack is dropped
+    once no later layer reads it.  R(n + 1) is made at the width of h_n
+    unless its bound ||h_n|| + ||R(n)|| needs a wider one.
     """
     order, arity = f.order, f.arity
     out = {_zero_key(arity): _unit(f._coeffs.values())}
-    base = order + 1
-    P = order * base ** (arity - 2) + 1 if arity > 1 else 1
+    base, P = _grid(order, arity)
+    runs = []  # per running monomial [terms of b, terms of L^e x^m, R]
     merged = [{} for _ in range(order + 1)]  # d -> {slot shift: weight}
     for b, e, m in _monomials(f):
-        step = e * P + sum(mi * base ** i for i, mi in enumerate(m[1:]))
         j = sum(m)
+        step = e * P + _pos(m, base)
+        # a k-sum of degree 1 has min(order, ceil(stop / e) - 1) terms
+        if j == 1 and (order if e <= 0 or stop == math.inf
+                       else min(order, -(-stop // e) - 1)) >= _RUNNING_TERMS:
+            runs.append([([(0, b)], abs(b), 0, 0), ([(step, 1)], 1, e, step), None])
+            continue
         for k in range(1, order // j + 1):
             if e * k >= stop:
                 break
             g = merged[k * j]
             g[k * step] = g.get(k * step, 0) + b
-    # per d, the merged terms: the (shift, weight) pairs, their l1 norm,
-    # their lowest exponent and their highest shift
+    # per d, the merged terms, as terms of _shifted_sum
     adams = [None] * (order + 1)
     for d, g in enumerate(merged):
         pairs = [(s, c) for s, c in g.items() if c]
@@ -160,58 +274,80 @@ def _exp_exact(f: TruncatedSeries, stop=math.inf) -> TruncatedSeries:
                         max(pairs)[0])
     # layer n reads back to layer n - reach; older packs are dropped
     reach = max([d for d, g in enumerate(adams) if g], default=0)
-    # per layer None (zero) or [lowest exponent, slots, width, pack, norm]
-    layers = [[0, 1, 32, 1, 1]]
-    for n in range(1, order + 1):
-        if n > reach:
-            layers[n - reach - 1] = None
-        # the (merged terms of d, layer n - d) pairs that add anything
-        active = [(g, h) for g, h in zip(adams[1:n + 1], layers[n - 1::-1]) if g and h]
-        bound = sum(g[1] * h[4] for g, h in active)
-        if not bound:
-            layers.append(None)
-            continue
-        w = _slot_width(bound)
-        if bound >> (w - 1):
-            raise AssertionError(f"slot width {w} does not hold the bound {bound}")
-        lo_n = min(h[0] + g[2] for g, h in active)
-        acc = top = 0
-        for (pairs, _, _, hi), h in active:
-            if h[2] != w:
-                h[3], h[2] = _rewiden(h[3], h[2], w, h[1]), w
-            x = h[3]
-            off = (h[0] - lo_n) * P
-            if off + hi + h[1] > top:
-                top = off + hi + h[1]
-            for s, c in pairs:
-                acc += (x if c == 1 else x * c) << w * (off + s)
-        if (stop - lo_n) * P < top:
-            # the signed digits of acc below L^stop
-            top = max((stop - lo_n) * P, 0)
-            low = (1 << w * top) - 1
-            acc = ((acc + (low + 1 >> 1)) & low) - (low + 1 >> 1)
-        if any(map(n.__rmod__, _decode(acc, w, top))):
-            raise ExactnessError(f"layer {n} of Exp is not divisible by {n}")
-        acc //= n
-        quotient = _decode(acc, w, top)
-        if any(quotient):
-            nonzero = [i for i, c in enumerate(quotient) if c]
-            first = nonzero[0] // P
-            layers.append([lo_n + first, nonzero[-1] + 1 - first * P, w, acc >> w * first * P,
-                           max(max(quotient), -min(quotient))])
-            rows = {}
-            for i in nonzero:
-                q, p = divmod(i, P)
-                rows.setdefault(p, {})[lo_n + q] = quotient[i]
-            for p, row in rows.items():
-                tail = []
-                for _ in range(arity - 1):
-                    p, mi = divmod(p, base)
-                    tail.append(mi)
-                out[(n - sum(tail), *tail)] = LaurentPoly(row)
-            continue
-        layers.append(None)
+    layers = [[0, 1, 32, 1, 1]]  # per layer None (zero) or its pack
+
+    def advance(h, w):
+        # R(n + 1) = L^e x^m (h_n + R(n)) for every running monomial
+        extra = []
+        for run in runs:
+            acc, v, lo, slots, norm = _shifted_sum(
+                [(run[1], o) for o in (h, run[2]) if o], P, stop, w)
+            run[2] = [lo, slots, v, acc, norm] if acc else None
+            if acc:
+                extra.append((run[0], run[2]))
+        return extra
+
+    def solve(n, acc, w, lo, slots):
+        h = None
+        if acc:
+            if any(map(n.__rmod__, _decode(acc, w, slots))):
+                raise ExactnessError(f"layer {n} of Exp is not divisible by {n}")
+            acc //= n
+            digits = _decode(acc, w, slots)
+            _read_layer(digits, lo, P, base, arity, n, out)
+            first = ((acc & -acc).bit_length() - 1) // w // P
+            h = [lo + first, abs(acc).bit_length() // w + 1 - first * P, w,
+                 acc >> w * first * P, max(max(digits), -min(digits))]
+        layers.append(h)
+        extra = advance(h, w) if runs and n < order else []
+        if n >= reach:
+            layers[n - reach] = None
+        return extra
+
+    _layer_loop(order, P, adams, layers, advance(layers[0], 32), solve, stop)
     return TruncatedSeries(out, order, arity)
+
+
+def _euler_quotient(g: TruncatedSeries) -> list:
+    """The layers of E g / g, as dicts from exponent vectors to classes,
+    for g over Z[L, L^-1] with constant term 1 and E the Euler operator.
+
+    The layers g_n are packed once and are the packs of
+    :func:`_layer_loop`.  Each quotient layer
+    G_n = n g_n - sum_{d<n} G_d g_(n-d) is read off its digits and kept
+    as the (shift, -weight) pairs of its terms, so every step is shifted
+    adds; n g_n is the ``extra`` of layer n.
+    """
+    order, arity = g.order, g.arity
+    base, P = _grid(order, arity)
+    packs = [None] * (order + 2)
+    for n, layer in enumerate(g._layers()):
+        if n and layer:
+            slots = [(e * P + p, a) for m, c in layer for p in (_pos(m, base),)
+                     for e, a in c._terms.items()]
+            lo, hi = min(slots)[0] // P, max(slots)[0]
+            norm = max(abs(a) for _, a in slots)
+            w = _slot_width(norm)
+            packs[n] = [lo, hi + 1 - lo * P, w,
+                        sum(a << w * (s - lo * P) for s, a in slots), norm]
+    out = [{} for _ in range(order + 1)]
+    terms = [None]
+
+    def solve(n, acc, w, lo, slots):
+        pairs = None
+        if acc:
+            digits = _decode(acc, w, slots)
+            _read_layer(digits, lo, P, base, arity, n, out[n])
+            pairs = [(lo * P + i, -c) for i, c in enumerate(digits) if c]
+            pairs = (pairs, sum(abs(c) for _, c in pairs), pairs[0][0] // P, pairs[-1][0])
+        terms.append(pairs)
+        return numerator(n + 1)
+
+    def numerator(n):
+        return [(([(0, n)], n, 0, 0), packs[n])] if packs[n] else []
+
+    _layer_loop(order, P, terms, packs, numerator(1), solve)
+    return out
 
 
 def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
@@ -220,15 +356,21 @@ def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
     E g / g = sum_{k>=1} psi_k(E Log g), E the Euler operator, so layer n
     of E Log g is that of E g / g less the images psi_k(c) x^(km), k >= 2,
     of the terms c x^m of its own lower layers.  The same pass divides
-    each term of layer n by n: exactly, or ExactnessError.
+    each term of layer n by n: exactly, or ExactnessError.  E g / g is
+    solved on packed layers by :func:`_euler_quotient` for int and
+    LaurentPoly coefficients, and by ``TruncatedSeries.__truediv__``,
+    which tracks the precision of each quotient coefficient, for QSeries.
     """
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
     order = g.order
     # E g / g, where E multiplies the total-degree-n part by n
-    eg = TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()}, order, g.arity) / g
-    layers = [dict(layer) for layer in eg._layers()]
+    if any(type(c) is QSeries for c in g._coeffs.values()):
+        eg = TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()}, order, g.arity) / g
+        layers = [dict(layer) for layer in eg._layers()]
+    else:
+        layers = _euler_quotient(g)
     for n in range(1, order + 1):
         layer = layers[n]
         for m, c in layer.items():

@@ -529,10 +529,16 @@ class TestQuotSelfCheck:
         assert runs[1].stderr.startswith("internal error:")
         assert "first difference at (2,)" in runs[1].stderr
 
+    # a curve Quot job whose t-degree-1 monomials have k-sums of 20 terms,
+    # which the Exp keeps as running sums
+    CURVE = ["series", "--target", "quot", "--space", "P2", "--rank", "2",
+             "--dim", "1", "--order", "20"]
+
     def test_exp_fault_survives_optimized_mode(self):
         # one monomial of E f seen by the exact-coefficient Exp gets a wrong
         # (still integral) weight: the two-path Exp check of power-axioms
-        # and the Quot cross-check must both fail, in optimized mode too
+        # and the Quot cross-check must both fail, in optimized mode too,
+        # whether the monomial is merged (surface) or runs (curve)
         script = (
             "import sys\n"
             "from quotmotives import cli, plethystic\n"
@@ -549,20 +555,23 @@ class TestQuotSelfCheck:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         axioms = ["verify", "power-axioms", "--samples", "3", "--order", "6"]
+        jobs = {"power-axioms": axioms, "surface": self.ARGV, "curve": self.CURVE}
         runs = {}
-        for argv in (axioms, self.ARGV):
+        for name, argv in jobs.items():
             for bump in (0, 1):
-                runs[argv[1], bump] = subprocess.run(
+                runs[name, bump] = subprocess.run(
                     [sys.executable, "-O", "-c", script, str(bump), *argv],
                     capture_output=True, text=True, env=env, timeout=120)
         assert runs["power-axioms", 0].returncode == 0
         assert runs["power-axioms", 1].returncode == 1
         assert "two-path Exp agreement" in runs["power-axioms", 1].stdout
-        assert runs["--target", 0].returncode == 0
-        assert runs["--target", 1].returncode == 3
-        assert runs["--target", 1].stdout == ""
-        assert runs["--target", 1].stderr.startswith(
-            "internal error: power-structure and Exp evaluations of the Quot series disagree")
+        for name in ("surface", "curve"):
+            assert runs[name, 0].returncode == 0
+            assert runs[name, 1].returncode == 3
+            assert runs[name, 1].stdout == ""
+            assert runs[name, 1].stderr.startswith(
+                "internal error: power-structure and Exp evaluations of the Quot series disagree")
+        assert json.loads(runs["curve", 0].stdout)["order"] == 20
 
 
 class TestCounts:

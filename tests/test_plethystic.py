@@ -228,6 +228,26 @@ def exact_arguments(draw, coefficients=st.integers(-6, 6), max_order=9):
     return TruncatedSeries(coeffs, order, arity)
 
 
+@st.composite
+def running_arguments(draw):
+    """A series over Z[L, L^-1] at the orders where the Exp keeps running
+    sums: 14-24 in one variable and 14-16 in two, so that its t-degree-1
+    monomials (virtual classes with negative exponents, and ints) have
+    k-sums on both sides of the cut-off, plus a few terms of higher
+    degree, which stay merged."""
+    arity = draw(st.sampled_from((1, 2)))
+    order = draw(st.integers(14, (24, 16)[arity - 1]))
+    linear = [m for m in itertools.product((0, 1), repeat=arity) if sum(m) == 1]
+    vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
+               if 2 <= sum(m) <= order]
+    classes = st.one_of(
+        st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(LaurentPoly),
+        st.integers(-3, 3))
+    coeffs = draw(st.dictionaries(st.sampled_from(linear), classes, min_size=1))
+    coeffs.update(draw(st.dictionaries(st.sampled_from(vectors), classes, max_size=3)))
+    return TruncatedSeries(coeffs, order, arity)
+
+
 def record_widths(monkeypatch):
     """The slot width of every layer of the exact-coefficient Exp."""
     widths = []
@@ -266,7 +286,7 @@ class TestExactExp:
     """Exp over Z[L, L^-1] on packed layers (_exp_exact) against the
     product form, which shares no formula with it."""
 
-    @given(exact_arguments())
+    @given(st.one_of(exact_arguments(), running_arguments()))
     @example(TruncatedSeries({}, 0))
     @example(TruncatedSeries({(1,): LaurentPoly({-2: 3, 1: -1})}, 1))
     @example(TruncatedSeries({(1, 0): -2, (0, 1): LaurentPoly({-1: 1})}, 1, 2))
@@ -274,6 +294,13 @@ class TestExactExp:
                               (1, 1, 1): 3, (0, 2, 1): LaurentPoly({2: -1, -3: 2})}, 4, 3))
     @example(TruncatedSeries({(1,): LaurentPoly({-1: 2, 0: -3}), (2,): 1,
                               (3,): LaurentPoly({4: -1}), (5,): 2}, 9))
+    # one variable at orders 14 and 15, just below and at the running-sum
+    # cut-off, and at 24; two variables at order 15
+    @example(TruncatedSeries({(1,): LaurentPoly({-2: 2, 1: -1}), (2,): L, (5,): -1}, 14))
+    @example(TruncatedSeries({(1,): LaurentPoly({-2: 2, 1: -1}), (2,): L, (5,): -1}, 15))
+    @example(TruncatedSeries({(1,): LaurentPoly({-3: -1, 0: 2, 2: 1}), (3,): L.dual()}, 24))
+    @example(TruncatedSeries({(1, 0): LaurentPoly({-1: 1, 2: -2}), (0, 1): -1, (1, 1): L,
+                              (0, 3): 2}, 15, 2))
     def test_matches_the_product_form(self, f):
         expected = _exact_terms(exp_pleth_product(f))
         assert _exact_terms(_exp_exact(_coerce_laurent_coeffs(f))) == expected
@@ -283,10 +310,14 @@ class TestExactExp:
     @given(exact_arguments(st.integers(-2 ** 70, 2 ** 70), max_order=5))
     @example(TruncatedSeries({(3,): 2 ** 30}, 5))
     @example(TruncatedSeries({(1,): 2 ** 62, (2,): -(2 ** 62), (4,): 2 ** 61}, 4))
+    # a running sum R(2) = h_1 + R(1) of 2^31 (2^63) outgrows the 32-bit
+    # (64-bit) slots of layer 1
+    @example(TruncatedSeries({(1,): 2 ** 31 - 1}, 15))
+    @example(TruncatedSeries({(1,): -(2 ** 63 - 1), (2,): 1}, 16))
     def test_wide_coefficients_round_trip_through_log(self, f):
         # coefficients up to 2^70 (the product form takes them as
-        # multiplicities) against Log, which runs on division and the
-        # packed product kernel, not on _exp_exact
+        # multiplicities) against Log, which shares the packed layer loop
+        # but neither the monomials of E f nor the running sums
         f = _coerce_laurent_coeffs(f)
         assert _exact_terms(log_pleth(_exp_exact(f))) == _exact_terms(f)
 
@@ -321,6 +352,13 @@ class TestExactExp:
                               (2,): QSeries(LaurentPoly(), 3)}, 4))
     @example(TruncatedSeries({(1, 0): QSeries(LaurentPoly({0: 1, 1: 1, 2: 1}), 3),
                               (0, 1): QSeries(LaurentPoly({2: 1}), math.inf)}, 3, 2))
+    # Heine's sum_{i<N} q^i t: the k-sums of q^0, q^1 and q^2 t have 20 and
+    # 19 terms below q^40 and run, cut at q^40; those from q^3 t on merge
+    @example(TruncatedSeries({(1,): QSeries(LaurentPoly(dict.fromkeys(range(40), 1)), 40)}, 20))
+    @example(TruncatedSeries({(1,): QSeries(LaurentPoly({0: 1, 1: -2, 3: 1}), 30),
+                              (2,): QSeries(LaurentPoly({1: 1}), 30)}, 18))
+    @example(TruncatedSeries({(1, 0): QSeries(LaurentPoly({0: 2, 4: -1}), 12),
+                              (0, 1): QSeries(LaurentPoly({1: 1}), math.inf)}, 15, 2))
     def test_qseries_arguments_match_the_product_form_below_their_precision(self, f):
         # the known parts' product form, read below q^N; every exponent
         # vector it reaches is in the result, an O(q^N) where its terms
@@ -409,10 +447,14 @@ class TestExactExp:
 
 
 def count_solves(monkeypatch):
-    """Count the solves: the Exp (_exp_exact, for every coefficient ring)
-    and the layered division (TruncatedSeries.__truediv__, and so Log)."""
+    """Count the solves: the Exp (_exp_exact, for every coefficient ring),
+    Log's division E g / g on packed layers (_euler_quotient, for int and
+    LaurentPoly coefficients) and the layered division
+    (TruncatedSeries.__truediv__: the QSeries Log and every other
+    quotient).  Each Log makes exactly one of the two divisions."""
     calls = []
-    for owner, name in ((plethystic, "_exp_exact"), (TruncatedSeries, "__truediv__")):
+    for owner, name in ((plethystic, "_exp_exact"), (plethystic, "_euler_quotient"),
+                        (TruncatedSeries, "__truediv__")):
         solve = getattr(owner, name)
 
         def counted(*args, solve=solve):
@@ -546,16 +588,19 @@ def log_arguments(draw):
     ring: ints, Z[L, L^-1], or QSeries known to q^3, q^6, q^9 or exactly,
     whose constant term 1 is then a QSeries too."""
     arity = draw(st.sampled_from((1, 2, 3)))
-    order = draw(st.integers(0, (9, 5, 4)[arity - 1]))
-    vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
-               if 1 <= sum(m) <= order]
     laurent = st.dictionaries(st.integers(-3, 4), st.integers(-4, 4), max_size=3).map(LaurentPoly)
     precs = st.sampled_from((3, 6, 9, math.inf))
     classes, one = draw(st.sampled_from((
         (st.integers(-5, 5), st.just(1)),
         (laurent, st.just(LaurentPoly.one())),
         (st.builds(QSeries, laurent, precs), st.builds(QSeries, st.just(LaurentPoly.one()), precs)))))
-    coeffs = draw(st.dictionaries(st.sampled_from(vectors), classes, max_size=8)
+    # int and Z[L, L^-1] series, divided on packed layers, reach order 20
+    # in one variable
+    exact = type(draw(one)) is not QSeries
+    order = draw(st.integers(0, (20 if exact else 9, 5, 4)[arity - 1]))
+    vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
+               if 1 <= sum(m) <= order]
+    coeffs = draw(st.dictionaries(st.sampled_from(vectors), classes, max_size=12 if exact else 8)
                   if vectors else st.just({}))
     return TruncatedSeries({**coeffs, (0,) * arity: draw(one)}, order, arity)
 
@@ -566,6 +611,14 @@ class TestLog:
     @example(TruncatedSeries({(0,): exact_q({0: 1}), (1,): exact_q({1: 2}, 3),
                               (2,): exact_q({-1: -1, 2: 1}, 6), (4,): exact_q({0: 1}, 9)}, 8))
     @example(TruncatedSeries({(0, 0): 1, (1, 0): L, (0, 1): -1, (1, 1): 2}, 4, 2))
+    # coefficients near 2^31 and 2^63: the layers of E g / g move from
+    # 32- to 64-, 128- and wider slots
+    @example(TruncatedSeries({(0,): 1, (1,): 2 ** 31 - 1}, 20))
+    @example(TruncatedSeries({(0,): 1, (1,): 2 ** 31 - 1, (2,): -(2 ** 31), (3,): 2 ** 31 - 2}, 6))
+    @example(TruncatedSeries({(0,): 1, (1,): LaurentPoly({-1: 2 ** 63 - 1, 2: -(2 ** 62)}),
+                              (2,): 2 ** 63 - 1}, 5))
+    @example(TruncatedSeries({(0, 0): 1, (1, 0): -(2 ** 63 - 1), (0, 2): LaurentPoly({1: 2 ** 31})},
+                             4, 2))
     def test_matches_the_mobius_formula(self, g):
         # mu(4) = mu(8) = 0, yet the peel takes psi_2 and psi_4 images off
         # those layers: they must cancel term for term, precisions included

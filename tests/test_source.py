@@ -50,6 +50,23 @@ def test_product_forms_name_no_euler_path_function():
     assert named == dict.fromkeys(product_forms, [])
 
 
+def test_log_names_no_exp_only_helper():
+    # the Quot self-check compares Exp(x Log P) with the closed Exp; it
+    # checks the Exp only while Log shares neither the monomials of E f
+    # nor the running sums with it.  Log's division E g / g runs on the
+    # shared layer loop, which must not reach them either
+    exp_only = {"exp_pleth", "_exp_exact", "_monomials", "_RUNNING_TERMS"}
+    log_side = {"log_pleth", "_euler_quotient", "_layer_loop"}
+    path = SOURCES[0].parent / "plethystic.py"
+    named = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name in log_side:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            named[node.name] = sorted(names & exp_only)
+    assert named == dict.fromkeys(log_side, [])
+
+
 def test_no_package_module_imports_the_test_reference():
     # the brute-force reference lives in tests/, which pytest puts on
     # sys.path; a package import of it would pass the suite and fail for
