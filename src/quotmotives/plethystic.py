@@ -320,7 +320,7 @@ def _euler_quotient(g: TruncatedSeries) -> list:
     """
     order, arity = g.order, g.arity
     base, P = _grid(order, arity)
-    packs = [None] * (order + 2)
+    packs = [None] * (order + 1)
     for n, layer in enumerate(g._layers()):
         if n and layer:
             slots = [(e * P + p, a) for m, c in layer for p in (_pos(m, base),)
@@ -344,7 +344,7 @@ def _euler_quotient(g: TruncatedSeries) -> list:
         return numerator(n + 1)
 
     def numerator(n):
-        return [(([(0, n)], n, 0, 0), packs[n])] if packs[n] else []
+        return [(([(0, n)], n, 0, 0), packs[n])] if n <= order and packs[n] else []
 
     _layer_loop(order, P, terms, packs, numerator(1), solve)
     return out

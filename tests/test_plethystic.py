@@ -352,8 +352,8 @@ class TestExactExp:
                               (2,): QSeries(LaurentPoly(), 3)}, 4))
     @example(TruncatedSeries({(1, 0): QSeries(LaurentPoly({0: 1, 1: 1, 2: 1}), 3),
                               (0, 1): QSeries(LaurentPoly({2: 1}), math.inf)}, 3, 2))
-    # Heine's sum_{i<N} q^i t: the k-sums of q^0, q^1 and q^2 t have 20 and
-    # 19 terms below q^40 and run, cut at q^40; those from q^3 t on merge
+    # Heine's sum_{i<N} q^i t: the k-sums of q^0, q^1 and q^2 t have 20, 20
+    # and 19 terms below q^40 and run, cut at q^40; those from q^3 t merge
     @example(TruncatedSeries({(1,): QSeries(LaurentPoly(dict.fromkeys(range(40), 1)), 40)}, 20))
     @example(TruncatedSeries({(1,): QSeries(LaurentPoly({0: 1, 1: -2, 3: 1}), 30),
                               (2,): QSeries(LaurentPoly({1: 1}), 30)}, 18))
