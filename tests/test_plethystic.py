@@ -645,6 +645,21 @@ class TestLog:
         with pytest.raises(ValueError):
             log_pleth(TruncatedSeries.variable(4))
 
+    def test_exact_coefficients_divide_on_packed_layers(self, monkeypatch):
+        # int and Z[L, L^-1] series never reach the series division; a
+        # QSeries series still does, for its tracked precisions
+        args = [TruncatedSeries({(0,): 1, (1,): 3, (2,): -2, (5,): 7}, 8),
+                TruncatedSeries({(0, 0): 1, (1, 0): L, (0, 2): LaurentPoly({-1: 2})}, 4, 2)]
+        expect = [_exact_terms(reference_log(g)) for g in args]
+
+        def refused(*args):
+            raise AssertionError("series division called")
+
+        monkeypatch.setattr(TruncatedSeries, "__truediv__", refused)
+        assert [_exact_terms(log_pleth(g)) for g in args] == expect
+        with pytest.raises(AssertionError, match="series division called"):
+            log_pleth(TruncatedSeries({(0,): exact_q({0: 1}), (1,): exact_q({1: 2}, 5)}, 3))
+
 
 class TestPowerStructure:
     def test_geometric_power_is_motivic_sigma(self):
