@@ -44,8 +44,9 @@ coefficients halve the size of what is multiplied.
 ``LaurentPoly.__mul__`` itself stays the dict product, which is faster
 for the few-term operands it mostly sees.  The width rule
 (:func:`_slot_width`) and the unpacking (:func:`_decode`) are shared with
-the Exp in :mod:`quotmotives.plethystic`, which packs whole layers
-itself and moves a pack to a new width by its bytes (:func:`_rewiden`).
+the layer loop of the Exp and of Log's division in
+:mod:`quotmotives.plethystic`, which packs whole layers itself and moves
+a pack to a new width by its bytes (:func:`_rewiden`).
 
 Sparse operands.  Spread-out terms, as in an Adams image psi_k(c), pack
 to mostly zero slots, which CPython's near-quadratic product pays for.
@@ -53,10 +54,10 @@ Log's division E g / g, which had most of them, now runs on the Exp's
 layer loop in :mod:`quotmotives.plethystic`; in one pass at seed 0 the
 kernel sees 34 sparse pairs of 1013 in closed_forms, all in the series
 products of the power-axiom check, and none of 932 in partition_sums
-or of 2 in oracle_grid.  An operand with t terms over a span of s + 1 slots
-is sparse when 2 t <= s, and the kernel never packs it: for each of its
-terms c_e L^e it adds c_e (Y << w (e - min exp)) into the total, Y the
-pack of the other operand, with no multiply for c_e = +-1 (when both
+or of 2 in oracle_grid.  An operand with t terms over a span of s + 1
+slots is sparse when 2 t <= s, and the kernel never packs it: for each
+of its terms c_e L^e it adds c_e (Y << w (e - min exp)) into the total,
+Y the pack of the other operand, with no multiply for c_e = +-1 (when both
 operands are sparse, the second is packed).  That sum is the packed
 product itself, so the width, the bound check, the bias and the
 unpacking are those above.  The test runs once per operand, when it is
