@@ -234,7 +234,8 @@ def _exp_exact(f: TruncatedSeries, stop=math.inf) -> TruncatedSeries:
     t-degree 1 whose k-sum has at least _RUNNING_TERMS terms (k <= order
     with ek < stop) keeps it as a running sum R(n) = L^e x^m (h_(n-1) +
     R(n-1)), one pack cut below L^stop and added to layer n times b: two
-    shifted adds per layer in place of n.  The other terms
+    shifted adds per layer in place of n (the module docstring says why
+    the cut-off, and why degree 1 only).  The other terms
     b L^(ek) x^(km) with kj = d are merged by slot shift, and each merged
     term adds the pack of h_(n-d), shifted and times its weight (1: a
     shift alone).  A finite ``stop`` (exponents >= 0) solves modulo
