@@ -423,7 +423,7 @@ def symmetric_power(x: LaurentPoly, k: int) -> LaurentPoly:
 # Randomized verification of the power-structure axioms
 # ---------------------------------------------------------------------------
 
-def _random_laurent(rng: random.Random) -> LaurentPoly:
+def _random_laurent(rng) -> LaurentPoly:
     n = rng.randint(0, 3)
     terms = {}
     for _ in range(n):
@@ -431,7 +431,7 @@ def _random_laurent(rng: random.Random) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _random_series(rng: random.Random, order: int, constant=0) -> TruncatedSeries:
+def _random_series(rng, order: int, constant=0) -> TruncatedSeries:
     """constant + sum_{d=1..order} c_d t^d, one random class c_d per degree."""
     coeffs = {(0,): constant}
     for d in range(1, order + 1):

@@ -36,36 +36,16 @@ little-endian hosts; other hosts and wider slots slice the bytes slot
 by slot).  The kernel can stop decoding at an exponent N: the low slots
 of the biased total do not depend on the slots above them, so it keeps
 the total modulo 2^(w (N - min exp)) and biases only those slots.
-Each polynomial caches its exponent range, norms, last packing and
-sparseness (below) in one slot; widths are 32 bits or whole 64-bit
-words, few enough that the pack of an operand used in many sums is
-mostly reused, while the 32-bit slots of the many sums with small
-coefficients halve the size of what is multiplied.
+Widths are 32 bits or whole 64-bit words, few enough that the cached
+pack of an operand used in many sums is mostly reused, while the 32-bit
+slots of the many sums with small coefficients halve the size of what
+is multiplied.
 ``LaurentPoly.__mul__`` itself stays the dict product, which is faster
 for the few-term operands it mostly sees.  The width rule
 (:func:`_slot_width`) and the unpacking (:func:`_decode`) are shared with
 the layer loop of the Exp and of Log's division in
 :mod:`quotmotives.plethystic`, which packs whole layers itself and moves
 a pack to a new width by its bytes (:func:`_rewiden`).
-
-Sparse operands.  Spread-out terms, as in an Adams image psi_k(c), pack
-to mostly zero slots, which CPython's near-quadratic product pays for.
-Log's division E g / g, which had most of them, now runs on the Exp's
-layer loop in :mod:`quotmotives.plethystic`; in one pass at seed 0 the
-kernel sees 34 sparse pairs of 1013 in closed_forms, all in the series
-products of the power-axiom check, and none of 932 in partition_sums
-or of 2 in oracle_grid.  An operand with t terms over a span of s + 1
-slots is sparse when 2 t <= s, and the kernel never packs it: for each
-of its terms c_e L^e it adds c_e (Y << w (e - min exp)) into the total,
-Y the pack of the other operand, with no multiply for c_e = +-1 (when both
-operands are sparse, the second is packed).  That sum is the packed
-product itself, so the width, the bound check, the bias and the
-unpacking are those above.  The test runs once per operand, when it is
-measured, and its result is cached with the measurement.  The constant 2
-was measured: at t = s/2, t shifted adds and one multiply by a cached
-pack took about the same time for spans of 32 to 128 slots against packs
-of 30 to 4000 words, and Heine's Exp (then on this kernel) and the
-Quot series ran slower with 3 or 4 in its place.
 
 QSeries products use the same kernel: :meth:`QSeries.sum_of_products`
 (and ``*``, its one-pair case) takes the precision P = min over the
@@ -116,8 +96,7 @@ class LaurentPoly:
     def __init__(self, terms=None):
         self._terms = {e: c for e, c in terms.items() if c} if terms else {}
         # (min exponent, max exponent, l1 norm, max norm, slot width, packed
-        # int, sparse), filled lazily by sum_of_products (see the module
-        # docstring)
+        # int), filled lazily by sum_of_products (see the module docstring)
         self._pack = None
 
     # -- constructors -------------------------------------------------
@@ -210,13 +189,9 @@ class LaurentPoly:
         return _packed_sum(pairs, math.inf)
 
     def _measure(self) -> tuple:
-        """Cache and return (min exp, max exp, l1 norm, max norm, 0, 0,
-        sparse), where sparse says that the kernel multiplies by shifted
-        adds instead of packing self (see the module docstring)."""
+        """Cache and return (min exp, max exp, l1 norm, max norm, 0, 0)."""
         sizes = [abs(c) for c in self._terms.values()]
-        lo, hi = min(self._terms), max(self._terms)
-        self._pack = pack = (lo, hi, sum(sizes), max(sizes), 0, 0,
-                             _SPARSE * len(sizes) <= hi - lo)
+        self._pack = pack = (min(self._terms), max(self._terms), sum(sizes), max(sizes), 0, 0)
         return pack
 
     def _packed(self, w: int) -> int:
@@ -227,7 +202,7 @@ class LaurentPoly:
             x = 0
             for e, c in self._terms.items():
                 x += c << (w * (e - lo))
-            self._pack = pack = pack[:4] + (w, x, pack[6])
+            self._pack = pack = pack[:4] + (w, x)
         return pack[5]
 
     def __truediv__(self, k):
@@ -472,10 +447,6 @@ class QSeries:
         return f"QSeries({self.known!r}, {self.prec!r})"
 
 
-# an operand with t terms over a span of s + 1 slots is multiplied by t
-# shifted adds when _SPARSE t <= s, and packed otherwise
-_SPARSE = 2
-
 # slot width -> the memoryview format that reads little-endian signed words
 # of that width, as int.to_bytes writes them, where the host has one
 _SIGNED_WORDS = {w: f for w, f in ((32, "i"), (64, "q"))
@@ -511,20 +482,6 @@ def _packed_sum(pairs, stop) -> LaurentPoly:
     total = 0
     for a, b, lo in ops:
         pa, pb = a._pack, b._pack
-        if pa[6] or pb[6]:
-            # c_e (Y << w (e - min exp)) over the terms of the sparse operand
-            if not pa[6]:
-                a, b, pa, pb = b, a, pb, pa
-            y = pb[5] if pb[4] == w else b._packed(w)
-            shift = lo - base - pa[0]
-            for e, c in a._terms.items():
-                if c == 1:
-                    total += y << (w * (e + shift))
-                elif c == -1:
-                    total -= y << (w * (e + shift))
-                else:
-                    total += y * c << (w * (e + shift))
-            continue
         x = (pa[5] if pa[4] == w else a._packed(w)) * (pb[5] if pb[4] == w else b._packed(w))
         total += x << (w * (lo - base)) if lo != base else x
     slots = top - base + 1

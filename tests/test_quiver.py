@@ -10,6 +10,7 @@ import classical
 from quotmotives.rings import LaurentPoly, QSeries
 from quotmotives.series import TruncatedSeries
 from quotmotives.plethystic import exp_pleth
+from quotmotives.quot import quot_series
 from quotmotives.report import CheckReport
 from quotmotives.quiver import (Quiver, _inverse_q_pochhammers, euler_form,
                                 nakajima_dim, nakajima_motive_series,
@@ -279,6 +280,18 @@ class TestMotiveSeries:
         s = nakajima_motive_series(A2_QUIVER, (1, 0), 2)
         assert s.coefficient((1, 0)) == LaurentPoly.one()
 
+
+    @pytest.mark.parametrize("m, n_max", [(2, 4), (3, 2)])
+    def test_cycle_quiver_gives_hilbert_schemes_of_the_ale_space(self, m, n_max):
+        # the oriented m-cycle framed at vertex 0 has M(n delta, e_0) =
+        # Hilb^n(X), X the minimal resolution of C^2/Z_m with class
+        # L^2 + (m - 1) L (Kuznetsov), so its z^(n, ..., n) coefficients
+        # are the rank-1 Quot series of X from the paper's formula
+        cycle = Quiver(m, [(i, (i + 1) % m) for i in range(m)])
+        series = nakajima_motive_series(cycle, (1,) + (0,) * (m - 1), m * n_max)
+        hilb = quot_series(L ** 2 + (m - 1) * L, 2, 1, n_max)
+        for n in range(n_max + 1):
+            assert series.coefficient((n,) * m) == hilb.coefficient(n)
 
 class TestTypeAFlagVarieties:
     """Cotangent bundles of partial flag varieties (:mod:`classical`)."""

@@ -1,12 +1,16 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from quotmotives import rings
 from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _decode, _packed_sum,
                                _rewiden, affine_class, projective_class)
 from quotmotives.series import _sum_products
@@ -146,17 +150,17 @@ def _random_poly(rng: random.Random, bits: int, size: int) -> LaurentPoly:
                         for _ in range(size)})
 
 
-# slot width -> the bit length of the dense operands' coefficients that
-# makes the kernel choose it (B < 2^31, < 2^63 and < 2^127 below)
+# slot width -> the bit length of one operand's coefficients that makes
+# the kernel choose it (B < 2^31, < 2^63 and < 2^127 below)
 SLOT_BITS = {32: 0, 64: 40, 128: 80}
 
 
 @st.composite
 def adams_and_dense(draw, bits):
-    """A pair (psi_k(p), d) in either order, and d: the Adams image of a
-    few-term p, with coefficients +-1 or larger, spread over k Z, and a
-    dense d, every slot of its span nonzero, with coefficients of about
-    ``bits`` bits."""
+    """A pair (psi_k(p), d) in either order: the Adams image of a few-term
+    p, with coefficients +-1 or larger, spread over k Z, and a dense d,
+    every slot of its span nonzero, with coefficients of about ``bits``
+    bits."""
     p = LaurentPoly(draw(st.dictionaries(
         st.integers(-3, 3), st.one_of(st.sampled_from((1, -1)), st.integers(-50, 50).filter(bool)),
         min_size=1, max_size=4)))
@@ -164,7 +168,11 @@ def adams_and_dense(draw, bits):
     lo = draw(st.integers(-6, 6))
     dense = LaurentPoly({lo + i: draw(st.sampled_from((1, -1))) * (draw(st.integers(1, 9)) << bits)
                          for i in range(draw(st.integers(1, 12)))})
-    return ((image, dense) if draw(st.booleans()) else (dense, image)), dense
+    return (image, dense) if draw(st.booleans()) else (dense, image)
+
+
+# psi_5(1 + 2L - L^2): 3 terms over 11 slots
+IMAGE = LaurentPoly({0: 1, 1: 2, 2: -1}).adams(5)
 
 
 class TestSumOfProducts:
@@ -254,27 +262,42 @@ class TestSumOfProducts:
                 assert shared._pack[4] == width
 
     @pytest.mark.parametrize("width", sorted(SLOT_BITS))
-    @given(data=st.data())
-    def test_adams_images_by_shifted_adds(self, width, data):
-        # the sparse Adams images are multiplied by shifted adds into the
-        # total, the dense partners packed at the width of the sum (128-bit
-        # slots are unpacked slot by slot)
-        drawn = data.draw(st.lists(adams_and_dense(SLOT_BITS[width]), min_size=1, max_size=5))
-        pairs = [pair for pair, _ in drawn]
+    @given(st.lists(adams_and_dense(0), min_size=1, max_size=5))
+    @example([(IMAGE, LaurentPoly({-1: 4, 0: -3}))])
+    @example([(LaurentPoly({-1: 4, 0: -3}), IMAGE)])
+    @example([(IMAGE, LaurentPoly({0: 1, 9: -1}))])
+    def test_adams_images_packed_at_the_sum_width(self, width, drawn):
+        # an Adams image, whose terms sit on k Z, is packed at the width of
+        # the sum like its partner; the first operands are scaled by
+        # 2^SLOT_BITS[width] to reach that width (128-bit slots are
+        # unpacked slot by slot)
+        pairs = [(a * (1 << SLOT_BITS[width]), b) for a, b in drawn]
         assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
-        assert all(dense._pack[4] == width for _, dense in drawn)
+        assert all(a._pack[4] == b._pack[4] == width for a, b in pairs)
 
-    def test_sparse_operand_is_never_packed(self):
-        # psi_5(1 + 2L - L^2): 3 terms over 11 slots; the dense partner is packed
-        image, dense = LaurentPoly({0: 1, 1: 2, 2: -1}).adams(5), LaurentPoly({-1: 4, 0: -3})
-        for pair in ((image, dense), (dense, image)):
-            assert LaurentPoly.sum_of_products([pair]) == image * dense
-            assert image._pack[4:] == (0, 0, True)
-            assert dense._pack[4] == 32 and dense._pack[6] is False
-        # two sparse operands: the first is added in shifts, the second packed
-        other = LaurentPoly({0: 1, 9: -1})
-        assert LaurentPoly.sum_of_products([(image, other)]) == image * other
-        assert image._pack[4] == 0 and other._pack[4] == 32
+    def test_bound_check_raises(self, monkeypatch):
+        # 32-bit slots cannot hold the coefficient 2^31 of the product
+        monkeypatch.setattr(rings, "_slot_width", lambda bound: 32)
+        with pytest.raises(AssertionError, match="slot width 32 does not hold the bound 2147483648"):
+            LaurentPoly.sum_of_products([(LaurentPoly({0: 2 ** 31}), LaurentPoly({0: 1, 1: 1}))])
+
+    def test_bound_check_survives_optimized_mode(self):
+        # the check raises explicitly, so python -O keeps it
+        script = (
+            "from quotmotives import rings\n"
+            "from quotmotives.rings import LaurentPoly\n"
+            "rings._slot_width = lambda bound: 32\n"
+            "try:\n"
+            "    LaurentPoly.sum_of_products([(LaurentPoly({0: 2 ** 31}), LaurentPoly({0: 1, 1: 1}))])\n"
+            "except AssertionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "AssertionError slot width 32 does not hold the bound 2147483648\n"
 
     def test_cache_is_invisible(self):
         f, twin = LaurentPoly({-2: 3, 0: -1, 5: 7}), LaurentPoly({-2: 3, 0: -1, 5: 7})
@@ -440,10 +463,10 @@ class TestQSeries:
     @given(data=st.data())
     def test_adams_images_with_a_precision_stop(self, width, data):
         # Adams images and dense operands, each known to some O(q^N): the
-        # cut operands go through the shifted adds, decoded below P
+        # cut operands are packed, and the sum decoded below P
         pairs = []
-        for (a, b), _ in data.draw(st.lists(adams_and_dense(SLOT_BITS[width]),
-                                            min_size=1, max_size=4)):
+        for a, b in data.draw(st.lists(adams_and_dense(SLOT_BITS[width]),
+                                       min_size=1, max_size=4)):
             pairs.append((QSeries(a, data.draw(precisions)), QSeries(b, data.draw(precisions))))
         expected = QSeries(LaurentPoly(), math.inf)
         for a, b in pairs:

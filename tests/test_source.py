@@ -134,3 +134,25 @@ def test_public_api_imports_equal_all():
     exported = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                     and [t.id for t in node.targets] == ["__all__"])
     assert imported == set(ast.literal_eval(exported))
+
+
+def test_every_annotation_resolves():
+    # the package imports some modules (random) only inside the function
+    # that uses them, so no annotation may name one: typing.get_type_hints
+    # would raise NameError on it
+    import importlib
+    import inspect
+    import typing
+    unresolved = []
+    for path in SOURCES:
+        module = importlib.import_module(f"quotmotives.{path.stem}")
+        found = [f for f in vars(module).values() if inspect.isfunction(f)]
+        for cls in (c for c in vars(module).values() if inspect.isclass(c)):
+            found += [getattr(f, "__func__", f) for f in vars(cls).values()]
+        for f in found:
+            if inspect.isfunction(f) and f.__module__ == module.__name__:
+                try:
+                    typing.get_type_hints(f)
+                except NameError as exc:
+                    unresolved.append(f"{f.__qualname__}: {exc}")
+    assert not unresolved
