@@ -25,32 +25,30 @@ R(n) = L^e x^m (h_(n-1) + R(n-1)): two shifted adds per layer in place
 of n.  The cut-off is measured.  Running sums for every degree-1
 monomial made ``verify_heine(16)`` twice as slow (its argument has 137
 of them, most with short k-sums), and running sums for degrees up to 2
-or 4 gained no more than degree 1 alone.  QSeries coefficients (Heine's
-formula) take the solve modulo q^N, N their least precision.
+or 4 gained no more than degree 1 alone.  A finite ``stop`` solves
+modulo L^stop; Heine's formula in :mod:`quotmotives.quiver` takes it so.
 
 ``Log`` inverts the Euler path: E(h)/h = sum_{k>=1} psi_k(E(Log h)), so
 degree by degree E(Log h) is E(h)/h less the Adams images psi_k,
 k >= 2, of its own lower layers, and each layer is divided exactly by
-its degree.  For int and LaurentPoly coefficients the division E(h)/h
-runs on the same layer loop (:func:`_euler_quotient`): the layers of h
-are packed once, and each quotient layer is kept as (shift, weight)
-pairs, so every step is shifted adds.  Log uses neither the monomials
-of E f nor the running sums, so the Quot self-check, Exp(x Log P)
-against the closed Exp, still tests the Exp against an independent
-Log.  A QSeries Log divides by ``TruncatedSeries.__truediv__``, which
-tracks a precision per quotient coefficient; the layer loop keeps one
-cut for every layer.  The power structure is f^a = Exp(a Log f).
+its degree.  The division E(h)/h runs on the same layer loop
+(:func:`_euler_quotient`): the layers of h are packed once, and each
+quotient layer is kept as (shift, weight) pairs, so every step is
+shifted adds.  Log uses neither the monomials of E f nor the running
+sums, so the Quot self-check, Exp(x Log P) against the closed Exp,
+still tests the Exp against an independent Log.  The power structure
+is f^a = Exp(a Log f).  Exp, Log and the power structure take int and
+LaurentPoly coefficients only; any other coefficient is a TypeError.
 
 :func:`exp_pleth` keeps its last argument, and a weak reference to its
 result, in one slot; a result that nothing else holds is freed.  The
 key is exact: the order, the arity and, per exponent vector, the sorted
-terms of the coerced coefficient (with a tag and the precision for a
-QSeries), so an int and the constant LaurentPoly of equal value share
-a key.  The function is pure and series are immutable, so a hit
-returns the very series a solve would produce.  This is what makes the
-Quot check cheap: its Exp(x Log P) has the argument of the closed
-Exp(x A_p) computed just before it whenever the two paths agree (see
-:mod:`quotmotives.quot`).
+terms of the coerced coefficient, so an int and the constant
+LaurentPoly of equal value share a key.  The function is pure and series
+are immutable, so a hit returns the very series a solve would produce.
+This is what makes the Quot check cheap: its Exp(x Log P) has the
+argument of the closed Exp(x A_p) computed just before it whenever the
+two paths agree (see :mod:`quotmotives.quot`).
 """
 
 from __future__ import annotations
@@ -58,22 +56,27 @@ from __future__ import annotations
 import math
 import weakref
 
-from .rings import ExactnessError, LaurentPoly, QSeries, _decode, _rewiden, _slot_width
+from .rings import ExactnessError, LaurentPoly, _decode, _rewiden, _slot_width
 from .report import CheckReport
 from .series import TruncatedSeries, _unit, _zero_key, euler_product
 
 
 def _coerce_laurent_coeffs(f: TruncatedSeries) -> TruncatedSeries:
-    return f.map_coefficients(
-        lambda c: c if isinstance(c, (LaurentPoly, QSeries)) else LaurentPoly({0: c}))
+    """f with its int coefficients promoted to LaurentPoly; a coefficient
+    of any other type is a TypeError."""
+    def coerce(c):
+        x = LaurentPoly._coerce(c)
+        if x is NotImplemented:
+            raise TypeError(f"Exp and Log take int and LaurentPoly coefficients, "
+                            f"not {type(c).__name__}")
+        return x
+    return f.map_coefficients(coerce)
 
 
 def _exp_key(f: TruncatedSeries) -> tuple:
     """Exact key of a coerced Exp argument: equal keys mean the same
-    order, arity, ring and coefficients, term for term."""
-    return (f.order, f.arity,
-            {m: (c.terms(),) if type(c) is LaurentPoly else ("q", c.prec, c.terms())
-             for m, c in f._coeffs.items()})
+    order, arity and coefficients, term for term."""
+    return f.order, f.arity, {m: c.terms() for m, c in f._coeffs.items()}
 
 
 # (key, weak reference to the result) of the last exp_pleth solve
@@ -83,11 +86,9 @@ _exp_memo = (None, lambda: None)
 def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     """Plethystic exponential of a series with zero constant term.
 
-    Coefficients may be LaurentPoly (or plain integers, which are
-    promoted) or QSeries; :func:`_exp_exact` solves the Euler recurrence
-    (an inexact division by n raises ExactnessError).  QSeries of least
-    precision N < inf need exponents >= 0 (else ValueError), and every
-    coefficient but the exact 1 is then known modulo q^N.
+    Coefficients are LaurentPoly or plain integers, which are promoted;
+    any other coefficient is a TypeError.  :func:`_exp_exact` solves the
+    Euler recurrence (an inexact division by n raises ExactnessError).
 
     An argument equal, by :func:`_exp_key`, to that of the previous call
     returns the previous result without a solve while that result is
@@ -103,22 +104,7 @@ def exp_pleth(f: TruncatedSeries) -> TruncatedSeries:
     last = last_ref()
     if last is not None and key == last_key:
         return last
-    if any(type(c) is QSeries for c in f._coeffs.values()):
-        if not all(type(c) is QSeries for c in f._coeffs.values()):
-            raise TypeError("Exp mixes QSeries with other coefficients")
-        stop = min(c.prec for c in f._coeffs.values())
-        if stop < math.inf and min(c.valuation() for c in f._coeffs.values()) < 0:
-            raise ValueError("finite-precision QSeries Exp needs exponents >= 0")
-        # each sum of exponent vectors of f gets a coefficient, O(q^N) if 0
-        sums = {_zero_key(f.arity)}
-        for _ in range(f.order):
-            sums |= {tuple(x + y for x, y in zip(a, m)) for a in sums for m in f._coeffs
-                     if sum(a) + sum(m) <= f.order}
-        h = _exp_exact(f.map_coefficients(lambda c: c.known), stop)._coeffs
-        h = TruncatedSeries({**{m: QSeries(h.get(m, LaurentPoly()), stop) for m in sums if any(m)},
-                             _zero_key(f.arity): QSeries.one()}, f.order, f.arity)
-    else:
-        h = _exp_exact(f)
+    h = _exp_exact(f)
     _exp_memo = (key, weakref.ref(h))
     return h
 
@@ -358,20 +344,14 @@ def log_pleth(g: TruncatedSeries) -> TruncatedSeries:
     of E Log g is that of E g / g less the images psi_k(c) x^(km), k >= 2,
     of the terms c x^m of its own lower layers.  The same pass divides
     each term of layer n by n: exactly, or ExactnessError.  E g / g is
-    solved on packed layers by :func:`_euler_quotient` for int and
-    LaurentPoly coefficients, and by ``TruncatedSeries.__truediv__``,
-    which tracks the precision of each quotient coefficient, for QSeries.
+    solved on packed layers by :func:`_euler_quotient`.  Coefficients are
+    LaurentPoly or plain integers; any other coefficient is a TypeError.
     """
     if not (g.constant_term() == 1):
         raise ValueError("plethystic logarithm requires constant term 1")
     g = _coerce_laurent_coeffs(g)
     order = g.order
-    # E g / g, where E multiplies the total-degree-n part by n
-    if any(type(c) is QSeries for c in g._coeffs.values()):
-        eg = TruncatedSeries({m: c * sum(m) for m, c in g._coeffs.items()}, order, g.arity) / g
-        layers = [dict(layer) for layer in eg._layers()]
-    else:
-        layers = _euler_quotient(g)
+    layers = _euler_quotient(g)
     for n in range(1, order + 1):
         layer = layers[n]
         for m, c in layer.items():
@@ -390,16 +370,14 @@ def exp_pleth_product(f: TruncatedSeries) -> TruncatedSeries:
 
     Independent of the Euler path: each term a L^e of f_m is the factor
     (1 - L^e x^m)^(-a), x^m in one variable or mixed, and the factors are
-    expanded by one division in :func:`euler_product`.  Requires
-    LaurentPoly (or integer) coefficients.
+    expanded by one division in :func:`euler_product`.  Coefficients are
+    LaurentPoly or plain integers; any other coefficient is a TypeError.
     """
     if not (f.constant_term() == 0):
         raise ValueError("plethystic exponential requires zero constant term")
     f = _coerce_laurent_coeffs(f)
     factors = []
     for m, c in f.coefficients():
-        if not isinstance(c, LaurentPoly):
-            raise ExactnessError("product form needs Laurent coefficients")
         factors += [(m, LaurentPoly.lefschetz(e), a) for e, a in c.terms()]
     return euler_product(factors, f.order, f.arity)
 

@@ -76,7 +76,7 @@ from collections import namedtuple
 from .rings import LaurentPoly, QSeries
 from .report import CheckReport
 from .series import TruncatedSeries
-from .plethystic import exp_pleth
+from .plethystic import _exp_exact
 
 
 class Quiver(namedtuple("Quiver", "vertices arrows")):
@@ -333,9 +333,12 @@ def nilpotent_motive_series(quiver: Quiver, w, order: int) -> TruncatedSeries:
 def verify_heine(order: int) -> CheckReport:
     """Heine / q-binomial identity: sum_n t^n/(q;q)_n = Exp(t/(1-q)).
 
-    Both sides run in Z((q)) modulo q^P, P = order (order + 1)/2 + 1, and
-    agreeing there proves the identity up to t^order: multiplied by the
-    unit (q; q)_n of Z[[q]], the t^n coefficients become 1 and
+    Both sides are compared modulo q^P, P = order (order + 1)/2 + 1: the
+    left as the known parts of 1/(q; q)_n, the right as the Exp of the
+    known part of t/(1-q), solved modulo q^P by
+    :func:`~quotmotives.plethystic._exp_exact`.  Agreeing there proves
+    the identity up to t^order: multiplied by the unit (q; q)_n of
+    Z[[q]], the t^n coefficients become 1 and
     H_n = (q; q)_n [t^n] Exp(t/(1-q)), a polynomial of degree < P.  For the
     degree, the Euler recurrence n h_n = sum_{d=1..n} h_{n-d}/(1-q^d) gives
 
@@ -351,10 +354,7 @@ def verify_heine(order: int) -> CheckReport:
         # both sides are 1 + O(t); there is no t^1 coefficient to read 1/(1-q) from
         return CheckReport("heine", True, "order 0")
     prec = order * (order + 1) // 2 + 1
-    inverse = _inverse_q_pochhammers(order, prec)
-    lhs = TruncatedSeries({(n,): inverse[n] for n in range(order + 1)}, order)
-    rhs = exp_pleth(TruncatedSeries.variable(order, coeff=inverse[1]))
-    short = [m for m, c in rhs.coefficients() if c.prec < prec]
-    if short:
-        raise AssertionError(f"Exp(t/(1-q)) is known below q^{prec} at {short}")
+    inverse = [c.known for c in _inverse_q_pochhammers(order, prec)]
+    lhs = TruncatedSeries({(n,): c for n, c in enumerate(inverse)}, order)
+    rhs = _exp_exact(TruncatedSeries.variable(order, coeff=inverse[1]), stop=prec)
     return CheckReport.compare("heine", lhs, rhs, f"order {order}")

@@ -12,9 +12,10 @@ Two rings are used throughout the package:
   ever stored in a class.
 * :class:`QSeries` -- Laurent series in a symbol q with int coefficients,
   known modulo q^N for a precision N that the arithmetic tracks.  Quiver
-  partition sums and the Heine identity run in this ring; their results
-  are Laurent polynomials of bounded degree, so a large enough N gives
-  them exactly (the bounds are in :mod:`quotmotives.quiver`).
+  partition sums run in this ring, and so do the 1/(q; q)_n of the Heine
+  identity; their results are Laurent polynomials of bounded degree, so
+  a large enough N gives them exactly (the bounds are in
+  :mod:`quotmotives.quiver`).  Exp and Log take no QSeries.
 
 Sums of products.  A series convolution needs sum_i a_i b_i for many
 pairs of Laurent polynomials; :meth:`LaurentPoly.sum_of_products` does
@@ -326,10 +327,9 @@ class QSeries:
     the symbol q whose exponents are all below ``prec``, and ``prec`` is
     ``math.inf`` for an exactly known Laurent polynomial.  The arithmetic
     tracks the precision: a sum is known to min(N_a, N_b), a product to
-    min(v_a + N_b, v_b + N_a), where v is :meth:`valuation`, q |-> q^k
-    multiplies N by k, and division by an int is exact or raises
-    :class:`ExactnessError`.  Ints are exact constants.  Equality compares
-    the coefficients below the common precision.
+    min(v_a + N_b, v_b + N_a), where v is :meth:`valuation`, and q |-> q^k
+    multiplies N by k.  Ints are exact constants.  Equality compares the
+    coefficients below the common precision.
     """
 
     __slots__ = ("known", "prec", "_cut")
@@ -423,12 +423,6 @@ class QSeries:
             return self
         return QSeries(LaurentPoly({e + a: c for e, c in self.known._terms.items()}),
                        self.prec + a)
-
-    def __truediv__(self, k):
-        """Exact division by a nonzero integer, or ExactnessError."""
-        if not isinstance(k, int):
-            return NotImplemented
-        return QSeries(self.known / k, self.prec)
 
     def adams(self, k: int) -> "QSeries":
         """The Adams operation q |-> q^k; the precision scales by k."""

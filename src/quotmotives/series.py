@@ -22,9 +22,9 @@ is division of 1, and a product of factors (1 - c x^m)^(-a)
 (:func:`euler_product`) multiplies its binomials out, each one as
 s_k - c s_(k-m), and divides once.  The plethystic exponential of
 :mod:`quotmotives.plethystic` solves its own recurrence on packed
-layers, and so does Log's division E g / g over ints and LaurentPoly;
-the division here serves the QSeries Log, :func:`euler_product` and
-every other quotient, and nothing here calls the Exp.
+layers, and so does Log's division E g / g; the division here serves
+:func:`euler_product` and every other quotient, the quiver ratio
+S(w)/S(0) among them, and nothing here calls the Exp.
 Values are immutable after construction and all operations are pure.
 """
 

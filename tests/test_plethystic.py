@@ -11,7 +11,7 @@ import weakref
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quotmotives import plethystic, quot
+from quotmotives import plethystic, quiver, quot
 from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
                                projective_class)
 from quotmotives.quiver import verify_heine
@@ -90,17 +90,15 @@ def reference_log(g):
 
 
 def terms_below(c, prec):
-    """The terms of c (an int, LaurentPoly or QSeries) below q^prec."""
+    """The terms of c (an int or LaurentPoly) below q^prec."""
     c = LaurentPoly({0: c}) if type(c) is int else c
     return [(e, a) for e, a in c.terms() if e < prec]
 
 
 def _exact_terms(s):
-    """Every coefficient of s with its type, terms and precision (``==``
-    compares QSeries only below the common precision)."""
+    """Every coefficient of s with its type and terms (``==`` takes an int
+    for the constant LaurentPoly of its value)."""
     def exact(c):
-        if isinstance(c, QSeries):
-            return QSeries, c.terms(), c.prec
         return type(c), (c.terms() if isinstance(c, LaurentPoly) else c)
     return s.order, s.arity, [(m, exact(c)) for m, c in s.coefficients()]
 
@@ -113,15 +111,10 @@ class TestAdamsSum:
         "int": lambda rng: rng.randint(-5, 5),
         "laurent": lambda rng: LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
                                             for _ in range(rng.randint(1, 3))}),
-        "qseries": lambda rng: QSeries(
-            LaurentPoly({rng.randint(-2, 4): rng.randint(-4, 4)
-                         for _ in range(rng.randint(0, 3))}),
-            rng.choice((3, 6, math.inf))),
     }
     ONES = {
         "int": lambda rng: 1,
         "laurent": lambda rng: LaurentPoly.one(),
-        "qseries": lambda rng: QSeries(LaurentPoly.one(), rng.choice((3, 6, math.inf))),
     }
 
     @pytest.mark.parametrize("ring", sorted(RINGS))
@@ -138,9 +131,6 @@ class TestAdamsSum:
                 g = TruncatedSeries({**coeffs, (0,) * arity: self.ONES[ring](rng)}, order, arity)
                 assert _exact_terms(log_pleth(g)) == _exact_terms(reference_log(g))
             else:
-                if ring == "qseries":
-                    # a finite-precision QSeries Exp takes exponents >= 0 only
-                    coeffs = {m: QSeries(c.known * L ** 2, c.prec + 2) for m, c in coeffs.items()}
                 f = _coerce_laurent_coeffs(TruncatedSeries(coeffs, order, arity))
                 g = exp_pleth(f)
                 assert euler(g) / g == reference_adams_sum(euler(f), sign)
@@ -282,6 +272,13 @@ def surface_quot_argument(x, r, order):
         * geometric_series(LaurentPoly.lefschetz(r), order)
 
 
+def solve_below_precision(f):
+    """(h, N): Heine's solve of an argument f with QSeries coefficients,
+    the Exp of their known parts modulo q^N, N their least precision."""
+    stop = min(c.prec for c in f._coeffs.values())
+    return _exp_exact(f.map_coefficients(lambda c: c.known), stop), stop
+
+
 class TestExactExp:
     """Exp over Z[L, L^-1] on packed layers (_exp_exact) against the
     product form, which shares no formula with it."""
@@ -333,19 +330,18 @@ class TestExactExp:
         assert max(abs(c) for _, p in h.coefficients() for _, c in p.terms()).bit_length() == 63
         assert _exact_terms(h) == _exact_terms(exp_pleth_product(f))
 
-    def test_qseries_arguments_stop_at_their_least_precision(self, monkeypatch):
-        reset_exp_memo()
-        stops = []
-        exact = plethystic._exp_exact
-        monkeypatch.setattr(plethystic, "_exp_exact",
-                            lambda f, stop=math.inf: stops.append(stop) or exact(f, stop))
+    def test_qseries_arguments_stop_at_their_least_precision(self):
+        # the known parts' Exp reaches q^6 at t^4, (q^3 t^2)^2; solved
+        # modulo q^5, every layer stops below q^5
         f = TruncatedSeries({(1,): QSeries(LaurentPoly({1: 2}), 9),
-                             (2,): QSeries(LaurentPoly({0: -1, 3: 1}), 7)}, 4)
-        h = exp_pleth(f)
-        assert stops == [7]
-        assert h.coefficient(1) == f.coefficient(1)
-        assert {m: c.prec for m, c in h.coefficients()} == {
-            (0,): math.inf, (1,): 7, (2,): 7, (3,): 7, (4,): 7}
+                             (2,): QSeries(LaurentPoly({0: -1, 3: 1}), 5)}, 4)
+        h, stop = solve_below_precision(f)
+        assert stop == 5
+        assert h.coefficient(1) == f.coefficient(1).known
+        expect = exp_pleth_product(f.map_coefficients(lambda c: c.known))
+        assert max(e for _, c in expect.coefficients() for e, _ in c.terms()) == 6
+        assert max(e for _, c in h.coefficients() for e, _ in c.terms()) == 4
+        assert all(terms_below(expect.coefficient(m), 5) == c.terms() for m, c in h.coefficients())
 
     @given(qseries_arguments())
     @example(TruncatedSeries({(1,): QSeries(LaurentPoly({7: 1}), 9),
@@ -360,41 +356,33 @@ class TestExactExp:
     @example(TruncatedSeries({(1, 0): QSeries(LaurentPoly({0: 2, 4: -1}), 12),
                               (0, 1): QSeries(LaurentPoly({1: 1}), math.inf)}, 15, 2))
     def test_qseries_arguments_match_the_product_form_below_their_precision(self, f):
-        # the known parts' product form, read below q^N; every exponent
-        # vector it reaches is in the result, an O(q^N) where its terms
-        # all lie at q^N and up
-        prec = min(c.prec for c in f._coeffs.values())
-        reset_exp_memo()
-        h = exp_pleth(f)
+        # the known parts' product form, read below q^N: the solve keeps
+        # exactly those terms
+        h, stop = solve_below_precision(f)
         expect = exp_pleth_product(f.map_coefficients(lambda c: c.known))
-        assert set(expect._coeffs) <= set(h._coeffs)
-        assert all(terms_below(h.coefficient(m), prec) == terms_below(expect.coefficient(m), prec)
-                   for m in h._coeffs)
-        one = h.constant_term()
-        assert (one.terms(), one.prec) == ([(0, 1)], math.inf)
-        assert all(c.prec == prec for m, c in h.coefficients() if any(m))
+        assert {m: terms_below(c, stop) for m, c in expect.coefficients()
+                if terms_below(c, stop)} == {m: terms_below(c, math.inf)
+                                             for m, c in h.coefficients()}
 
-    def test_negative_exponents_need_an_exact_qseries_argument(self):
-        f = lambda prec: TruncatedSeries({(1,): QSeries(LaurentPoly({-1: 2, 0: 1}), prec),
-                                          (2,): QSeries(LaurentPoly({1: -1}), math.inf)}, 4)
-        reset_exp_memo()
-        with pytest.raises(ValueError, match="exponents >= 0"):
-            exp_pleth(f(6))
-        expect = exp_pleth_product(f(math.inf).map_coefficients(lambda c: c.known))
-        assert _exact_terms(exp_pleth(f(math.inf))) == _exact_terms(
-            expect.map_coefficients(lambda c: QSeries(c, math.inf)))
+    PURE = TruncatedSeries({(1,): QSeries(LaurentPoly({1: 2}), 5),
+                            (2,): QSeries(LaurentPoly({0: 1}), math.inf)}, 3)
+    MIXED = TruncatedSeries({(1,): L, (2,): QSeries(LaurentPoly({0: 1}), 5), (3,): 2}, 3)
+    REFUSALS = {"exp": exp_pleth, "product": exp_pleth_product,
+                "log": lambda f: log_pleth(f + 1), "power": lambda f: power_structure(f + 1, L)}
 
-    def test_qseries_mixed_with_another_ring_is_a_type_error(self):
-        q = QSeries(LaurentPoly({0: 1}), 5)
-        for other in (L, 2):
-            with pytest.raises(TypeError, match="mixes QSeries"):
-                exp_pleth(TruncatedSeries({(1,): other, (2,): q}, 3))
+    # a symmetric power's argument is one class, so it has no mixed case
+    @pytest.mark.parametrize("solve, f", [
+        *(pytest.param(solve, f, id=f"{name}-{kind}") for (name, solve), (kind, f)
+          in itertools.product(REFUSALS.items(), (("pure", PURE), ("mixed", MIXED)))),
+        pytest.param(lambda f: symmetric_power(f.coefficient(1), 3), PURE, id="symmetric-pure"),
+    ])
+    def test_qseries_coefficients_are_a_type_error(self, solve, f):
+        with pytest.raises(TypeError, match="int and LaurentPoly coefficients, not QSeries"):
+            solve(f)
 
     def test_a_cut_one_exponent_too_low_fails_heine(self, monkeypatch):
         exact = plethystic._exp_exact
-        monkeypatch.setattr(plethystic, "_exp_exact",
-                            lambda f, stop=math.inf: exact(f, stop - 1))
-        reset_exp_memo()
+        monkeypatch.setattr(quiver, "_exp_exact", lambda f, stop=math.inf: exact(f, stop - 1))
         assert str(verify_heine(6)) == "heine: FAIL (first difference at (1,))"
 
     def test_inexact_layer_raises(self, monkeypatch):
@@ -447,11 +435,10 @@ class TestExactExp:
 
 
 def count_solves(monkeypatch):
-    """Count the solves: the Exp (_exp_exact, for every coefficient ring),
-    Log's division E g / g on packed layers (_euler_quotient, for int and
-    LaurentPoly coefficients) and the layered division
-    (TruncatedSeries.__truediv__: the QSeries Log and every other
-    quotient).  Each Log makes exactly one of the two divisions."""
+    """Count the solves: the Exp (_exp_exact), Log's division E g / g on
+    packed layers (_euler_quotient), and the layered series division
+    (TruncatedSeries.__truediv__), which neither Exp nor Log calls, so
+    that a quotient the Quot series takes on the side is counted too."""
     calls = []
     for owner, name in ((plethystic, "_exp_exact"), (plethystic, "_euler_quotient"),
                         (TruncatedSeries, "__truediv__")):
@@ -467,10 +454,6 @@ def count_solves(monkeypatch):
 
 def reset_exp_memo():
     plethystic._exp_memo = (None, lambda: None)
-
-
-def exact_q(terms, prec=math.inf):
-    return QSeries(LaurentPoly(terms), prec)
 
 
 class TestExpMemo:
@@ -493,12 +476,8 @@ class TestExpMemo:
          TruncatedSeries({(1,): L, (2,): 1 + 2 * L}, 6)),
         (TruncatedSeries({(1,): L, (2,): 1 + L}, 6),
          TruncatedSeries({(1,): L, (2,): 1 + L}, 7)),
-        (TruncatedSeries({(1,): exact_q({1: 2}, 5)}, 4),
-         TruncatedSeries({(1,): exact_q({1: 2}, 6)}, 4)),
-        (TruncatedSeries({(1,): LaurentPoly.one()}, 4),
-         TruncatedSeries({(1,): exact_q({0: 1})}, 4)),
         (TruncatedSeries({(1, 0): L}, 4, 2), TruncatedSeries({(0, 1): L}, 4, 2)),
-    ], ids=["coefficient", "order", "precision", "ring", "exponent"])
+    ], ids=["coefficient", "order", "exponent"])
     def test_different_arguments_cost_two_solves(self, monkeypatch, first, second):
         reset_exp_memo()
         calls = count_solves(monkeypatch)
@@ -585,31 +564,21 @@ class TestExpMemo:
 @st.composite
 def log_arguments(draw):
     """A series with constant term 1 in one to three variables over one
-    ring: ints, Z[L, L^-1], or QSeries known to q^3, q^6, q^9 or exactly,
-    whose constant term 1 is then a QSeries too."""
+    ring, ints or Z[L, L^-1], up to order 20 in one variable."""
     arity = draw(st.sampled_from((1, 2, 3)))
     laurent = st.dictionaries(st.integers(-3, 4), st.integers(-4, 4), max_size=3).map(LaurentPoly)
-    precs = st.sampled_from((3, 6, 9, math.inf))
-    classes, one = draw(st.sampled_from((
-        (st.integers(-5, 5), st.just(1)),
-        (laurent, st.just(LaurentPoly.one())),
-        (st.builds(QSeries, laurent, precs), st.builds(QSeries, st.just(LaurentPoly.one()), precs)))))
-    # int and Z[L, L^-1] series, divided on packed layers, reach order 20
-    # in one variable
-    exact = type(draw(one)) is not QSeries
-    order = draw(st.integers(0, (20 if exact else 9, 5, 4)[arity - 1]))
+    classes, one = draw(st.sampled_from(((st.integers(-5, 5), 1), (laurent, LaurentPoly.one()))))
+    order = draw(st.integers(0, (20, 5, 4)[arity - 1]))
     vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
                if 1 <= sum(m) <= order]
-    coeffs = draw(st.dictionaries(st.sampled_from(vectors), classes, max_size=12 if exact else 8)
+    coeffs = draw(st.dictionaries(st.sampled_from(vectors), classes, max_size=12)
                   if vectors else st.just({}))
-    return TruncatedSeries({**coeffs, (0,) * arity: draw(one)}, order, arity)
+    return TruncatedSeries({**coeffs, (0,) * arity: one}, order, arity)
 
 
 class TestLog:
     @given(log_arguments())
     @example(TruncatedSeries({(0,): 1, (1,): L, (2,): LaurentPoly({-1: 2, 0: -1}), (4,): 3}, 8))
-    @example(TruncatedSeries({(0,): exact_q({0: 1}), (1,): exact_q({1: 2}, 3),
-                              (2,): exact_q({-1: -1, 2: 1}, 6), (4,): exact_q({0: 1}, 9)}, 8))
     @example(TruncatedSeries({(0, 0): 1, (1, 0): L, (0, 1): -1, (1, 1): 2}, 4, 2))
     # coefficients near 2^31 and 2^63: the layers of E g / g move from
     # 32- to 64-, 128- and wider slots
@@ -621,7 +590,7 @@ class TestLog:
                              4, 2))
     def test_matches_the_mobius_formula(self, g):
         # mu(4) = mu(8) = 0, yet the peel takes psi_2 and psi_4 images off
-        # those layers: they must cancel term for term, precisions included
+        # those layers: they must cancel term for term
         assert _exact_terms(log_pleth(g)) == _exact_terms(reference_log(g))
 
     def test_log_geometric(self):
@@ -636,18 +605,13 @@ class TestLog:
         g = brute_product([(1, 1), (1, 2)], 10)
         assert log_pleth(g) == TruncatedSeries({(1,): 1, (2,): 1}, 10)
 
-    def test_log_round_trip_over_qseries(self):
-        exact = lambda t: QSeries(LaurentPoly(t), math.inf)
-        f = TruncatedSeries({(1,): exact({1: 2}), (2,): exact({2: -1})}, 3)
-        assert _exact_terms(log_pleth(exp_pleth(f))) == _exact_terms(f)
-
     def test_log_requires_one(self):
         with pytest.raises(ValueError):
             log_pleth(TruncatedSeries.variable(4))
 
     def test_exact_coefficients_divide_on_packed_layers(self, monkeypatch):
-        # int and Z[L, L^-1] series never reach the series division; a
-        # QSeries series still does, for its tracked precisions
+        # no Log reaches the series division, and a QSeries one is refused
+        # before it divides
         args = [TruncatedSeries({(0,): 1, (1,): 3, (2,): -2, (5,): 7}, 8),
                 TruncatedSeries({(0, 0): 1, (1, 0): L, (0, 2): LaurentPoly({-1: 2})}, 4, 2)]
         expect = [_exact_terms(reference_log(g)) for g in args]
@@ -657,8 +621,8 @@ class TestLog:
 
         monkeypatch.setattr(TruncatedSeries, "__truediv__", refused)
         assert [_exact_terms(log_pleth(g)) for g in args] == expect
-        with pytest.raises(AssertionError, match="series division called"):
-            log_pleth(TruncatedSeries({(0,): exact_q({0: 1}), (1,): exact_q({1: 2}, 5)}, 3))
+        with pytest.raises(TypeError, match="not QSeries"):
+            log_pleth(TruncatedSeries({(0,): QSeries.one(), (1,): QSeries(L, 5)}, 3))
 
 
 class TestPowerStructure:
@@ -679,13 +643,6 @@ class TestPowerStructure:
         for _ in range(5):
             f = _random_one_series(rng, 6)
             assert power_structure(f, 0) == TruncatedSeries.constant(1, 6)
-
-    def test_int_power_over_qseries(self):
-        # an int exponent multiplies QSeries coefficients as it is; as a
-        # LaurentPoly it would not (QSeries * LaurentPoly is undefined)
-        h = TruncatedSeries({(0,): exact_q({0: 1}), (1,): exact_q({0: -1}),
-                             (2,): exact_q({1: 3})}, 5)
-        assert _exact_terms(power_structure(h, 2)) == _exact_terms(h * h)
 
     def test_constant_term_must_be_one(self):
         with pytest.raises(ValueError, match="logarithm requires constant term 1"):

@@ -427,12 +427,6 @@ class TestQSeries:
         assert _exactly(3 - x) == _exactly(-(x - 3))
         assert _exactly(3 - x) == (QSeries, [(-1, -2), (0, 6), (2, -5)], 4)
 
-    def test_division_by_int_is_exact(self):
-        f = qs({0: 2, 1: 4, 5: 3}, 3)
-        assert f / 2 == qs({0: 1, 1: 2}, 3)
-        with pytest.raises(ExactnessError):
-            qs({0: 3}, 3) / 2
-
     EDGE_CASES = [qs({}, math.inf), qs({}, 3), qs({5: 1}, 3), qs({-2: 2 ** 70, 1: -1}, 2),
                   qs({0: 1}, math.inf), qs({-3: -1, 4: 2 ** 65}, math.inf), qs({2: 7}, -4)]
 
