@@ -71,6 +71,7 @@ explicitly, which survives ``python -O``.
 """
 
 import itertools
+import math
 from collections import namedtuple
 
 from .rings import LaurentPoly, QSeries
@@ -200,8 +201,14 @@ def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
     F(theta) sums the chains theta = theta_1 >= theta_2 >= ... > 0 of part
     vectors; the recursion of the module docstring fills the table in
     order of increasing |v|.  Each 1/(q; q)_m is taken modulo q^prec.
+    An entry is one kernel call: its pairs (F(theta'), 1/(q; q)_(theta -
+    theta')), with (F(theta), 1) for theta' = theta, go to
+    :meth:`QSeries.sum_of_products` together, whose precision is the
+    least of the pairs' product precisions, as for the sum of the
+    separate products; the sum is then shifted by q^chi(theta, theta).
     """
     inverse = _inverse_q_pochhammers(order, prec)
+    one = QSeries.one()
     factors = {}  # d -> prod_i 1/(q; q)_{d_i}, for d != 0
 
     def factor(d):
@@ -223,13 +230,13 @@ def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
             u = tuple(a - b for a, b in zip(v, theta))
             if any(u):
                 # the chain goes on with theta' <= theta; theta' = theta needs no factor
-                terms = [g if prev == theta
-                         else g * factor(tuple(a - b for a, b in zip(theta, prev)))
+                pairs = [(g, one if prev == theta
+                          else factor(tuple(a - b for a, b in zip(theta, prev))))
                          for prev, g in table[u].items()
                          if all(a <= b for a, b in zip(prev, theta))]
-                if not terms:
+                if not pairs:
                     continue
-                acc = sum(terms[1:], terms[0])
+                acc = QSeries.sum_of_products(pairs)
             else:
                 acc = factor(theta)
             row[theta] = acc.shift(euler_form(quiver, theta, theta))
@@ -238,7 +245,13 @@ def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
 
 
 def _partition_sums(quiver: Quiver, framings, order: int, prec: int) -> list:
-    """[S(w, q, z) for w in framings], all from one chain table."""
+    """[S(w, q, z) for w in framings], all from one chain table.
+
+    The z^v coefficient of S(w) adds up q^(-w.theta) F(theta) over the
+    row of v in one pass: each term q^e of F(theta) goes to the exponent
+    e + a, a = -w.theta, of one dict, and the precision is the least
+    F(theta).prec + a, what shifting and adding the QSeries would track.
+    """
     if any(len(w) != quiver.vertices for w in framings):
         raise ValueError("framing vector size does not match the quiver")
     for w in framings:
@@ -249,13 +262,15 @@ def _partition_sums(quiver: Quiver, framings, order: int, prec: int) -> list:
     for w in framings:
         coeffs = {(0,) * quiver.vertices: QSeries.one()}
         for v, row in table.items():
-            # sum the terms of each power q^(-w.theta) first, then shift once
-            by_power = {}
+            # q^(-w.theta) F(theta) summed term by term into one dict
+            terms, known = {}, math.inf
             for theta, g in row.items():
                 a = -sum(x * y for x, y in zip(w, theta))
-                by_power[a] = by_power[a] + g if a in by_power else g
-            shifted = [g.shift(a) for a, g in by_power.items()]
-            coeffs[v] = sum(shifted[1:], shifted[0])
+                if g.prec + a < known:
+                    known = g.prec + a
+                for e, c in g.known._terms.items():
+                    terms[e + a] = terms.get(e + a, 0) + c
+            coeffs[v] = QSeries(LaurentPoly(terms), known)
         out.append(TruncatedSeries(coeffs, order, quiver.vertices))
     return out
 

@@ -64,6 +64,18 @@ decodes only the exponents below P.  Multiplying by an exact
 monomial q^a needs no kernel: :meth:`QSeries.shift` moves the exponents
 and the precision by a.
 
+Stored terms.  A LaurentPoly stores no zero coefficient, and a QSeries
+no known exponent at or above its precision; ``bool``, equality and the
+kernel's norms rely on both.  ``LaurentPoly(terms)`` drops zeros with a
+filtering copy of its dict.  The paths that cannot make a zero skip that
+copy through the private ``LaurentPoly._of_nonzero``: negation, ``*`` and
+exact ``/`` by a nonzero int, ``dual`` and ``adams`` (one-to-one exponent
+maps), :meth:`QSeries.shift`, and the cuts of ``QSeries.__init__`` and
+:func:`_below` (subsets of nonzero terms).  ``+`` deletes a key whose
+coefficients cancel, and the kernel (:func:`_packed_sum`) and the layer
+reader of :mod:`quotmotives.plethystic` keep only the nonzero digits they
+decode.  No other module calls ``_of_nonzero``.
+
 Values of both classes are immutable after construction and all
 operations are pure, so they are safe to share between threads: each
 cache is replaced by a new tuple in one assignment, never mutated, so a
@@ -101,6 +113,16 @@ class LaurentPoly:
         self._pack = None
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of_nonzero(cls, terms: dict) -> "LaurentPoly":
+        """The polynomial whose terms are the dict ``terms`` itself, kept
+        without the filtering copy of ``__init__``: the caller guarantees
+        that no coefficient is zero (see the module docstring)."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._pack = None
+        return p
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -149,13 +171,17 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._of_nonzero(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._of_nonzero({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = LaurentPoly._coerce(other)
@@ -170,7 +196,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return LaurentPoly()
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+            return LaurentPoly._of_nonzero({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = {}
@@ -217,7 +243,7 @@ class LaurentPoly:
             if r:
                 raise ExactnessError(f"{self} is not divisible by {k}")
             out[e] = q
-        return LaurentPoly(out)
+        return LaurentPoly._of_nonzero(out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -243,13 +269,13 @@ class LaurentPoly:
 
     def dual(self) -> "LaurentPoly":
         """The involution L |-> L^{-1}, a ring homomorphism."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        return LaurentPoly._of_nonzero({-e: c for e, c in self._terms.items()})
 
     def adams(self, k: int) -> "LaurentPoly":
         """The k-th Adams operation L |-> L^k."""
         if k < 1:
             raise ValueError("Adams operations are indexed by positive integers")
-        return LaurentPoly({e * k: c for e, c in self._terms.items()})
+        return LaurentPoly._of_nonzero({e * k: c for e, c in self._terms.items()})
 
     # -- serialization and display --------------------------------------
 
@@ -338,7 +364,7 @@ class QSeries:
         self.prec = prec
         terms = known._terms
         if terms and max(terms) >= prec:
-            known = LaurentPoly({e: c for e, c in terms.items() if e < prec})
+            known = LaurentPoly._of_nonzero({e: c for e, c in terms.items() if e < prec})
         self.known = known
         # (n, the terms of known below q^n), the last cut made by
         # sum_of_products (see the module docstring)
@@ -421,7 +447,7 @@ class QSeries:
         the product with the exact monomial q^a."""
         if not a:
             return self
-        return QSeries(LaurentPoly({e + a: c for e, c in self.known._terms.items()}),
+        return QSeries(LaurentPoly._of_nonzero({e + a: c for e, c in self.known._terms.items()}),
                        self.prec + a)
 
     def adams(self, k: int) -> "QSeries":
@@ -479,7 +505,8 @@ def _packed_sum(pairs, stop) -> LaurentPoly:
         x = (pa[5] if pa[4] == w else a._packed(w)) * (pb[5] if pb[4] == w else b._packed(w))
         total += x << (w * (lo - base)) if lo != base else x
     slots = top - base + 1
-    return LaurentPoly(dict(zip(range(base, base + slots), _decode(total, w, slots))))
+    return LaurentPoly._of_nonzero({e: c for e, c in zip(range(base, base + slots),
+                                                       _decode(total, w, slots)) if c})
 
 
 def _slot_width(bound: int) -> int:
@@ -537,5 +564,5 @@ def _below(x: QSeries, n) -> LaurentPoly:
         return p
     cut = x._cut
     if cut is None or cut[0] != n:
-        x._cut = cut = (n, LaurentPoly({e: c for e, c in p._terms.items() if e < n}))
+        x._cut = cut = (n, LaurentPoly._of_nonzero({e: c for e, c in p._terms.items() if e < n}))
     return cut[1]

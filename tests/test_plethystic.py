@@ -434,6 +434,108 @@ class TestExactExp:
         assert lines[1].startswith("AssertionError slot width 32 does not hold the bound")
 
 
+@st.composite
+def run_arguments(draw):
+    """A series over Z[L, L^-1] in one or two variables, at orders below
+    the running-sum cut-off, whose coefficients include stretches of
+    equal weights on equally spaced exponents, around _RUN terms long, so
+    that the merged terms of the Exp form geometric runs and break them."""
+    arity = draw(st.sampled_from((1, 2)))
+    order = draw(st.integers(1, (12, 8)[arity - 1]))
+    vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
+               if 1 <= sum(m) <= order]
+    stretch = st.builds(
+        lambda lo, step, count, c, extra: LaurentPoly(
+            {**{lo + step * i: c for i in range(count)}, **extra}),
+        st.integers(-4, 2), st.integers(1, 3),
+        st.integers(plethystic._RUN - 2, 2 * plethystic._RUN + 1),
+        st.sampled_from((1, -1, 2, 3)),
+        st.dictionaries(st.integers(-6, 30), st.integers(-2, 2), max_size=2))
+    classes = st.one_of(stretch, st.integers(-3, 3))
+    coeffs = draw(st.dictionaries(st.sampled_from(vectors), classes, min_size=1, max_size=4))
+    return TruncatedSeries(coeffs, order, arity)
+
+
+def solve_without_runs(f, stop=math.inf):
+    """_exp_exact with every merged term added pair by pair."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plethystic, "_RUN", 10 ** 9)
+        return _exp_exact(f, stop)
+
+
+def _expanded(single, runs):
+    """The (shift, weight) pairs that ``single`` and ``runs`` stand for."""
+    return sorted(single + [(s + step * i, c) for s, c, step, count in runs
+                            for i in range(count)])
+
+
+R = plethystic._RUN
+
+
+class TestRuns:
+    """The geometric runs of merged terms in _exp_exact against adding
+    every merged term on its own."""
+
+    @pytest.mark.parametrize("pairs, runs", [
+        # one short of a run: every pair stays
+        ([(3 * i, 2) for i in range(R - 1)], []),
+        ([(3 * i, 2) for i in range(R)], [(0, 2, 3, R)]),
+        # a change of weight ends a run, and one in the middle leaves two
+        # stretches too short to run
+        ([(i, 1) for i in range(R)] + [(i, 2) for i in range(R, 2 * R)],
+         [(0, 1, 1, R), (R, 2, 1, R)]),
+        ([(i, -1 if i == R // 2 else 1) for i in range(2 * (R // 2) + 1)], []),
+        # two runs with different steps, the pair between them stays
+        ([(i, 1) for i in range(R)] + [(R + 5, 4)] + [(R + 7 + 3 * i, 1) for i in range(R)],
+         [(0, 1, 1, R), (R + 7, 1, 3, R)]),
+    ], ids=["short", "one-run", "weight-change", "broken-in-the-middle", "two-steps"])
+    def test_split(self, pairs, runs):
+        single, got = plethystic._runs(pairs)
+        assert got == runs
+        assert single == [p for p in pairs if p not in _expanded([], runs)]
+        assert _expanded(single, got) == pairs
+
+    @given(st.dictionaries(st.integers(0, 60), st.sampled_from((1, 1, 1, -1, 2)), max_size=40))
+    def test_split_keeps_every_pair(self, terms):
+        pairs = sorted(terms.items())
+        single, runs = plethystic._runs(pairs)
+        assert _expanded(single, runs) == pairs
+        assert all(count >= R for *_, count in runs)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 31, 64, 100])
+    def test_repeat_is_the_shifted_sum(self, count):
+        for x in (1, -7, 2 ** 90 + 5, -(2 ** 64)):
+            for a in (32, 96):
+                assert plethystic._repeat(x, a, count) == sum(x << a * i for i in range(count))
+
+    def test_heine_arguments_match_the_plain_loop(self, monkeypatch):
+        made = []
+        runs = plethystic._runs
+
+        def recorded(pairs):
+            single, got = runs(pairs)
+            made.extend(got)
+            return single, got
+
+        monkeypatch.setattr(plethystic, "_runs", recorded)
+        for order in range(1, 31):
+            stop = order * (order + 1) // 2 + 1
+            inverse = [c.known for c in quiver._inverse_q_pochhammers(order, stop)]
+            f = TruncatedSeries.variable(order, coeff=inverse[1])
+            assert _exact_terms(_exp_exact(f, stop)) == _exact_terms(solve_without_runs(f, stop))
+        assert made  # Heine's merged terms do form runs
+
+    @given(st.one_of(run_arguments(),
+                     exact_arguments().filter(lambda f: f.arity <= 2)))
+    @example(TruncatedSeries({(1,): LaurentPoly({i: 1 for i in range(0, 20, 2)}),
+                              (2,): LaurentPoly({i: -2 for i in range(8)})}, 6))
+    @example(TruncatedSeries({(1, 0): LaurentPoly({i: 1 for i in range(10)}),
+                              (1, 1): LaurentPoly({3 * i: 2 for i in range(9)})}, 5, 2))
+    def test_arguments_match_the_plain_loop(self, f):
+        f = _coerce_laurent_coeffs(f)
+        assert _exact_terms(_exp_exact(f)) == _exact_terms(solve_without_runs(f))
+
+
 def count_solves(monkeypatch):
     """Count the solves: the Exp (_exp_exact), Log's division E g / g on
     packed layers (_euler_quotient), and the layered series division

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from quotmotives import rings
-from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _decode, _packed_sum,
-                               _rewiden, affine_class, projective_class)
-from quotmotives.series import _sum_products
+from quotmotives.plethystic import _exp_exact
+from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _below, _decode,
+                               _packed_sum, _rewiden, affine_class, projective_class)
+from quotmotives.series import TruncatedSeries, _sum_products
 
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5)\
@@ -135,6 +136,64 @@ class TestLaurentPoly:
         assert (2 * projective_class(1)) / 2 == projective_class(1)
         with pytest.raises(TypeError):
             projective_class(1) * Fraction(1, 2)
+
+
+def _stores_no_zero(*values):
+    """Every LaurentPoly and QSeries in ``values`` keeps no zero
+    coefficient, and every QSeries no known exponent at or above its
+    precision."""
+    for x in values:
+        p = x.known if isinstance(x, QSeries) else x
+        assert isinstance(p, LaurentPoly) and all(p._terms.values()), p._terms
+        if isinstance(x, QSeries):
+            assert all(e < x.prec for e in p._terms), (p._terms, x.prec)
+
+
+class TestNoZeroCoefficient:
+    """The paths that build a LaurentPoly without the filtering copy of
+    ``__init__`` (LaurentPoly._of_nonzero) keep its invariant: no stored
+    coefficient is zero."""
+
+    @given(laurents, laurents, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    def test_laurent_paths(self, x, y, k, m):
+        full, partial = x + (-x), x + (y - x)
+        assert not full and full == LaurentPoly()
+        assert not x - x and x - x == LaurentPoly()
+        assert partial == y
+        _stores_no_zero(full, partial, x - x, -x, x * k, k * x, (x * k) / k, x.adams(m),
+                        x.dual(), x + 3, 3 - x)
+
+    @given(wide_qseries, wide_qseries, st.integers(-6, 6), st.integers(-6, 10))
+    def test_qseries_paths(self, x, y, a, n):
+        cut = QSeries(x.known, n)
+        _stores_no_zero(x, y, x.shift(a), cut, -x, x + y, x - x, x * y, x.adams(2))
+        # _below takes a nonzero known part, as the kernel passes it
+        _stores_no_zero(*(_below(z, k) for z in (x, cut) if z.known for k in (n - 1, n, n + 1)))
+        # a kernel sum that cancels in full and one that cancels in part
+        _stores_no_zero(QSeries.sum_of_products([(x, y), (-x, y)]),
+                        QSeries.sum_of_products([(x, y), (x, -y), (y, y)]))
+
+    @given(laurents, laurents)
+    def test_kernel_sums_that_cancel(self, x, y):
+        total = _packed_sum([(x, y), (-x, y)], math.inf)
+        assert not total and total == LaurentPoly()
+        one_plus, one_minus = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1})
+        _stores_no_zero(total, LaurentPoly.sum_of_products([(x, y), (y, -x), (x, x)]),
+                        LaurentPoly.sum_of_products([(one_plus, one_minus), (L, L)]),
+                        _packed_sum([(x, y), (y, y)], 2))
+
+    @pytest.mark.parametrize("f", [
+        # h_1 = 1 + L^3 in one variable, and rows with zero slots in two
+        TruncatedSeries({(1,): LaurentPoly({0: 1, 3: 1})}, 4),
+        TruncatedSeries({(1,): LaurentPoly({-2: 1, 2: -1}), (3,): LaurentPoly({5: 2})}, 6),
+        TruncatedSeries({(1, 0): LaurentPoly({0: 1, 4: 1}), (0, 1): LaurentPoly({-3: 1}),
+                         (1, 1): LaurentPoly({2: -1})}, 4, 2),
+    ])
+    def test_exp_layers_with_zero_interior_slots(self, f):
+        h = _exp_exact(f)
+        assert any(p.terms() and p.terms()[-1][0] - p.terms()[0][0] >= len(p.terms())
+                   for _, p in h.coefficients())  # some layer has a zero slot inside
+        _stores_no_zero(*(p for _, p in h.coefficients()))
 
 
 def _summed_products(pairs) -> LaurentPoly:

@@ -55,8 +55,9 @@ RECORDED_DRAWS = [TruncatedSeries({(e,): c for e, c in b.items()}, 5) for b in (
     {0: qs({2: 1}, 6), 1: qs({1: 1}, 3), 3: qs({-1: -1}, 3)},
     {0: qs({-2: 1}, 6), 1: qs({-2: 1}, 3), 2: qs({-2: 1}, 3)},
     {0: qs({-1: 1}, 6), 1: qs({-1: 1}, 3), 2: qs({-1: 1}, 3)},
+    {0: qs({-2: -1}, 6), 1: qs({-2: 2}, 3), 2: qs({-2: -2}, 3)},
 )]
-RECORDED_IDS = ["t3-4-vs-8", "t3-minus2-vs-0", "t2-t5-5-vs-10", "t2-t5-4-vs-8"]
+RECORDED_IDS = ["t3-4-vs-8", "t3-minus2-vs-0", "t2-t5-5-vs-10", "t2-t5-4-vs-8", "t3-5-vs-10"]
 
 
 def geom(order=6):

@@ -53,9 +53,9 @@ def test_product_forms_name_no_euler_path_function():
 def test_log_names_no_exp_only_helper():
     # the Quot self-check compares Exp(x Log P) with the closed Exp; it
     # checks the Exp only while Log shares neither the monomials of E f
-    # nor the running sums with it.  Log's division E g / g runs on the
-    # shared layer loop, which must not reach them either
-    exp_only = {"exp_pleth", "_exp_exact", "_monomials", "_RUNNING_TERMS"}
+    # nor the running sums nor the runs with it.  Log's division E g / g
+    # runs on the shared layer loop, which must not reach them either
+    exp_only = {"exp_pleth", "_exp_exact", "_monomials", "_RUNNING_TERMS", "_runs", "_RUN"}
     log_side = {"log_pleth", "_euler_quotient", "_layer_loop", "_shifted_sum"}
     path = SOURCES[0].parent / "plethystic.py"
     named = {}
@@ -168,3 +168,17 @@ def test_every_annotation_resolves():
                 except NameError as exc:
                     unresolved.append(f"{f.__qualname__}: {exc}")
     assert not unresolved
+
+
+def test_unfiltered_constructor_stays_in_the_kernel_modules():
+    # LaurentPoly._of_nonzero stores its dict without dropping zeros, so
+    # only the arithmetic that keeps that invariant may call it: quiver,
+    # quot, cli and the rest go through the filtering LaurentPoly(...)
+    allowed = {"rings.py", "plethystic.py"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name not in allowed
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_of_nonzero"
+             or isinstance(node, ast.Name) and node.id == "_of_nonzero"
+             or isinstance(node, ast.alias) and "_of_nonzero" in (node.name, node.asname)]
+    assert not found, f"LaurentPoly._of_nonzero used outside rings and plethystic: {found}"
