@@ -36,45 +36,44 @@ S(w) = 1 + sum_{theta != 0} q^{-w.theta} F(theta) and
 S(0) = 1 + sum_{theta != 0} F(theta).  The ratio is one layered
 division of power series in z.
 
-Exactness.  The ratio is computed in Z((q)) modulo a tracked power of q
-(:class:`QSeries`), at a precision derived from the inputs:
+Exactness.  Substituting z^v -> q^(c.v) z^v, with c = w + k(1, ..., 1)
+and k = max(0, max over 0 < |theta| <= order of ceil(-chi(theta, theta)
+/ |theta|)), is a ring automorphism of the z-series, so it maps the
+ratio's coefficient R_v to R'_v = q^(c.v) R_v.  Every exponent becomes
+>= 0:
 
-* R_v, the z^v coefficient of S(w)/S(0), equals q^(d/2) [M(v, w)](q^-1)
-  with d = dim M(v, w) and deg [M(v, w)] <= d, so its exponents lie in
-  [-d/2, d/2] and R_v modulo q^(d/2 + 1) is R_v itself.
-* Each 1/(q; q)_m is an integer power series, computed modulo q^N with
-  no division.  The table uses only sums, products with the exact
-  monomials q^a (exponent maps, :meth:`QSeries.shift`, which give the
-  product's coefficients and precision), and products with these
-  factors, so each entry is known modulo q^(a + N) for a its lowest
-  exponent; the division by S(0), whose constant term is exactly 1,
-  carries the precision through to every R_v.
-* Raising N by s raises every tracked precision by at least s, since
-  the table and the division only add and multiply: a sum is known to
-  the smaller precision, a product to min(v_a + N_b, v_b + N_a), and the
-  lowest known exponent v cannot drop as more coefficients become
-  known.
+* F'(theta), the rescaled F(theta), carries q^(chi(theta, theta) +
+  c.theta), and chi(theta, theta) + c.theta >= chi(theta, theta) +
+  k|theta| >= 0 since w >= 0; each 1/(q; q)_m is an integer power
+  series.  So the table and S'(0) = 1 + sum_theta F'(theta) lie in
+  Z[[q]][[z]].  In S'(w) the first part's q^(-w.theta) cancels against
+  c.theta, leaving q^(chi(theta, theta) + k|theta|), again with an
+  exponent >= 0.
+* R_v equals q^(d/2) [M(v, w)](q^-1) with d = dim M(v, w) = 2(w.v -
+  chi(v, v)) and deg [M(v, w)] <= d, so the exponents of R'_v lie in
+  [c.v - d/2, c.v + d/2], and c.v - d/2 = k|v| + chi(v, v) >= 0.
 
-The ratio is built once, at the window N = 1 + max(0, max_v (d_v + 1))
-over the vectors 0 < |v| <= order, read off the inputs alone.  If some
-R_v is then known only modulo q^(p_v) with p_v < d_v/2 + 2, the
-shortfall s = max_v (d_v/2 + 2 - p_v) is positive and the ratio is
-built once more, at N + s; by the point above that makes every R_v
-known modulo q^(d/2 + 2), one degree more than determines it.  The
-window only decides whether one pass suffices; exactness rests on the
-check that follows.
+Reduction modulo q^N is then a ring map from Z[[q]], and S'(0) has the
+constant term 1, so the whole ratio runs modulo one power q^N, read off
+the inputs: N = 2 + max_v (c.v + d_v/2) over 0 < |v| <= order gives
+every R'_v exactly, with one spare exponent, in one pass.  Each table
+entry's sum is shifted up twice, by chi(theta, theta) + c.theta for the
+table and S'(0) and by chi(theta, theta) + k|theta| for S'(w); shifting
+the table's entry down by w.theta instead would lose the top w.theta
+exponents below q^N.  The division is the layered solve of
+:class:`~quotmotives.series.TruncatedSeries` on :class:`QSeries`
+coefficients modulo q^N.
 
-Each R_v is checked: it is known modulo q^(d/2 + 2), no known
-exponent lies outside [-d/2, d/2] (so the spare coefficient is zero),
-and its motive is effective.  A failure raises AssertionError
+Each R'_v is checked: it is known modulo q^(c.v + d/2 + 2), no known
+exponent lies outside [c.v - d/2, c.v + d/2] (so the spare coefficient
+is zero), and its motive is effective.  A failure raises AssertionError
 explicitly, which survives ``python -O``.
 """
 
 import itertools
-import math
 from collections import namedtuple
 
-from .rings import LaurentPoly, QSeries
+from .rings import LaurentPoly, QSeries, _packed_sum
 from .report import CheckReport
 from .series import TruncatedSeries
 from .plethystic import _exp_exact
@@ -162,14 +161,15 @@ def q_pochhammer(n: int) -> LaurentPoly:
 
 
 def _inverse_q_pochhammers(m_max: int, prec: int) -> list:
-    """[1/(q; q)_m for m = 0..m_max], each modulo q^prec.  1/(q; q)_m counts
-    partitions into parts <= m, so one counting sweep gives them all."""
+    """[1/(q; q)_m for m = 0..m_max], each modulo q^prec (prec >= 1) as a
+    LaurentPoly in q.  1/(q; q)_m counts partitions into parts <= m, so
+    one counting sweep gives them all."""
     counts = [1] + [0] * (prec - 1)
-    out = [QSeries(LaurentPoly(dict(enumerate(counts))), prec)]
+    out = [LaurentPoly(dict(enumerate(counts)))]
     for part in range(1, m_max + 1):
         for n in range(part, prec):
             counts[n] += counts[n - part]
-        out.append(QSeries(LaurentPoly(dict(enumerate(counts))), prec))
+        out.append(LaurentPoly(dict(enumerate(counts))))
     return out
 
 
@@ -195,35 +195,54 @@ def _vectors(quiver: Quiver, order: int) -> list:
                    if 0 < sum(v) <= order), key=sum)
 
 
-def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
-    """{v: {theta: z^v coefficient of F(theta)}} for 0 < |v| <= order.
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
-    F(theta) sums the chains theta = theta_1 >= theta_2 >= ... > 0 of part
-    vectors; the recursion of the module docstring fills the table in
-    order of increasing |v|.  Each 1/(q; q)_m is taken modulo q^prec.
-    An entry is one kernel call: its pairs (F(theta'), 1/(q; q)_(theta -
-    theta')), with (F(theta), 1) for theta' = theta, go to
-    :meth:`QSeries.sum_of_products` together, whose precision is the
-    least of the pairs' product precisions, as for the sum of the
-    separate products; the sum is then shifted by q^chi(theta, theta).
+
+def _rescale(quiver: Quiver, w, order: int) -> tuple:
+    """(c, N) of the module docstring, read off the inputs alone."""
+    vectors = _vectors(quiver, order)
+    k = max([0] + [-(euler_form(quiver, v, v) // sum(v)) for v in vectors])
+    c = tuple(x + k for x in w)
+    return c, 2 + max([0] + [_dot(c, v) + nakajima_dim(quiver, v, w) // 2 for v in vectors])
+
+
+def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
+    """({v: S'(w)_v}, {v: S'(0)_v}) for 0 <= |v| <= order, each a
+    LaurentPoly in q modulo q^prec: the partition sums rescaled by
+    z^v -> q^(c.v) z^v (module docstring), from one chain table.
+
+    The table holds the z^v coefficient of every F'(theta); the
+    recursion fills it in order of increasing |v|.  An entry is one
+    kernel call, :func:`~quotmotives.rings._packed_sum` decoded below
+    q^prec, on the pairs (F'(theta'), 1/(q; q)_(theta - theta')), with
+    (F'(theta), 1) for theta' = theta.  Its sum goes to S'(0) and the
+    table shifted by chi(theta, theta) + c.theta, and to S'(w) shifted
+    by chi(theta, theta) + k|theta|, each cut below q^prec.
     """
+    if len(w) != quiver.vertices:
+        raise ValueError("framing vector size does not match the quiver")
+    if min(w, default=0) < 0:
+        raise ValueError(f"framing vector entries must be >= 0, got {tuple(w)}")
     inverse = _inverse_q_pochhammers(order, prec)
-    one = QSeries.one()
+    one = LaurentPoly.one()
     factors = {}  # d -> prod_i 1/(q; q)_{d_i}, for d != 0
 
     def factor(d):
         f = factors.get(d)
         if f is None:
-            f = QSeries.one()
+            f = one
             for m in d:
                 if m:
-                    f = f * inverse[m]
+                    f = _packed_sum([(f, inverse[m])], prec)
             factors[d] = f
         return f
 
+    zero = (0,) * quiver.vertices
+    sw, s0 = {zero: one}, {zero: one}
     table = {}
     for v in _vectors(quiver, order):
-        row = {}
+        row, tw, t0 = {}, {}, {}
         for theta in itertools.product(*(range(x + 1) for x in v)):
             if not any(theta):
                 continue
@@ -236,90 +255,63 @@ def _chain_table(quiver: Quiver, order: int, prec: int) -> dict:
                          if all(a <= b for a, b in zip(prev, theta))]
                 if not pairs:
                     continue
-                acc = QSeries.sum_of_products(pairs)
+                g = _packed_sum(pairs, prec)
             else:
-                acc = factor(theta)
-            row[theta] = acc.shift(euler_form(quiver, theta, theta))
+                g = factor(theta)
+            chi = euler_form(quiver, theta, theta)
+            a0 = chi + _dot(c, theta)
+            aw = a0 - _dot(w, theta)
+            entry = {}
+            for e, x in g._terms.items():
+                if e + a0 < prec:
+                    entry[e + a0] = x
+                    t0[e + a0] = t0.get(e + a0, 0) + x
+                if e + aw < prec:
+                    tw[e + aw] = tw.get(e + aw, 0) + x
+            row[theta] = LaurentPoly(entry)
         table[v] = row
-    return table
-
-
-def _partition_sums(quiver: Quiver, framings, order: int, prec: int) -> list:
-    """[S(w, q, z) for w in framings], all from one chain table.
-
-    The z^v coefficient of S(w) adds up q^(-w.theta) F(theta) over the
-    row of v in one pass: each term q^e of F(theta) goes to the exponent
-    e + a, a = -w.theta, of one dict, and the precision is the least
-    F(theta).prec + a, what shifting and adding the QSeries would track.
-    """
-    if any(len(w) != quiver.vertices for w in framings):
-        raise ValueError("framing vector size does not match the quiver")
-    for w in framings:
-        if min(w, default=0) < 0:
-            raise ValueError(f"framing vector entries must be >= 0, got {tuple(w)}")
-    table = _chain_table(quiver, order, prec)
-    out = []
-    for w in framings:
-        coeffs = {(0,) * quiver.vertices: QSeries.one()}
-        for v, row in table.items():
-            # q^(-w.theta) F(theta) summed term by term into one dict
-            terms, known = {}, math.inf
-            for theta, g in row.items():
-                a = -sum(x * y for x, y in zip(w, theta))
-                if g.prec + a < known:
-                    known = g.prec + a
-                for e, c in g.known._terms.items():
-                    terms[e + a] = terms.get(e + a, 0) + c
-            coeffs[v] = QSeries(LaurentPoly(terms), known)
-        out.append(TruncatedSeries(coeffs, order, quiver.vertices))
-    return out
+        sw[v], s0[v] = LaurentPoly(tw), LaurentPoly(t0)
+    return sw, s0
 
 
 def nakajima_partition_sum(quiver: Quiver, w, order: int, prec: int) -> TruncatedSeries:
     """The partition sum S(w, q, z) truncated at total z-degree `order`.
 
-    The z^v coefficient is a QSeries in q; v records the partition sizes
-    per vertex.  Each factor 1/(q; q)_m is taken modulo q^prec, so the
-    z^v coefficient is known modulo q^(a + prec), a the lowest exponent
-    of q in it.
+    The z^v coefficient is a LaurentPoly in q, exact below q^prec: the
+    terms of the Laurent series S(w)_v with exponent < prec; v records
+    the partition sizes per vertex.  It is q^(-c.v) S'(w)_v, from the
+    rescaled sum modulo q^(prec + order max_i c_i).
     """
-    return _partition_sums(quiver, [w], order, prec)[0]
-
-
-def _ratio(quiver: Quiver, w, order: int, prec: int) -> TruncatedSeries:
-    """S(w)/S(0), every factor 1/(q; q)_m taken modulo q^prec."""
-    sw, s0 = _partition_sums(quiver, [w, (0,) * len(w)], order, prec)
-    return sw / s0
-
-
-def _window(quiver: Quiver, w, order: int) -> int:
-    """The window of the module docstring, from the inputs alone."""
-    return 1 + max(0, max((nakajima_dim(quiver, v, w) + 1 for v in _vectors(quiver, order)),
-                          default=0))
+    c, _ = _rescale(quiver, w, order)
+    sw, _ = _partition_sums(quiver, w, order, c, prec + order * max(c, default=0))
+    out = {}
+    for v, p in sw.items():
+        cv = _dot(c, v)
+        out[v] = LaurentPoly({e - cv: x for e, x in p._terms.items() if e - cv < prec})
+    return TruncatedSeries(out, order, quiver.vertices)
 
 
 def nakajima_motive_series(quiver: Quiver, w, order: int) -> TruncatedSeries:
     """Series sum_v [M(v, w)] z^v of motives of the smooth quiver varieties.
 
-    The z^v coefficient R_v of S(w)/S(0) is computed at the window of the
-    module docstring, once more at the window plus the shortfall if that
-    leaves some R_v short, checked as described there, and cleared to
-    [M(v, w)] = L^{d/2} R_v(L^{-1}), d = dim M(v, w).
+    The z^v coefficient R'_v of the rescaled ratio S'(w)/S'(0) is computed
+    modulo the q^N of the module docstring in one pass, checked as
+    described there, and cleared to [M(v, w)] = L^(d/2) R_v(L^-1) with
+    R_v = q^(-c.v) R'_v and d = dim M(v, w).
     """
-    prec = _window(quiver, w, order)
-    ratio = _ratio(quiver, w, order, prec)
-    short = max((nakajima_dim(quiver, v, w) // 2 + 2 - c.prec
-                 for v, c in ratio._coeffs.items()), default=0)
-    if short > 0:
-        ratio = _ratio(quiver, w, order, prec + short)
+    c, prec = _rescale(quiver, w, order)
+    sw, s0 = (TruncatedSeries({v: QSeries(p, prec) for v, p in s.items()}, order, quiver.vertices)
+              for s in _partition_sums(quiver, w, order, c, prec))
     out = {}
-    for v, c in ratio._coeffs.items():
-        half = nakajima_dim(quiver, v, w) // 2
-        terms = c.terms()
-        if c.prec < half + 2 or terms and (terms[0][0] < -half or terms[-1][0] > half):
-            raise AssertionError(f"z^{v} coefficient of S(w)/S(0) is not known modulo "
-                                 f"q^{half + 2} with exponents in [{-half}, {half}]: {c!r}")
-        motive = LaurentPoly({half - e: a for e, a in terms})
+    for v, r in (sw / s0)._coeffs.items():
+        cv, half = _dot(c, v), nakajima_dim(quiver, v, w) // 2
+        terms = r.terms()
+        if r.prec < cv + half + 2 or terms and (terms[0][0] < cv - half
+                                                 or terms[-1][0] > cv + half):
+            raise AssertionError(
+                f"z^{v} coefficient of the rescaled S(w)/S(0) is not known modulo "
+                f"q^{cv + half + 2} with exponents in [{cv - half}, {cv + half}]: {r!r}")
+        motive = LaurentPoly({cv + half - e: a for e, a in terms})
         if not motive.is_effective:
             raise AssertionError(
                 f"motive of M({v}, {tuple(w)}) is not an effective polynomial: {motive}")
@@ -369,7 +361,7 @@ def verify_heine(order: int) -> CheckReport:
         # both sides are 1 + O(t); there is no t^1 coefficient to read 1/(1-q) from
         return CheckReport("heine", True, "order 0")
     prec = order * (order + 1) // 2 + 1
-    inverse = [c.known for c in _inverse_q_pochhammers(order, prec)]
+    inverse = _inverse_q_pochhammers(order, prec)
     lhs = TruncatedSeries({(n,): c for n, c in enumerate(inverse)}, order)
     rhs = _exp_exact(TruncatedSeries.variable(order, coeff=inverse[1]), stop=prec)
     return CheckReport.compare("heine", lhs, rhs, f"order {order}")

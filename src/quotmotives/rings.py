@@ -10,12 +10,12 @@ Two rings are used throughout the package:
   Coefficients are ints only: division by an integer either divides
   exactly or raises :class:`ExactnessError`, so no rational number is
   ever stored in a class.
-* :class:`QSeries` -- Laurent series in a symbol q with int coefficients,
-  known modulo q^N for a precision N that the arithmetic tracks.  Quiver
-  partition sums run in this ring, and so do the 1/(q; q)_n of the Heine
-  identity; their results are Laurent polynomials of bounded degree, so
-  a large enough N gives them exactly (the bounds are in
-  :mod:`quotmotives.quiver`).  Exp and Log take no QSeries.
+* :class:`QSeries` -- power series in a symbol q with int coefficients,
+  known modulo q^N for a precision N that the arithmetic tracks.  The
+  quiver ratio S(w)/S(0), rescaled into Z[[q]], runs in this ring; its
+  results are polynomials of bounded degree, so the modulus read off the
+  inputs gives them exactly (the bounds are in :mod:`quotmotives.quiver`).
+  Exp and Log take no QSeries.
 
 Sums of products.  A series convolution needs sum_i a_i b_i for many
 pairs of Laurent polynomials; :meth:`LaurentPoly.sum_of_products` does
@@ -49,20 +49,11 @@ the layer loop of the Exp and of Log's division in
 a pack to a new width by its bytes (:func:`_rewiden`).
 
 QSeries products use the same kernel: :meth:`QSeries.sum_of_products`
-(and ``*``, its one-pair case) takes the precision P = min over the
-pairs of min(v_a + N_b, v_b + N_a), cuts every operand a to its terms
-below P - v_b (and b to those below P - v_a), and packs only the cut
-operands.  The cut is exact: a term q^e of a meets only terms q^f of b
-with f >= v_b, so for e >= P - v_b every product lands at q^(e+f) with
-e + f >= P, above the precision.  An operand with nothing to cut is
-passed as it is, keeping its cached pack, and each QSeries keeps its
-last cut with its exponent: division pairs each divisor coefficient
-with every later layer, often at one precision, and a new cut would
-measure and pack again.  The cut operands still have products above
-q^P (a term just below P - v_b times one above v_b), so the kernel
-decodes only the exponents below P.  Multiplying by an exact
-monomial q^a needs no kernel: :meth:`QSeries.shift` moves the exponents
-and the precision by a.
+(and ``*``, its one-pair case) is known modulo q^P for P the least
+precision of its operands, and the kernel decodes only the exponents
+below P.  No operand is cut: every exponent is >= 0, so a known term at
+or above q^P makes only products at or above q^P, which stay packed but
+are never decoded.
 
 Stored terms.  A LaurentPoly stores no zero coefficient, and a QSeries
 no known exponent at or above its precision; ``bool``, equality and the
@@ -70,17 +61,16 @@ kernel's norms rely on both.  ``LaurentPoly(terms)`` drops zeros with a
 filtering copy of its dict.  The paths that cannot make a zero skip that
 copy through the private ``LaurentPoly._of_nonzero``: negation, ``*`` and
 exact ``/`` by a nonzero int, ``dual`` and ``adams`` (one-to-one exponent
-maps), :meth:`QSeries.shift`, and the cuts of ``QSeries.__init__`` and
-:func:`_below` (subsets of nonzero terms).  ``+`` deletes a key whose
-coefficients cancel, and the kernel (:func:`_packed_sum`) and the layer
-reader of :mod:`quotmotives.plethystic` keep only the nonzero digits they
-decode.  No other module calls ``_of_nonzero``.
+maps), and the cut of ``QSeries.__init__`` (a subset of nonzero terms).
+``+`` deletes a key whose coefficients cancel, and the kernel
+(:func:`_packed_sum`) and the layer reader of
+:mod:`quotmotives.plethystic` keep only the nonzero digits they decode.
+No other module calls ``_of_nonzero``.
 
 Values of both classes are immutable after construction and all
 operations are pure, so they are safe to share between threads: each
 cache is replaced by a new tuple in one assignment, never mutated, so a
-reader never pairs the width of one packing with the integer of another,
-or a cut with the exponent of another.
+reader never pairs the width of one packing with the integer of another.
 """
 
 from __future__ import annotations
@@ -347,28 +337,28 @@ def projective_class(d: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 class QSeries:
-    """Laurent series in the symbol q with int coefficients, known modulo q^prec.
+    """Power series in the symbol q with int coefficients, known modulo q^prec.
 
     The value is ``known + O(q^prec)``, where ``known`` is a LaurentPoly in
-    the symbol q whose exponents are all below ``prec``, and ``prec`` is
-    ``math.inf`` for an exactly known Laurent polynomial.  The arithmetic
-    tracks the precision: a sum is known to min(N_a, N_b), a product to
-    min(v_a + N_b, v_b + N_a), where v is :meth:`valuation`, and q |-> q^k
+    the symbol q whose exponents are all >= 0 and below ``prec``, and
+    ``prec`` is ``math.inf`` for an exactly known polynomial.  A negative
+    exponent raises ValueError.  Reduction modulo q^N is a ring map of
+    Z[[q]], so the arithmetic tracks the precision as the least of the
+    operands': a sum or a product is known to min(N_a, N_b), and q |-> q^k
     multiplies N by k.  Ints are exact constants.  Equality compares the
     coefficients below the common precision.
     """
 
-    __slots__ = ("known", "prec", "_cut")
+    __slots__ = ("known", "prec")
 
     def __init__(self, known: LaurentPoly, prec):
         self.prec = prec
         terms = known._terms
+        if terms and min(terms) < 0:
+            raise ValueError(f"QSeries exponents must be >= 0, got {known}")
         if terms and max(terms) >= prec:
             known = LaurentPoly._of_nonzero({e: c for e, c in terms.items() if e < prec})
         self.known = known
-        # (n, the terms of known below q^n), the last cut made by
-        # sum_of_products (see the module docstring)
-        self._cut = None
 
     @classmethod
     def one(cls) -> "QSeries":
@@ -385,11 +375,6 @@ class QSeries:
     def terms(self):
         """Sorted (exponent, coefficient) pairs of the known part."""
         return self.known.terms()
-
-    def valuation(self):
-        """Lowest known exponent, or prec if none: a bound for the valuation."""
-        known = self.known
-        return (known._pack or known._measure())[0] if known._terms else self.prec
 
     def __bool__(self) -> bool:
         """False only for an exact zero: O(q^N) may be a nonzero series."""
@@ -423,32 +408,18 @@ class QSeries:
     @classmethod
     def sum_of_products(cls, pairs) -> "QSeries":
         """sum of a * b over the (a, b) pairs of QSeries (or ints), known
-        modulo q^P for P the smallest precision of the products.  Each
-        operand is cut to the terms that reach below q^P, and the cut
-        pairs are summed by the kernel of
-        :meth:`LaurentPoly.sum_of_products`, decoded below q^P only."""
+        modulo q^P for P the least precision of the operands: the kernel
+        of :meth:`LaurentPoly.sum_of_products` on the known parts,
+        decoded below q^P only."""
         prec = math.inf
-        ops = []
+        known = []
         for a, b in pairs:
             a, b = cls._coerce(a), cls._coerce(b)
             if a is NotImplemented or b is NotImplemented:
                 raise TypeError("QSeries products need QSeries or int operands")
-            va, vb = a.valuation(), b.valuation()
-            prec = min(prec, va + b.prec, vb + a.prec)
-            if a.known._terms and b.known._terms:
-                ops.append((a, b, va, vb))
-        # a term q^e of a meets only exponents >= v_b of b, so it reaches
-        # below q^P only when e < P - v_b; likewise for b
-        cut = [(_below(a, prec - vb), _below(b, prec - va)) for a, b, va, vb in ops]
-        return cls(_packed_sum(cut, prec), prec)
-
-    def shift(self, a: int) -> "QSeries":
-        """q^a self, an exponent map: the coefficients and the precision of
-        the product with the exact monomial q^a."""
-        if not a:
-            return self
-        return QSeries(LaurentPoly._of_nonzero({e + a: c for e, c in self.known._terms.items()}),
-                       self.prec + a)
+            prec = min(prec, a.prec, b.prec)
+            known.append((a.known, b.known))
+        return cls(_packed_sum(known, prec), prec)
 
     def adams(self, k: int) -> "QSeries":
         """The Adams operation q |-> q^k; the precision scales by k."""
@@ -554,15 +525,3 @@ def _rewiden(x: int, w: int, v: int, slots: int) -> int:
         out[i::v >> 3] = data[i::w >> 3]
     return int.from_bytes(out, "little") - _bias(v, slots, u)
 
-
-def _below(x: QSeries, n) -> LaurentPoly:
-    """The known terms of x with exponent < n: the known part itself, with
-    its cached pack, when every term is, and otherwise the cut kept from
-    the last call at the same n, or a new one, which replaces it."""
-    p = x.known
-    if (p._pack or p._measure())[1] < n:
-        return p
-    cut = x._cut
-    if cut is None or cut[0] != n:
-        x._cut = cut = (n, LaurentPoly._of_nonzero({e: c for e, c in p._terms.items() if e < n}))
-    return cut[1]

@@ -7,16 +7,17 @@ two series are compared only up to their common order.  Series are
 univariate in t (arity 1) or live in a vertex-indexed family of
 variables (arity = number of vertices), graded by total degree.
 
-Coefficients are ints, :class:`LaurentPoly` or :class:`QSeries`, so no
+Coefficients are ints, :class:`LaurentPoly` in L (or in the symbol q)
+or :class:`QSeries`, power series in q known modulo q^N, so no
 operation leaves the integers; the arithmetic is duck-typed and mixing
 genuinely incompatible rings fails in the coefficient operations.  A
 coefficient is dropped only when it is falsy, i.e. an exact zero.
 Products and division group their terms by target exponent vector and
 sum each group with one packed big-int kernel (:func:`_sum_products`):
 LaurentPoly pairs go to :meth:`LaurentPoly.sum_of_products`, and groups
-with a QSeries to :meth:`QSeries.sum_of_products`, which cuts its
-operands to the group's precision and calls the same kernel; int groups
-sum product by product.  Division needs a unit constant term in the
+with a QSeries to :meth:`QSeries.sum_of_products`, which calls the same
+kernel and decodes below the group's least precision; int groups sum
+product by product.  Division needs a unit constant term in the
 denominator and solves a recurrence layered by total degree; inversion
 is division of 1, and a product of factors (1 - c x^m)^(-a)
 (:func:`euler_product`) multiplies its binomials out, each one as
@@ -30,7 +31,6 @@ Values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import math
 from operator import add
 
 from .rings import ExactnessError, LaurentPoly, QSeries
@@ -53,8 +53,10 @@ def _invert_coeff(c):
         e, a = t[0]
         return LaurentPoly({-e: a})
     if isinstance(c, QSeries):
-        # 1/(a q^e + O(q^N)) = a q^-e (1 + O(q^(N-e))) for a = +-1
-        return QSeries(_invert_coeff(c.known), c.prec - 2 * c.valuation())
+        # 1/(a + O(q^N)) = a + O(q^N) for a = +-1
+        if c.known._terms not in ({0: 1}, {0: -1}):
+            raise ExactnessError(f"constant term {c!r} is not +-1 modulo q^{c.prec}")
+        return c
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
 
 
@@ -65,13 +67,12 @@ def _unit(coeffs):
 
 
 def _unit_times(u):
-    """The map c |-> u * c for a unit u of the coefficient ring.  The exact
-    1 of any ring returns c itself, unless c is an int, which u * c
+    """The map c |-> u * c for a unit u of the coefficient ring.  The 1 of
+    int or LaurentPoly returns c itself, unless c is an int, which u * c
     promotes (so that LaurentPoly groups stay on the packed kernel).
-    Every other unit multiplies, an inexact 1 + O(q^N) included, so that
-    a quotient claims no precision it does not have."""
-    if (type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}
-            or type(u) is QSeries and u.prec == math.inf and u.known._terms == {0: 1}):
+    Every other unit multiplies, a QSeries 1 + O(q^N) included, so that a
+    quotient claims no precision it does not have."""
+    if type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}:
         return lambda c: u * c if type(c) is int else c
     return lambda c: u * c
 
@@ -319,7 +320,7 @@ def _sum_products(pairs):
     """sum of c1 * c2 over the (c1, c2) pairs.  Pairs of LaurentPoly go
     through the packed kernel :meth:`LaurentPoly.sum_of_products`, and a
     group with a QSeries through :meth:`QSeries.sum_of_products`, which
-    cuts its operands to the sum's precision before the same kernel; any
+    decodes the same kernel's sum below the group's precision; any
     other group (ints, as in zeta functions, possibly mixed with
     LaurentPoly) keeps the product-by-product sum."""
     if all(type(c1) is LaurentPoly and type(c2) is LaurentPoly for c1, c2 in pairs):

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import os
 import pathlib
@@ -321,21 +320,12 @@ class TestZetaSelfCheck:
 
 
 class TestWindowSelfCheck:
-    """A precision too small to determine the motives must fail loudly
-    (exit code 3), never print a truncated series; a window guessed too
-    low costs one more pass, not a wrong answer."""
+    """A modulus too small to determine the motives must fail loudly
+    (exit code 3), never print a truncated series."""
 
     TWO_LOOPS = {"vertices": 1, "arrows": [[0, 0], [0, 0]]}
     ARGV = ["series", "--target", "nakajima-general", "--framing", "1",
             "--order", "3", "--quiver"]
-    # every quiver, framing and order that the partition_sums benchmark draws
-    BENCH_CASES = (
-        [((1, ((0, 0),)), (r,), 8) for r in (1, 2)]
-        + [((1, ((0, 0), (0, 0))), (r,), 6) for r in (1, 2)]
-        + [((2, arrows), w, 5)
-           for k in (2, 3)
-           for arrows in itertools.combinations(((0, 0), (0, 1), (1, 0), (1, 1)), k)
-           for w in itertools.product((1, 2), repeat=2)])
 
     def _quiver_file(self, tmp_path):
         qfile = tmp_path / "quiver.json"
@@ -343,56 +333,28 @@ class TestWindowSelfCheck:
         return str(qfile)
 
     def test_small_window_is_internal_error(self, capsys, monkeypatch, tmp_path):
-        # a low window alone is healed by the retry, so every pass runs at q^1
-        ratio = quiver._ratio
-        monkeypatch.setattr(quiver, "_ratio", lambda q, w, order, prec: ratio(q, w, order, 1))
+        # the ratio runs modulo one power of q below the derived modulus N
+        rescale = quiver._rescale
+
+        def one_below(q, w, order):
+            c, prec = rescale(q, w, order)
+            return c, prec - 1
+
+        monkeypatch.setattr(quiver, "_rescale", one_below)
         code, out, err = run_cli(capsys, *self.ARGV, self._quiver_file(tmp_path))
         assert code == 3
         assert out == ""
         assert err.startswith("internal error:")
-
-    @staticmethod
-    def _count_passes(monkeypatch) -> list:
-        """The precision of every `quiver._ratio` pass from now on."""
-        ratio = quiver._ratio
-        precs = []
-
-        def counted(q, w, order, prec):
-            precs.append(prec)
-            return ratio(q, w, order, prec)
-
-        monkeypatch.setattr(quiver, "_ratio", counted)
-        return precs
-
-    def test_low_window_is_healed_by_one_retry(self, capsys, monkeypatch, tmp_path):
-        qfile = self._quiver_file(tmp_path)
-        code, expected, _ = run_cli(capsys, *self.ARGV, qfile)
-        assert code == 0
-        monkeypatch.setattr(quiver, "_window", lambda *args: 1)
-        precs = self._count_passes(monkeypatch)
-        code, out, _ = run_cli(capsys, *self.ARGV, qfile)
-        assert code == 0
-        assert out == expected
-        assert len(precs) == 2 and precs[0] == 1
-
-    def test_one_pass_on_benchmark_quivers(self, monkeypatch):
-        precs = self._count_passes(monkeypatch)
-        retried = []
-        for shape, framing, order in self.BENCH_CASES:
-            precs.clear()
-            quiver.nakajima_motive_series(quiver.Quiver(*shape), framing, order)
-            if len(precs) != 1:
-                retried.append((shape, framing, order, precs[:]))
-        assert retried == []
 
     def test_check_survives_optimized_mode(self, tmp_path):
         qfile = self._quiver_file(tmp_path)
         script = (
             "import sys\n"
             "from quotmotives import cli, quiver\n"
-            "ratio = quiver._ratio\n"
+            "rescale = quiver._rescale\n"
             "if sys.argv[1] == 'short':\n"
-            "    quiver._ratio = lambda q, w, order, prec: ratio(q, w, order, 1)\n"
+            "    quiver._rescale = lambda q, w, order: (lambda c, n: (c, n - 1))(\n"
+            "        *rescale(q, w, order))\n"
             "sys.exit(cli.main(sys.argv[2:]))\n")
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -614,7 +576,7 @@ class TestCounts:
 
 class TestOptimizedMode:
     """The QSeries products run the kernel's explicit width check and the
-    window self-check; under ``python -O`` both jobs must print what they
+    modulus self-check; under ``python -O`` both jobs must print what they
     print in process."""
 
     A2_QUIVER = {"vertices": 2, "arrows": [[0, 1], [1, 1]]}

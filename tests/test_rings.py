@@ -12,8 +12,8 @@ from hypothesis import example, given, strategies as st
 
 from quotmotives import rings
 from quotmotives.plethystic import _exp_exact
-from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _below, _decode,
-                               _packed_sum, _rewiden, affine_class, projective_class)
+from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _decode, _packed_sum,
+                               _rewiden, affine_class, projective_class)
 from quotmotives.series import TruncatedSeries, _sum_products
 
 
@@ -26,32 +26,33 @@ wide_laurents = st.dictionaries(
     max_size=5).map(LaurentPoly)
 
 
-precisions = st.one_of(st.integers(-4, 8), st.just(math.inf))
+precisions = st.one_of(st.integers(0, 8), st.just(math.inf))
 
 
 def qs(terms: dict, prec) -> QSeries:
     return QSeries(LaurentPoly(terms), prec)
 
 
-qseries = st.builds(QSeries, laurents, precisions)
+# QSeries exponents are >= 0
+qseries = st.builds(
+    QSeries, st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=5).map(LaurentPoly),
+    precisions)
 
 
-# wider QSeries for the product tests: negative exponents, mixed signs,
-# coefficients past 2^64, precisions that leave the known part empty
+# wider QSeries for the product tests: mixed signs, coefficients past
+# 2^64, precisions that leave the known part empty
 wide_qseries = st.builds(
     QSeries,
-    st.dictionaries(st.integers(-8, 8),
+    st.dictionaries(st.integers(0, 16),
                     st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)),
                     max_size=8).map(LaurentPoly),
-    st.one_of(st.integers(-6, 10), st.just(math.inf)))
+    st.one_of(st.integers(0, 18), st.just(math.inf)))
 
 
 def _dict_product(a: QSeries, b: QSeries) -> QSeries:
     """The reference: the dict double loop that multiplied QSeries before
     the packed kernel, each term product kept only below the precision."""
-    va = min(a.known._terms, default=a.prec)
-    vb = min(b.known._terms, default=b.prec)
-    prec = min(va + b.prec, vb + a.prec)
+    prec = min(a.prec, b.prec)
     right = b.terms()
     out = {}
     for e1, c1 in a.known._terms.items():
@@ -163,12 +164,10 @@ class TestNoZeroCoefficient:
         _stores_no_zero(full, partial, x - x, -x, x * k, k * x, (x * k) / k, x.adams(m),
                         x.dual(), x + 3, 3 - x)
 
-    @given(wide_qseries, wide_qseries, st.integers(-6, 6), st.integers(-6, 10))
-    def test_qseries_paths(self, x, y, a, n):
+    @given(wide_qseries, wide_qseries, st.integers(0, 18))
+    def test_qseries_paths(self, x, y, n):
         cut = QSeries(x.known, n)
-        _stores_no_zero(x, y, x.shift(a), cut, -x, x + y, x - x, x * y, x.adams(2))
-        # _below takes a nonzero known part, as the kernel passes it
-        _stores_no_zero(*(_below(z, k) for z in (x, cut) if z.known for k in (n - 1, n, n + 1)))
+        _stores_no_zero(x, y, cut, -x, x + y, x - x, x * y, x.adams(2))
         # a kernel sum that cancels in full and one that cancels in part
         _stores_no_zero(QSeries.sum_of_products([(x, y), (-x, y)]),
                         QSeries.sum_of_products([(x, y), (x, -y), (y, y)]))
@@ -367,19 +366,14 @@ class TestSumOfProducts:
         assert f.to_json_obj() == twin.to_json_obj()
         assert f.dual() == twin.dual() and f.adams(3) == twin.adams(3)
         assert repr(f.dual()) == repr(twin.dual())
-        # a QSeries keeps the last cut of its known part that a product made
+        # a QSeries product packs the known parts and leaves their values as they were
         x, twin = qs({e: e + 1 for e in range(10)}, 10), qs({e: e + 1 for e in range(10)}, 10)
-        y = qs({-2: 1, 0: 5}, 3)
+        y = qs({0: 5, 2: 1}, 3)
         first = _exactly(x * y)
-        cut = x._cut
-        assert cut is not None and cut[0] == 5 and twin._cut is None
-        assert _exactly(x * y) == first == _exactly(_dict_product(twin, y))
-        assert x._cut is cut
+        assert x.known._pack is not None and twin.known._pack is None
+        assert first == _exactly(_dict_product(twin, y)) == _exactly(x * y)
         assert _exactly(x) == _exactly(twin) and repr(x) == repr(twin) and x == twin
         assert _exactly(x.adams(2)) == _exactly(twin.adams(2))
-        assert _exactly(x * qs({-1: 1}, 3)) == _exactly(_dict_product(twin, qs({-1: 1}, 3)))
-        assert x._cut[0] == 4
-        assert _exactly(x * y) == first
 
     def test_shared_operand_across_threads(self):
         # threads race to replace the shared operand's pack at two widths
@@ -424,16 +418,21 @@ class TestSumOfProducts:
 
 class TestQSeries:
     def test_terms_below_precision(self):
-        f = qs({-1: 2, 0: 0, 3: 1, 4: 5}, 4)
-        assert f.terms() == [(-1, 2), (3, 1)]
-        assert f.known == LaurentPoly({-1: 2, 3: 1})
-        assert f.valuation() == -1
-        assert qs({5: 1}, 4).valuation() == 4
+        f = qs({1: 2, 0: 0, 3: 1, 4: 5}, 4)
+        assert f.terms() == [(1, 2), (3, 1)]
+        assert f.known == LaurentPoly({1: 2, 3: 1})
+        assert not qs({5: 1}, 4).known
+
+    def test_negative_exponent_rejected(self):
+        # a QSeries is a power series in q: no exponent below 0, known or cut
+        for terms, prec in (({-1: 1}, 5), ({-1: 1, 0: 1}, math.inf), ({-3: 2, 4: 1}, 0)):
+            with pytest.raises(ValueError, match="QSeries exponents must be >= 0"):
+                qs(terms, prec)
 
     def test_exact_values(self):
         one = QSeries.one()
         assert one.prec == math.inf
-        assert qs({3: 1}, math.inf) * qs({-3: 1}, math.inf) == one
+        assert qs({3: 1}, math.inf) * qs({2: 1}, math.inf) == qs({5: 1}, math.inf)
         assert (qs({3: 1}, math.inf) * 0).prec == math.inf
         assert 2 * one - 1 == one
 
@@ -445,11 +444,14 @@ class TestQSeries:
         assert qs({0: 1}, math.inf)
 
     def test_precision_tracking(self):
-        a = qs({-2: 1, 0: 1}, 3)     # q^-2 + 1 + O(q^3)
+        # reduction modulo q^N is a ring map, so a sum or a product is known
+        # to the least precision of its operands
+        a = qs({0: 1, 2: 1}, 3)      # 1 + q^2 + O(q^3)
         b = qs({1: 1}, 5)            # q + O(q^5)
         assert (a + b).prec == 3
-        assert (a * b).prec == min(-2 + 5, 1 + 3)
-        assert (a * b) == qs({-1: 1, 1: 1}, 3)
+        assert (a * b).prec == 3
+        assert _exactly(a * b) == (QSeries, [(1, 1)], 3)
+        assert _exactly(a * qs({}, math.inf)) == (QSeries, [], 3)
 
     def test_equality_at_common_precision(self):
         assert qs({0: 1, 2: 7}, 3) == qs({0: 1}, 2)
@@ -464,9 +466,10 @@ class TestQSeries:
         assert a * (b + c) == a * b + a * c
         assert a - a == qs({}, a.prec)
 
-    @given(laurents, laurents, precisions, precisions, st.integers(1, 3))
-    def test_truncation_is_homomorphism(self, f, g, m, n, k):
+    @given(qseries, qseries, precisions, precisions, st.integers(1, 3))
+    def test_truncation_is_homomorphism(self, x, y, m, n, k):
         # every coefficient a result claims to know is the true one
+        f, g = x.known, y.known
         a, b = QSeries(f, m), QSeries(g, n)
         assert a + b == QSeries(f + g, math.inf)
         assert a - b == QSeries(f - g, math.inf)
@@ -482,12 +485,12 @@ class TestQSeries:
             f.adams(0)
 
     def test_int_minus_qseries(self):
-        x = qs({-1: 2, 0: -3, 2: 5}, 4)
+        x = qs({1: 2, 0: -3, 2: 5}, 4)
         assert _exactly(3 - x) == _exactly(-(x - 3))
-        assert _exactly(3 - x) == (QSeries, [(-1, -2), (0, 6), (2, -5)], 4)
+        assert _exactly(3 - x) == (QSeries, [(0, 6), (1, -2), (2, -5)], 4)
 
-    EDGE_CASES = [qs({}, math.inf), qs({}, 3), qs({5: 1}, 3), qs({-2: 2 ** 70, 1: -1}, 2),
-                  qs({0: 1}, math.inf), qs({-3: -1, 4: 2 ** 65}, math.inf), qs({2: 7}, -4)]
+    EDGE_CASES = [qs({}, math.inf), qs({}, 3), qs({5: 1}, 3), qs({0: 2 ** 70, 1: -1}, 2),
+                  qs({0: 1}, math.inf), qs({1: -1, 4: 2 ** 65}, math.inf), qs({2: 7}, 0)]
 
     @given(wide_qseries, wide_qseries)
     def test_product_matches_dict_product(self, a, b):
@@ -504,22 +507,23 @@ class TestQSeries:
         assert _exactly(a * k) == _exactly(k * a) == _exactly(_dict_product(a, exact))
 
     def test_operands_cut_to_the_precision(self):
-        # q^-2 + O(q^3) times 1 + q + ... + q^9 (+ O(q^10)): only the terms
-        # of b below q^(3 - (-2)) = q^5 reach the result's precision 3
-        a = qs({-2: 1}, 3)
+        # q + O(q^3) times 1 + q + ... + q^9 (+ O(q^10)): the terms of b at
+        # q^3 and above land above the result's precision 3, undecoded
+        a = qs({1: 1}, 3)
         b = qs({e: 1 for e in range(10)}, 10)
         prod = a * b
-        assert _exactly(prod) == (QSeries, [(e, 1) for e in range(-2, 3)], 3)
+        assert _exactly(prod) == (QSeries, [(1, 1), (2, 1)], 3)
         assert _exactly(prod) == _exactly(_dict_product(a, b))
 
     @pytest.mark.parametrize("width", sorted(SLOT_BITS))
     @given(data=st.data())
     def test_adams_images_with_a_precision_stop(self, width, data):
-        # Adams images and dense operands, each known to some O(q^N): the
-        # cut operands are packed, and the sum decoded below P
+        # Adams images and dense operands, moved to exponents >= 0 and each
+        # known to some O(q^N): the sum is decoded below P
         pairs = []
         for a, b in data.draw(st.lists(adams_and_dense(SLOT_BITS[width]),
                                        min_size=1, max_size=4)):
+            a, b = (x * LaurentPoly.lefschetz(-x.min_exp()) for x in (a, b))
             pairs.append((QSeries(a, data.draw(precisions)), QSeries(b, data.draw(precisions))))
         expected = QSeries(LaurentPoly(), math.inf)
         for a, b in pairs:
@@ -541,9 +545,3 @@ class TestQSeries:
     def test_incompatible_operand(self):
         with pytest.raises(TypeError):
             QSeries.sum_of_products([(qs({0: 1}, 3), LaurentPoly({0: 1}))])
-
-    @given(wide_qseries, st.integers(-6, 6))
-    def test_shift_is_the_monomial_product(self, x, a):
-        monomial = QSeries(LaurentPoly.lefschetz(a), math.inf)
-        assert _exactly(x.shift(a)) == _exactly(monomial * x)
-        assert _exactly(x.shift(a)) == _exactly(_dict_product(monomial, x))
