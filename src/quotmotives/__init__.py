@@ -4,12 +4,11 @@ small finite fields.
 
 All arithmetic is exact: classes are integer Laurent polynomials in the
 Lefschetz class L, series are truncated at an explicit order, and quiver
-partition sums run over integer Laurent series in q known to a precision
+partition sums are integer polynomials in q, taken modulo a power of q
 that is derived from the inputs and large enough to make them exact.
 """
 
-from .rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
-                    projective_class)
+from .rings import ExactnessError, LaurentPoly, affine_class, projective_class
 from .series import TruncatedSeries, geometric_series
 from .plethystic import (exp_pleth, exp_pleth_product, log_pleth,
                          power_structure, symmetric_power, verify_power_axioms)
@@ -27,7 +26,7 @@ from .report import CheckReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError", "CheckReport", "ExactnessError", "LaurentPoly", "QSeries",
+    "BudgetError", "CheckReport", "ExactnessError", "LaurentPoly",
     "Quiver", "TruncatedSeries", "UnsupportedDimensionError", "active_backend",
     "affine_class", "euler_form", "exp_pleth", "exp_pleth_product",
     "geometric_series", "gl_order", "jordan_product_series", "log_pleth",

@@ -61,19 +61,19 @@ entry's sum is shifted up twice, by chi(theta, theta) + c.theta for the
 table and S'(0) and by chi(theta, theta) + k|theta| for S'(w); shifting
 the table's entry down by w.theta instead would lose the top w.theta
 exponents below q^N.  The division is the layered solve of
-:class:`~quotmotives.series.TruncatedSeries` on :class:`QSeries`
-coefficients modulo q^N.
+:class:`~quotmotives.series.TruncatedSeries` on the LaurentPoly sums,
+with every coefficient cut below q^N.
 
-Each R'_v is checked: it is known modulo q^(c.v + d/2 + 2), no known
-exponent lies outside [c.v - d/2, c.v + d/2] (so the spare coefficient
-is zero), and its motive is effective.  A failure raises AssertionError
-explicitly, which survives ``python -O``.
+Each R'_v is checked: N >= c.v + d/2 + 2, no exponent lies outside
+[c.v - d/2, c.v + d/2] (so the spare coefficient is zero), and its
+motive is effective.  A failure raises AssertionError explicitly, which
+survives ``python -O``.
 """
 
 import itertools
 from collections import namedtuple
 
-from .rings import LaurentPoly, QSeries, _packed_sum
+from .rings import LaurentPoly, _packed_sum
 from .report import CheckReport
 from .series import TruncatedSeries
 from .plethystic import _exp_exact
@@ -300,17 +300,20 @@ def nakajima_motive_series(quiver: Quiver, w, order: int) -> TruncatedSeries:
     R_v = q^(-c.v) R'_v and d = dim M(v, w).
     """
     c, prec = _rescale(quiver, w, order)
-    sw, s0 = (TruncatedSeries({v: QSeries(p, prec) for v, p in s.items()}, order, quiver.vertices)
-              for s in _partition_sums(quiver, w, order, c, prec))
+    sw, s0 = _partition_sums(quiver, w, order, c, prec)
+    ratio = TruncatedSeries(sw, order, quiver.vertices)._divide(
+        TruncatedSeries(s0, order, quiver.vertices), prec)
     out = {}
-    for v, r in (sw / s0)._coeffs.items():
+    for v in sw:  # every v, also one whose R'_v is zero and so not stored
+        r = ratio.coefficient(v)
         cv, half = _dot(c, v), nakajima_dim(quiver, v, w) // 2
-        terms = r.terms()
-        if r.prec < cv + half + 2 or terms and (terms[0][0] < cv - half
-                                                 or terms[-1][0] > cv + half):
+        terms = r.terms() if r else []
+        if prec < cv + half + 2 or terms and (terms[0][0] < cv - half
+                                              or terms[-1][0] > cv + half):
             raise AssertionError(
                 f"z^{v} coefficient of the rescaled S(w)/S(0) is not known modulo "
-                f"q^{cv + half + 2} with exponents in [{cv - half}, {cv + half}]: {r!r}")
+                f"q^{cv + half + 2} with exponents in [{cv - half}, {cv + half}]: "
+                f"{r!r} modulo q^{prec}")
         motive = LaurentPoly({cv + half - e: a for e, a in terms})
         if not motive.is_effective:
             raise AssertionError(

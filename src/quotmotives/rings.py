@@ -1,21 +1,15 @@
 """Exact coefficient arithmetic for motivic classes.
 
-Two rings are used throughout the package:
-
-* :class:`LaurentPoly` -- the ring Z[L, L^{-1}] of integer Laurent
-  polynomials in the Lefschetz class L (the class of the affine line).
-  Every variety class manipulated here (affine and projective spaces,
-  their products, all series coefficients) lives in this subring of the
-  Grothendieck ring, which keeps arithmetic exact and equality decidable.
-  Coefficients are ints only: division by an integer either divides
-  exactly or raises :class:`ExactnessError`, so no rational number is
-  ever stored in a class.
-* :class:`QSeries` -- power series in a symbol q with int coefficients,
-  known modulo q^N for a precision N that the arithmetic tracks.  The
-  quiver ratio S(w)/S(0), rescaled into Z[[q]], runs in this ring; its
-  results are polynomials of bounded degree, so the modulus read off the
-  inputs gives them exactly (the bounds are in :mod:`quotmotives.quiver`).
-  Exp and Log take no QSeries.
+One ring is used throughout the package: :class:`LaurentPoly`, the ring
+Z[L, L^{-1}] of integer Laurent polynomials in the Lefschetz class L (the
+class of the affine line).  Every variety class manipulated here (affine
+and projective spaces, their products, all series coefficients) lives in
+this subring of the Grothendieck ring, which keeps arithmetic exact and
+equality decidable.  Coefficients are ints only: division by an integer
+either divides exactly or raises :class:`ExactnessError`, so no rational
+number is ever stored in a class.  The same class holds the polynomials
+in a symbol q of the quiver partition sums, whose ratio is taken modulo
+a power q^N through the kernel's stop (below).
 
 Sums of products.  A series convolution needs sum_i a_i b_i for many
 pairs of Laurent polynomials; :meth:`LaurentPoly.sum_of_products` does
@@ -48,29 +42,20 @@ the layer loop of the Exp and of Log's division in
 :mod:`quotmotives.plethystic`, which packs whole layers itself and moves
 a pack to a new width by its bytes (:func:`_rewiden`).
 
-QSeries products use the same kernel: :meth:`QSeries.sum_of_products`
-(and ``*``, its one-pair case) is known modulo q^P for P the least
-precision of its operands, and the kernel decodes only the exponents
-below P.  No operand is cut: every exponent is >= 0, so a known term at
-or above q^P makes only products at or above q^P, which stay packed but
-are never decoded.
-
-Stored terms.  A LaurentPoly stores no zero coefficient, and a QSeries
-no known exponent at or above its precision; ``bool``, equality and the
-kernel's norms rely on both.  ``LaurentPoly(terms)`` drops zeros with a
-filtering copy of its dict.  The paths that cannot make a zero skip that
-copy through the private ``LaurentPoly._of_nonzero``: negation, ``*`` and
-exact ``/`` by a nonzero int, ``dual`` and ``adams`` (one-to-one exponent
-maps), and the cut of ``QSeries.__init__`` (a subset of nonzero terms).
-``+`` deletes a key whose coefficients cancel, and the kernel
-(:func:`_packed_sum`) and the layer reader of
+Stored terms.  A LaurentPoly stores no zero coefficient; ``bool``,
+equality and the kernel's norms rely on it.  ``LaurentPoly(terms)`` drops
+zeros with a filtering copy of its dict.  The paths that cannot make a
+zero skip that copy through the private ``LaurentPoly._of_nonzero``:
+negation, ``*`` and exact ``/`` by a nonzero int, ``dual`` and ``adams``
+(one-to-one exponent maps).  ``+`` deletes a key whose coefficients
+cancel, and the kernel (:func:`_packed_sum`) and the layer reader of
 :mod:`quotmotives.plethystic` keep only the nonzero digits they decode.
 No other module calls ``_of_nonzero``.
 
-Values of both classes are immutable after construction and all
-operations are pure, so they are safe to share between threads: each
-cache is replaced by a new tuple in one assignment, never mutated, so a
-reader never pairs the width of one packing with the integer of another.
+Values are immutable after construction and all operations are pure, so
+they are safe to share between threads: each cache is replaced by a new
+tuple in one assignment, never mutated, so a reader never pairs the
+width of one packing with the integer of another.
 """
 
 from __future__ import annotations
@@ -330,112 +315,6 @@ def projective_class(d: int) -> LaurentPoly:
     if d < -1:
         raise ValueError(f"projective space dimension must be >= -1, got {d}")
     return LaurentPoly({e: 1 for e in range(d + 1)})
-
-
-# ---------------------------------------------------------------------------
-# Laurent series in q known to a finite precision
-# ---------------------------------------------------------------------------
-
-class QSeries:
-    """Power series in the symbol q with int coefficients, known modulo q^prec.
-
-    The value is ``known + O(q^prec)``, where ``known`` is a LaurentPoly in
-    the symbol q whose exponents are all >= 0 and below ``prec``, and
-    ``prec`` is ``math.inf`` for an exactly known polynomial.  A negative
-    exponent raises ValueError.  Reduction modulo q^N is a ring map of
-    Z[[q]], so the arithmetic tracks the precision as the least of the
-    operands': a sum or a product is known to min(N_a, N_b), and q |-> q^k
-    multiplies N by k.  Ints are exact constants.  Equality compares the
-    coefficients below the common precision.
-    """
-
-    __slots__ = ("known", "prec")
-
-    def __init__(self, known: LaurentPoly, prec):
-        self.prec = prec
-        terms = known._terms
-        if terms and min(terms) < 0:
-            raise ValueError(f"QSeries exponents must be >= 0, got {known}")
-        if terms and max(terms) >= prec:
-            known = LaurentPoly._of_nonzero({e: c for e, c in terms.items() if e < prec})
-        self.known = known
-
-    @classmethod
-    def one(cls) -> "QSeries":
-        return cls(LaurentPoly.one(), math.inf)
-
-    @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, cls):
-            return x
-        if isinstance(x, int):
-            return cls(LaurentPoly({0: x}), math.inf)
-        return NotImplemented
-
-    def terms(self):
-        """Sorted (exponent, coefficient) pairs of the known part."""
-        return self.known.terms()
-
-    def __bool__(self) -> bool:
-        """False only for an exact zero: O(q^N) may be a nonzero series."""
-        return bool(self.known) or self.prec != math.inf
-
-    def __add__(self, other):
-        other = QSeries._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSeries(self.known + other.known, min(self.prec, other.prec))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries(-self.known, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = QSeries._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSeries.sum_of_products([(self, other)])
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def sum_of_products(cls, pairs) -> "QSeries":
-        """sum of a * b over the (a, b) pairs of QSeries (or ints), known
-        modulo q^P for P the least precision of the operands: the kernel
-        of :meth:`LaurentPoly.sum_of_products` on the known parts,
-        decoded below q^P only."""
-        prec = math.inf
-        known = []
-        for a, b in pairs:
-            a, b = cls._coerce(a), cls._coerce(b)
-            if a is NotImplemented or b is NotImplemented:
-                raise TypeError("QSeries products need QSeries or int operands")
-            prec = min(prec, a.prec, b.prec)
-            known.append((a.known, b.known))
-        return cls(_packed_sum(known, prec), prec)
-
-    def adams(self, k: int) -> "QSeries":
-        """The Adams operation q |-> q^k; the precision scales by k."""
-        return QSeries(self.known.adams(k), self.prec * k)
-
-    def __eq__(self, other):
-        other = QSeries._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        return QSeries(self.known, prec).known == QSeries(other.known, prec).known
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"QSeries({self.known!r}, {self.prec!r})"
 
 
 # slot width -> the memoryview format that reads little-endian signed words

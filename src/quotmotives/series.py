@@ -7,33 +7,33 @@ two series are compared only up to their common order.  Series are
 univariate in t (arity 1) or live in a vertex-indexed family of
 variables (arity = number of vertices), graded by total degree.
 
-Coefficients are ints, :class:`LaurentPoly` in L (or in the symbol q)
-or :class:`QSeries`, power series in q known modulo q^N, so no
-operation leaves the integers; the arithmetic is duck-typed and mixing
-genuinely incompatible rings fails in the coefficient operations.  A
-coefficient is dropped only when it is falsy, i.e. an exact zero.
+Coefficients are ints or :class:`LaurentPoly` in L (or in the symbol
+q), so no operation leaves the integers; the arithmetic is duck-typed,
+and a coefficient of any other type fails in the coefficient
+operations.  A coefficient is dropped only when it is falsy, i.e. zero.
 Products and division group their terms by target exponent vector and
 sum each group with one packed big-int kernel (:func:`_sum_products`):
-LaurentPoly pairs go to :meth:`LaurentPoly.sum_of_products`, and groups
-with a QSeries to :meth:`QSeries.sum_of_products`, which calls the same
-kernel and decodes below the group's least precision; int groups sum
-product by product.  Division needs a unit constant term in the
-denominator and solves a recurrence layered by total degree; inversion
-is division of 1, and a product of factors (1 - c x^m)^(-a)
-(:func:`euler_product`) multiplies its binomials out, each one as
-s_k - c s_(k-m), and divides once.  The plethystic exponential of
-:mod:`quotmotives.plethystic` solves its own recurrence on packed
-layers, and so does Log's division E g / g; the division here serves
-:func:`euler_product` and every other quotient, the quiver ratio
-S(w)/S(0) among them, and nothing here calls the Exp.
+LaurentPoly pairs go to :func:`~quotmotives.rings._packed_sum`, and int
+groups sum product by product.  Division needs a unit constant term in
+the denominator and solves a recurrence layered by total degree
+(:meth:`TruncatedSeries._divide`), which can stop every coefficient at
+q^N: so the quiver ratio S(w)/S(0), rescaled into Z[[q]], runs modulo
+q^N.  Inversion is division of 1, and a product of factors
+(1 - c x^m)^(-a) (:func:`euler_product`) multiplies its binomials out,
+each one as s_k - c s_(k-m), and divides once.  The plethystic
+exponential of :mod:`quotmotives.plethystic` solves its own recurrence
+on packed layers, and so does Log's division E g / g; the division here
+serves :func:`euler_product` and every other quotient, and nothing here
+calls the Exp.
 Values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from operator import add
 
-from .rings import ExactnessError, LaurentPoly, QSeries
+from .rings import ExactnessError, LaurentPoly, _packed_sum
 
 
 def _zero_key(arity: int):
@@ -52,11 +52,6 @@ def _invert_coeff(c):
             raise ExactnessError(f"constant term {c} is not a unit of Z[L, L^-1]")
         e, a = t[0]
         return LaurentPoly({-e: a})
-    if isinstance(c, QSeries):
-        # 1/(a + O(q^N)) = a + O(q^N) for a = +-1
-        if c.known._terms not in ({0: 1}, {0: -1}):
-            raise ExactnessError(f"constant term {c!r} is not +-1 modulo q^{c.prec}")
-        return c
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
 
 
@@ -70,8 +65,7 @@ def _unit_times(u):
     """The map c |-> u * c for a unit u of the coefficient ring.  The 1 of
     int or LaurentPoly returns c itself, unless c is an int, which u * c
     promotes (so that LaurentPoly groups stay on the packed kernel).
-    Every other unit multiplies, a QSeries 1 + O(q^N) included, so that a
-    quotient claims no precision it does not have."""
+    Every other unit multiplies."""
     if type(u) is int and u == 1 or type(u) is LaurentPoly and u._terms == {0: 1}:
         return lambda c: u * c if type(c) is int else c
     return lambda c: u * c
@@ -193,13 +187,22 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Quotient by a series whose constant term is a unit.
-
-        One layered solve: b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}, where
-        a is ``self`` and b is ``other``.
-        """
+        """Quotient by a series whose constant term is a unit (:meth:`_divide`)."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        return self._divide(other, math.inf)
+
+    def _divide(self, other, stop=math.inf):
+        """self / other by one layered solve:
+        b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}, where a is ``self`` and b
+        is ``other``.
+
+        Every group of products is decoded below q^stop.  With a finite
+        stop every coefficient must be a LaurentPoly with exponents in
+        [0, stop), and b_0 = +-1; reduction modulo q^stop is then a ring
+        map of Z[[q]], so the result is the exact quotient with every
+        coefficient cut below q^stop.
+        """
         order = self._compat(other)
         c0 = other.constant_term()
         if c0 == 0:
@@ -220,7 +223,7 @@ class TruncatedSeries:
                             pairs.append((c1, c2))
             layer = dict(num[n])
             for m, pairs in groups.items():
-                c = _sum_products(pairs)
+                c = _sum_products(pairs, stop)
                 layer[m] = layer[m] - c if m in layer else -c
             u.append({m: times_i0(c) for m, c in layer.items() if c})
         return TruncatedSeries({m: c for layer in u for m, c in layer.items()}, order, self.arity)
@@ -250,7 +253,7 @@ class TruncatedSeries:
         for m, c in self._coeffs.items():
             if sum(m) * k > self.order:
                 continue
-            if isinstance(c, (LaurentPoly, QSeries)):
+            if isinstance(c, LaurentPoly):
                 c = c.adams(k)
             out[tuple(e * k for e in m)] = c
         return TruncatedSeries(out, self.order, self.arity)
@@ -316,21 +319,14 @@ class TruncatedSeries:
 # Sums of coefficient products
 # ---------------------------------------------------------------------------
 
-def _sum_products(pairs):
+def _sum_products(pairs, stop=math.inf):
     """sum of c1 * c2 over the (c1, c2) pairs.  Pairs of LaurentPoly go
-    through the packed kernel :meth:`LaurentPoly.sum_of_products`, and a
-    group with a QSeries through :meth:`QSeries.sum_of_products`, which
-    decodes the same kernel's sum below the group's precision; any
-    other group (ints, as in zeta functions, possibly mixed with
-    LaurentPoly) keeps the product-by-product sum."""
+    through the packed kernel :func:`~quotmotives.rings._packed_sum`,
+    decoded below q^stop; any other group (ints, as in zeta functions,
+    possibly mixed with LaurentPoly) keeps the product-by-product sum."""
     if all(type(c1) is LaurentPoly and type(c2) is LaurentPoly for c1, c2 in pairs):
-        return LaurentPoly.sum_of_products(pairs)
-    acc = 0
-    for c1, c2 in pairs:
-        if type(c1) is QSeries or type(c2) is QSeries:
-            return QSeries.sum_of_products(pairs)
-        acc = acc + c1 * c2
-    return acc
+        return _packed_sum(pairs, stop)
+    return sum(c1 * c2 for c1, c2 in pairs)
 
 
 def geometric_series(ratio_coeff, order: int) -> TruncatedSeries:

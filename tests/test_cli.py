@@ -575,9 +575,9 @@ class TestCounts:
 
 
 class TestOptimizedMode:
-    """The QSeries products run the kernel's explicit width check and the
-    modulus self-check; under ``python -O`` both jobs must print what they
-    print in process."""
+    """The quiver ratio's division modulo q^N runs the kernel's explicit
+    width check and the modulus self-check; under ``python -O`` both jobs
+    must print what they print in process."""
 
     A2_QUIVER = {"vertices": 2, "arrows": [[0, 1], [1, 1]]}
 

@@ -7,13 +7,13 @@ import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from quotmotives import plethystic, quiver, quot
-from quotmotives.rings import (ExactnessError, LaurentPoly, QSeries, affine_class,
-                               projective_class)
+from quotmotives.rings import ExactnessError, LaurentPoly, affine_class, projective_class
 from quotmotives.quiver import verify_heine
 from quotmotives.series import TruncatedSeries, geometric_series
 from quotmotives.plethystic import (_coerce_laurent_coeffs, _exp_exact, exp_pleth,
@@ -192,7 +192,6 @@ class TestExp:
 
     def test_exp_of_zero_series_is_one_in_either_ring(self):
         s = exp_pleth(TruncatedSeries({}, 3))
-        assert s == TruncatedSeries.constant(QSeries.one(), 3)
         assert s == TruncatedSeries.constant(LaurentPoly.one(), 3)
 
     def test_two_paths_agree_multivariate(self):
@@ -252,31 +251,24 @@ def record_widths(monkeypatch):
 
 
 @st.composite
-def qseries_arguments(draw):
-    """A series with zero constant term and QSeries coefficients in one to
-    three variables: exponents >= 0 and precisions 3, 6, 9 or exact."""
+def stopped_arguments(draw):
+    """(f, stop): a series with zero constant term and LaurentPoly
+    coefficients in q in one to three variables, exponents >= 0, and a
+    stop 3, 6, 9 or none (math.inf) for Heine's solve."""
     arity = draw(st.sampled_from((1, 2, 3)))
     order = draw(st.integers(1, (7, 4, 3)[arity - 1]))
     vectors = [m for m in itertools.product(range(order + 1), repeat=arity)
                if 1 <= sum(m) <= order]
-    classes = st.builds(
-        lambda terms, prec: QSeries(LaurentPoly(terms), prec),
-        st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=3),
-        st.sampled_from((3, 6, 9, math.inf))).filter(bool)
-    return TruncatedSeries(draw(st.dictionaries(st.sampled_from(vectors), classes,
-                                                min_size=1, max_size=5)), order, arity)
+    classes = st.dictionaries(st.integers(0, 5), st.integers(-3, 3), min_size=1, max_size=3)\
+        .map(LaurentPoly).filter(bool)
+    f = TruncatedSeries(draw(st.dictionaries(st.sampled_from(vectors), classes,
+                                             min_size=1, max_size=5)), order, arity)
+    return f, draw(st.sampled_from((3, 6, 9, math.inf)))
 
 
 def surface_quot_argument(x, r, order):
     return TruncatedSeries.variable(order, coeff=projective_class(r - 1) * x) \
         * geometric_series(LaurentPoly.lefschetz(r), order)
-
-
-def solve_below_precision(f):
-    """(h, N): Heine's solve of an argument f with QSeries coefficients,
-    the Exp of their known parts modulo q^N, N their least precision."""
-    stop = min(c.prec for c in f._coeffs.values())
-    return _exp_exact(f.map_coefficients(lambda c: c.known), stop), stop
 
 
 class TestExactExp:
@@ -330,43 +322,39 @@ class TestExactExp:
         assert max(abs(c) for _, p in h.coefficients() for _, c in p.terms()).bit_length() == 63
         assert _exact_terms(h) == _exact_terms(exp_pleth_product(f))
 
-    def test_qseries_arguments_stop_at_their_least_precision(self):
-        # the known parts' Exp reaches q^6 at t^4, (q^3 t^2)^2; solved
-        # modulo q^5, every layer stops below q^5
-        f = TruncatedSeries({(1,): QSeries(LaurentPoly({1: 2}), 9),
-                             (2,): QSeries(LaurentPoly({0: -1, 3: 1}), 5)}, 4)
-        h, stop = solve_below_precision(f)
-        assert stop == 5
-        assert h.coefficient(1) == f.coefficient(1).known
-        expect = exp_pleth_product(f.map_coefficients(lambda c: c.known))
+    def test_stopped_arguments_stop_at_the_stop(self):
+        # the Exp reaches q^6 at t^4, (q^3 t^2)^2; solved modulo q^5, every
+        # layer stops below q^5
+        f = TruncatedSeries({(1,): LaurentPoly({1: 2}), (2,): LaurentPoly({0: -1, 3: 1})}, 4)
+        h = _exp_exact(f, 5)
+        assert h.coefficient(1) == f.coefficient(1)
+        expect = exp_pleth_product(f)
         assert max(e for _, c in expect.coefficients() for e, _ in c.terms()) == 6
         assert max(e for _, c in h.coefficients() for e, _ in c.terms()) == 4
         assert all(terms_below(expect.coefficient(m), 5) == c.terms() for m, c in h.coefficients())
 
-    @given(qseries_arguments())
-    @example(TruncatedSeries({(1,): QSeries(LaurentPoly({7: 1}), 9),
-                              (2,): QSeries(LaurentPoly(), 3)}, 4))
-    @example(TruncatedSeries({(1, 0): QSeries(LaurentPoly({0: 1, 1: 1, 2: 1}), 3),
-                              (0, 1): QSeries(LaurentPoly({2: 1}), math.inf)}, 3, 2))
+    @given(stopped_arguments())
+    @example((TruncatedSeries({(1,): LaurentPoly({7: 1})}, 4), 3))
+    @example((TruncatedSeries({(1, 0): LaurentPoly({0: 1, 1: 1, 2: 1}),
+                               (0, 1): LaurentPoly({2: 1})}, 3, 2), 3))
     # Heine's sum_{i<N} q^i t: the k-sums of q^0, q^1 and q^2 t have 20, 20
     # and 19 terms below q^40 and run, cut at q^40; those from q^3 t merge
-    @example(TruncatedSeries({(1,): QSeries(LaurentPoly(dict.fromkeys(range(40), 1)), 40)}, 20))
-    @example(TruncatedSeries({(1,): QSeries(LaurentPoly({0: 1, 1: -2, 3: 1}), 30),
-                              (2,): QSeries(LaurentPoly({1: 1}), 30)}, 18))
-    @example(TruncatedSeries({(1, 0): QSeries(LaurentPoly({0: 2, 4: -1}), 12),
-                              (0, 1): QSeries(LaurentPoly({1: 1}), math.inf)}, 15, 2))
-    def test_qseries_arguments_match_the_product_form_below_their_precision(self, f):
-        # the known parts' product form, read below q^N: the solve keeps
-        # exactly those terms
-        h, stop = solve_below_precision(f)
-        expect = exp_pleth_product(f.map_coefficients(lambda c: c.known))
+    @example((TruncatedSeries({(1,): LaurentPoly(dict.fromkeys(range(40), 1))}, 20), 40))
+    @example((TruncatedSeries({(1,): LaurentPoly({0: 1, 1: -2, 3: 1}),
+                               (2,): LaurentPoly({1: 1})}, 18), 30))
+    @example((TruncatedSeries({(1, 0): LaurentPoly({0: 2, 4: -1}),
+                               (0, 1): LaurentPoly({1: 1})}, 15, 2), 12))
+    def test_stopped_arguments_match_the_product_form_below_the_stop(self, drawn):
+        # the product form, read below q^stop: the solve keeps exactly those terms
+        f, stop = drawn
+        h = _exp_exact(f, stop)
+        expect = exp_pleth_product(f)
         assert {m: terms_below(c, stop) for m, c in expect.coefficients()
                 if terms_below(c, stop)} == {m: terms_below(c, math.inf)
                                              for m, c in h.coefficients()}
 
-    PURE = TruncatedSeries({(1,): QSeries(LaurentPoly({1: 2}), 5),
-                            (2,): QSeries(LaurentPoly({0: 1}), math.inf)}, 3)
-    MIXED = TruncatedSeries({(1,): L, (2,): QSeries(LaurentPoly({0: 1}), 5), (3,): 2}, 3)
+    PURE = TruncatedSeries({(1,): Fraction(2, 3), (2,): Fraction(1)}, 3)
+    MIXED = TruncatedSeries({(1,): L, (2,): Fraction(1, 2), (3,): 2}, 3)
     REFUSALS = {"exp": exp_pleth, "product": exp_pleth_product,
                 "log": lambda f: log_pleth(f + 1), "power": lambda f: power_structure(f + 1, L)}
 
@@ -376,8 +364,8 @@ class TestExactExp:
           in itertools.product(REFUSALS.items(), (("pure", PURE), ("mixed", MIXED)))),
         pytest.param(lambda f: symmetric_power(f.coefficient(1), 3), PURE, id="symmetric-pure"),
     ])
-    def test_qseries_coefficients_are_a_type_error(self, solve, f):
-        with pytest.raises(TypeError, match="int and LaurentPoly coefficients, not QSeries"):
+    def test_other_coefficients_are_a_type_error(self, solve, f):
+        with pytest.raises(TypeError, match="int and LaurentPoly coefficients, not Fraction"):
             solve(f)
 
     def test_a_cut_one_exponent_too_low_fails_heine(self, monkeypatch):
@@ -712,8 +700,8 @@ class TestLog:
             log_pleth(TruncatedSeries.variable(4))
 
     def test_exact_coefficients_divide_on_packed_layers(self, monkeypatch):
-        # no Log reaches the series division, and a QSeries one is refused
-        # before it divides
+        # no Log reaches the series division, and one with a Fraction
+        # coefficient is refused before it divides
         args = [TruncatedSeries({(0,): 1, (1,): 3, (2,): -2, (5,): 7}, 8),
                 TruncatedSeries({(0, 0): 1, (1, 0): L, (0, 2): LaurentPoly({-1: 2})}, 4, 2)]
         expect = [_exact_terms(reference_log(g)) for g in args]
@@ -723,8 +711,8 @@ class TestLog:
 
         monkeypatch.setattr(TruncatedSeries, "__truediv__", refused)
         assert [_exact_terms(log_pleth(g)) for g in args] == expect
-        with pytest.raises(TypeError, match="not QSeries"):
-            log_pleth(TruncatedSeries({(0,): QSeries.one(), (1,): QSeries(L, 5)}, 3))
+        with pytest.raises(TypeError, match="not Fraction"):
+            log_pleth(TruncatedSeries({(0,): 1, (1,): Fraction(1, 2)}, 3))
 
 
 class TestPowerStructure:

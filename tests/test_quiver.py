@@ -342,7 +342,7 @@ class TestCheckReport:
 
 def _sympy_motive_series(sp, quiver, w, order):
     """sum_v [M(v, w)] z^v from S(w)/S(0) computed in sympy's field Q(q):
-    an exact reference that shares no arithmetic with QSeries or its modulus."""
+    an exact reference that shares neither the package's division nor its modulus."""
     q, L = sp.symbols("q L")
 
     def partition_sum(framing):

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from quotmotives import rings
 from quotmotives.plethystic import _exp_exact
-from quotmotives.rings import (ExactnessError, L, LaurentPoly, QSeries, _decode, _packed_sum,
+from quotmotives.rings import (ExactnessError, L, LaurentPoly, _decode, _packed_sum,
                                _rewiden, affine_class, projective_class)
 from quotmotives.series import TruncatedSeries, _sum_products
 
@@ -24,50 +24,6 @@ laurents = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5)\
 wide_laurents = st.dictionaries(
     st.integers(-6, 6), st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)),
     max_size=5).map(LaurentPoly)
-
-
-precisions = st.one_of(st.integers(0, 8), st.just(math.inf))
-
-
-def qs(terms: dict, prec) -> QSeries:
-    return QSeries(LaurentPoly(terms), prec)
-
-
-# QSeries exponents are >= 0
-qseries = st.builds(
-    QSeries, st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=5).map(LaurentPoly),
-    precisions)
-
-
-# wider QSeries for the product tests: mixed signs, coefficients past
-# 2^64, precisions that leave the known part empty
-wide_qseries = st.builds(
-    QSeries,
-    st.dictionaries(st.integers(0, 16),
-                    st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)),
-                    max_size=8).map(LaurentPoly),
-    st.one_of(st.integers(0, 18), st.just(math.inf)))
-
-
-def _dict_product(a: QSeries, b: QSeries) -> QSeries:
-    """The reference: the dict double loop that multiplied QSeries before
-    the packed kernel, each term product kept only below the precision."""
-    prec = min(a.prec, b.prec)
-    right = b.terms()
-    out = {}
-    for e1, c1 in a.known._terms.items():
-        for e2, c2 in right:
-            e = e1 + e2
-            if e >= prec:
-                break
-            out[e] = out.get(e, 0) + c1 * c2
-    return QSeries(LaurentPoly(out), prec)
-
-
-def _exactly(x: QSeries):
-    """Known terms and precision, compared exactly (``==`` compares only
-    below the common precision)."""
-    return type(x), x.terms(), x.prec
 
 
 class TestLaurentPoly:
@@ -140,14 +96,9 @@ class TestLaurentPoly:
 
 
 def _stores_no_zero(*values):
-    """Every LaurentPoly and QSeries in ``values`` keeps no zero
-    coefficient, and every QSeries no known exponent at or above its
-    precision."""
-    for x in values:
-        p = x.known if isinstance(x, QSeries) else x
-        assert isinstance(p, LaurentPoly) and all(p._terms.values()), p._terms
-        if isinstance(x, QSeries):
-            assert all(e < x.prec for e in p._terms), (p._terms, x.prec)
+    """Every LaurentPoly in ``values`` keeps no zero coefficient."""
+    for p in values:
+        assert isinstance(p, LaurentPoly) and all(p._terms.values()), p
 
 
 class TestNoZeroCoefficient:
@@ -163,14 +114,6 @@ class TestNoZeroCoefficient:
         assert partial == y
         _stores_no_zero(full, partial, x - x, -x, x * k, k * x, (x * k) / k, x.adams(m),
                         x.dual(), x + 3, 3 - x)
-
-    @given(wide_qseries, wide_qseries, st.integers(0, 18))
-    def test_qseries_paths(self, x, y, n):
-        cut = QSeries(x.known, n)
-        _stores_no_zero(x, y, cut, -x, x + y, x - x, x * y, x.adams(2))
-        # a kernel sum that cancels in full and one that cancels in part
-        _stores_no_zero(QSeries.sum_of_products([(x, y), (-x, y)]),
-                        QSeries.sum_of_products([(x, y), (x, -y), (y, y)]))
 
     @given(laurents, laurents)
     def test_kernel_sums_that_cancel(self, x, y):
@@ -304,8 +247,9 @@ class TestSumOfProducts:
 
     @given(st.lists(st.tuples(wide_laurents, laurents), max_size=6), st.integers(-14, 14))
     def test_decoded_below_a_stop(self, pairs, stop):
-        # the kernel behind QSeries products decodes only the exponents below
-        # the precision; the dropped slots may hold any sign or size
+        # the kernel decodes only the exponents below the stop, as the
+        # quiver ratio's division asks; the dropped slots may hold any sign
+        # or size
         expected = [(e, c) for e, c in _summed_products(pairs).terms() if e < stop]
         assert _packed_sum(pairs, stop).terms() == expected
 
@@ -332,6 +276,26 @@ class TestSumOfProducts:
         pairs = [(a * (1 << SLOT_BITS[width]), b) for a, b in drawn]
         assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
         assert all(a._pack[4] == b._pack[4] == width for a, b in pairs)
+
+    @given(st.lists(st.tuples(wide_laurents, st.one_of(laurents, st.integers(-9, 9))),
+                    min_size=1, max_size=6), st.integers(0, 12))
+    def test_group_matches_pairwise_sum(self, pairs, stop):
+        # the series' group sum: LaurentPoly groups on the kernel, decoded
+        # below q^stop, and groups with an int product by product
+        exact = [(a, b) for a, b in pairs if type(b) is LaurentPoly]
+        assert _sum_products(exact, stop).terms() == \
+            [(e, c) for e, c in _summed_products(exact).terms() if e < stop]
+        assert _sum_products(pairs) == _summed_products(pairs)
+
+    @pytest.mark.parametrize("width", sorted(SLOT_BITS))
+    @given(st.lists(adams_and_dense(0), min_size=1, max_size=4), st.integers(0, 18))
+    def test_adams_images_decoded_below_a_stop(self, width, drawn, stop):
+        # Adams images and dense operands, moved to exponents >= 0 as in
+        # the quiver ratio: the sum is decoded below q^stop
+        pairs = [(a * (1 << SLOT_BITS[width]) * LaurentPoly.lefschetz(-a.min_exp()),
+                  b * LaurentPoly.lefschetz(-b.min_exp())) for a, b in drawn]
+        expected = [(e, c) for e, c in _summed_products(pairs).terms() if e < stop]
+        assert _packed_sum(pairs, stop).terms() == expected
 
     def test_bound_check_raises(self, monkeypatch):
         # 32-bit slots cannot hold the coefficient 2^31 of the product
@@ -366,14 +330,6 @@ class TestSumOfProducts:
         assert f.to_json_obj() == twin.to_json_obj()
         assert f.dual() == twin.dual() and f.adams(3) == twin.adams(3)
         assert repr(f.dual()) == repr(twin.dual())
-        # a QSeries product packs the known parts and leaves their values as they were
-        x, twin = qs({e: e + 1 for e in range(10)}, 10), qs({e: e + 1 for e in range(10)}, 10)
-        y = qs({0: 5, 2: 1}, 3)
-        first = _exactly(x * y)
-        assert x.known._pack is not None and twin.known._pack is None
-        assert first == _exactly(_dict_product(twin, y)) == _exactly(x * y)
-        assert _exactly(x) == _exactly(twin) and repr(x) == repr(twin) and x == twin
-        assert _exactly(x.adams(2)) == _exactly(twin.adams(2))
 
     def test_shared_operand_across_threads(self):
         # threads race to replace the shared operand's pack at two widths
@@ -414,134 +370,3 @@ class TestSumOfProducts:
         moved = _rewiden(sum(c << w * i for i, c in enumerate(digits)), w, v, len(digits))
         assert moved == sum(c << v * i for i, c in enumerate(digits))
         assert _decode(moved, v, len(digits)) == digits
-
-
-class TestQSeries:
-    def test_terms_below_precision(self):
-        f = qs({1: 2, 0: 0, 3: 1, 4: 5}, 4)
-        assert f.terms() == [(1, 2), (3, 1)]
-        assert f.known == LaurentPoly({1: 2, 3: 1})
-        assert not qs({5: 1}, 4).known
-
-    def test_negative_exponent_rejected(self):
-        # a QSeries is a power series in q: no exponent below 0, known or cut
-        for terms, prec in (({-1: 1}, 5), ({-1: 1, 0: 1}, math.inf), ({-3: 2, 4: 1}, 0)):
-            with pytest.raises(ValueError, match="QSeries exponents must be >= 0"):
-                qs(terms, prec)
-
-    def test_exact_values(self):
-        one = QSeries.one()
-        assert one.prec == math.inf
-        assert qs({3: 1}, math.inf) * qs({2: 1}, math.inf) == qs({5: 1}, math.inf)
-        assert (qs({3: 1}, math.inf) * 0).prec == math.inf
-        assert 2 * one - 1 == one
-
-    def test_bool(self):
-        # only an exact zero is falsy: O(q^N) may hide a nonzero series
-        assert not qs({}, math.inf)
-        assert qs({}, 3)
-        assert qs({5: 1}, 3)
-        assert qs({0: 1}, math.inf)
-
-    def test_precision_tracking(self):
-        # reduction modulo q^N is a ring map, so a sum or a product is known
-        # to the least precision of its operands
-        a = qs({0: 1, 2: 1}, 3)      # 1 + q^2 + O(q^3)
-        b = qs({1: 1}, 5)            # q + O(q^5)
-        assert (a + b).prec == 3
-        assert (a * b).prec == 3
-        assert _exactly(a * b) == (QSeries, [(1, 1)], 3)
-        assert _exactly(a * qs({}, math.inf)) == (QSeries, [], 3)
-
-    def test_equality_at_common_precision(self):
-        assert qs({0: 1, 2: 7}, 3) == qs({0: 1}, 2)
-        assert qs({0: 1, 2: 7}, 3) != qs({0: 1}, 3)
-        assert qs({}, 0) == qs({0: 9}, 1)
-
-    @given(qseries, qseries, qseries)
-    def test_ring_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - a == qs({}, a.prec)
-
-    @given(qseries, qseries, precisions, precisions, st.integers(1, 3))
-    def test_truncation_is_homomorphism(self, x, y, m, n, k):
-        # every coefficient a result claims to know is the true one
-        f, g = x.known, y.known
-        a, b = QSeries(f, m), QSeries(g, n)
-        assert a + b == QSeries(f + g, math.inf)
-        assert a - b == QSeries(f - g, math.inf)
-        assert a * b == QSeries(f * g, math.inf)
-        assert a.adams(k) == QSeries(f.adams(k), math.inf)
-
-    def test_adams(self):
-        f = qs({0: 1, 1: 1}, 3)
-        g = f.adams(2)
-        assert g.prec == 6
-        assert g == qs({0: 1, 2: 1}, 6)
-        with pytest.raises(ValueError):
-            f.adams(0)
-
-    def test_int_minus_qseries(self):
-        x = qs({1: 2, 0: -3, 2: 5}, 4)
-        assert _exactly(3 - x) == _exactly(-(x - 3))
-        assert _exactly(3 - x) == (QSeries, [(0, 6), (1, -2), (2, -5)], 4)
-
-    EDGE_CASES = [qs({}, math.inf), qs({}, 3), qs({5: 1}, 3), qs({0: 2 ** 70, 1: -1}, 2),
-                  qs({0: 1}, math.inf), qs({1: -1, 4: 2 ** 65}, math.inf), qs({2: 7}, 0)]
-
-    @given(wide_qseries, wide_qseries)
-    def test_product_matches_dict_product(self, a, b):
-        assert _exactly(a * b) == _exactly(_dict_product(a, b))
-
-    @pytest.mark.parametrize("a", EDGE_CASES)
-    @pytest.mark.parametrize("b", EDGE_CASES)
-    def test_product_edge_cases(self, a, b):
-        assert _exactly(a * b) == _exactly(_dict_product(a, b))
-
-    @given(wide_qseries, st.integers(-2 ** 70, 2 ** 70))
-    def test_int_operands(self, a, k):
-        exact = QSeries(LaurentPoly({0: k}), math.inf)
-        assert _exactly(a * k) == _exactly(k * a) == _exactly(_dict_product(a, exact))
-
-    def test_operands_cut_to_the_precision(self):
-        # q + O(q^3) times 1 + q + ... + q^9 (+ O(q^10)): the terms of b at
-        # q^3 and above land above the result's precision 3, undecoded
-        a = qs({1: 1}, 3)
-        b = qs({e: 1 for e in range(10)}, 10)
-        prod = a * b
-        assert _exactly(prod) == (QSeries, [(1, 1), (2, 1)], 3)
-        assert _exactly(prod) == _exactly(_dict_product(a, b))
-
-    @pytest.mark.parametrize("width", sorted(SLOT_BITS))
-    @given(data=st.data())
-    def test_adams_images_with_a_precision_stop(self, width, data):
-        # Adams images and dense operands, moved to exponents >= 0 and each
-        # known to some O(q^N): the sum is decoded below P
-        pairs = []
-        for a, b in data.draw(st.lists(adams_and_dense(SLOT_BITS[width]),
-                                       min_size=1, max_size=4)):
-            a, b = (x * LaurentPoly.lefschetz(-x.min_exp()) for x in (a, b))
-            pairs.append((QSeries(a, data.draw(precisions)), QSeries(b, data.draw(precisions))))
-        expected = QSeries(LaurentPoly(), math.inf)
-        for a, b in pairs:
-            expected = expected + _dict_product(a, b)
-        assert _exactly(QSeries.sum_of_products(pairs)) == _exactly(expected)
-
-    @given(st.lists(st.tuples(wide_qseries, st.one_of(wide_qseries, st.integers(-9, 9))),
-                    min_size=1, max_size=6))
-    def test_group_matches_pairwise_sum(self, pairs):
-        expected = QSeries(LaurentPoly(), math.inf)
-        for a, b in pairs:
-            expected = expected + _dict_product(a, QSeries._coerce(b))
-        assert _exactly(_sum_products(pairs)) == _exactly(expected)
-        assert _exactly(QSeries.sum_of_products(pairs)) == _exactly(expected)
-
-    def test_empty_group_is_exact_zero(self):
-        assert _exactly(QSeries.sum_of_products([])) == (QSeries, [], math.inf)
-
-    def test_incompatible_operand(self):
-        with pytest.raises(TypeError):
-            QSeries.sum_of_products([(qs({0: 1}, 3), LaurentPoly({0: 1}))])

@@ -1,9 +1,9 @@
-import math
+import itertools
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quotmotives.rings import ExactnessError, LaurentPoly, QSeries
+from quotmotives.rings import ExactnessError, LaurentPoly
 from quotmotives.series import TruncatedSeries, _unit_times, geometric_series
 
 
@@ -11,28 +11,9 @@ laurents = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6), max_size=4)\
     .map(LaurentPoly)
 
 
-def qs(terms: dict, prec) -> QSeries:
-    return QSeries(LaurentPoly(terms), prec)
-
-
 def univariate(order=6):
     return st.dictionaries(
         st.tuples(st.integers(0, order)), laurents, max_size=5
-    ).map(lambda d: TruncatedSeries(d, order))
-
-
-# QSeries exponents are >= 0, and a unit constant term is +-1 + O(q^N)
-qseries = st.builds(
-    qs, st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=5),
-    st.sampled_from((3, 5, 8, math.inf)))
-unit_qseries = st.builds(
-    lambda a, prec: qs({0: a}, prec),
-    st.sampled_from((1, -1)), st.sampled_from((6, 8, math.inf)))
-
-
-def univariate_q(order=5):
-    return st.dictionaries(
-        st.tuples(st.integers(0, order)), qseries, max_size=5
     ).map(lambda d: TruncatedSeries(d, order))
 
 
@@ -43,24 +24,47 @@ def unit_series(coeffs, units, order=5):
         units, st.dictionaries(st.tuples(st.integers(1, order)), coeffs, max_size=5))
 
 
-def precisions(s: TruncatedSeries) -> dict:
-    return {m: c.prec for m, c in s.coefficients()}
+@st.composite
+def stopped_operands(draw):
+    """(a, b, stop): series in one or two variables whose coefficients are
+    LaurentPoly in q with exponents in [0, stop), and b_0 = +-1."""
+    stop = draw(st.integers(1, 8))
+    arity = draw(st.sampled_from((1, 2)))
+    order = draw(st.integers(0, (6, 4)[arity - 1]))
+    vectors = [m for m in itertools.product(range(order + 1), repeat=arity) if sum(m) <= order]
+    coeffs = st.dictionaries(st.integers(0, stop - 1), st.integers(-6, 6), max_size=4)\
+        .map(LaurentPoly)
+    a = draw(st.dictionaries(st.sampled_from(vectors), coeffs, max_size=6))
+    b = draw(st.dictionaries(st.sampled_from(vectors[1:]), coeffs, max_size=6)
+             if order else st.just({}))
+    b[vectors[0]] = LaurentPoly({0: draw(st.sampled_from((1, -1)))})
+    return TruncatedSeries(a, order, arity), TruncatedSeries(b, order, arity), stop
 
 
-# draws of TestDivide.test_matches_multiplying_by_the_inverse, each with
-# a = {t^0: O(q^3)} at order 5, on which a / b once tracked less
-# precision than a * (1 / b), when a product was known to
-# min(v_a + N_b, v_b + N_a) (ids: the coefficients whose precisions
-# differed, and the two precisions).  Each b is shifted by the power of q
-# that makes b_0 = +-1; the draw t3-minus2-vs-0 has no such form.
-RECORDED_DRAWS = [TruncatedSeries({(e,): c for e, c in b.items()}, 5) for b in (
-    {0: qs({0: -1}, 7), 1: qs({0: 2}, 4), 2: qs({0: -2}, 4)},
-    {0: qs({0: 1}, 8), 1: qs({0: 1}, 5), 2: qs({0: 1}, 5)},
-    {0: qs({0: 1}, 7), 1: qs({0: 1}, 4), 2: qs({0: 1}, 4)},
-    {0: qs({0: -1}, 8), 1: qs({0: 2}, 5), 2: qs({0: -2}, 5)},
-)]
+def cut(s: TruncatedSeries, stop) -> TruncatedSeries:
+    """s with every LaurentPoly coefficient cut below q^stop."""
+    return s.map_coefficients(lambda c: LaurentPoly({e: x for e, x in c.terms() if e < stop}))
+
+
+def exact_terms(s: TruncatedSeries):
+    """Every coefficient with its type and terms (``==`` takes an int for
+    the constant LaurentPoly of its value)."""
+    return [(m, type(c), c.terms() if isinstance(c, LaurentPoly) else c)
+            for m, c in s.coefficients()]
+
+
+# draws of the divisor b on which a / b once tracked less precision than
+# a * (1 / b), when q-series known modulo q^N were a coefficient ring of
+# their own and a product was known to min(v_a + N_b, v_b + N_a) (ids: the
+# coefficients whose precisions differed, and the two precisions).  Each
+# is the known part of b, shifted by the power of q that makes b_0 = +-1,
+# with the least precision of its coefficients as the stop; the draw
+# t3-minus2-vs-0 has no such form.
+RECORDED_DRAWS = [(TruncatedSeries({(e,): LaurentPoly({0: c}) for e, c in enumerate(b)}, 5), stop)
+                  for b, stop in (((-1, 2, -2), 4), ((1, 1, 1), 5), ((1, 1, 1), 4),
+                                  ((-1, 2, -2), 5))]
 RECORDED_IDS = ["t3-4-vs-8", "t2-t5-5-vs-10", "t2-t5-4-vs-8", "t3-5-vs-10"]
-RECORDED_A = TruncatedSeries({(0,): qs({}, 3)}, 5)
+RECORDED_A = TruncatedSeries({(0,): LaurentPoly({0: 1}), (2,): LaurentPoly({1: 3})}, 5)
 
 
 def geom(order=6):
@@ -111,17 +115,6 @@ class TestArithmetic:
         assert 1 - a == -(a - 1)
         assert -(-a) == a
 
-    @given(univariate_q(), univariate_q())
-    def test_subtraction_and_negation_over_qseries(self, a, b):
-        # QSeries equality reads only below the common precision, so the
-        # coefficient types and tracked precisions are compared as well
-        def tracked(s):
-            return [(m, type(c), getattr(c, "prec", None)) for m, c in s.coefficients()]
-
-        for lhs, rhs in ((a - b, a + (-b)), (1 - a, -(a - 1)), (-(-a), a)):
-            assert lhs == rhs
-            assert tracked(lhs) == tracked(rhs)
-
     def test_repr(self):
         s = TruncatedSeries({(0,): 1, (2,): LaurentPoly({1: -1})}, 3)
         assert repr(s) == str(s) == \
@@ -155,15 +148,14 @@ class TestInvert:
         with pytest.raises(ZeroDivisionError):
             1 / TruncatedSeries({(1,): 1}, 3)
 
-    def test_qseries_constant_inverts(self):
-        c = qs({0: -1}, 5)  # -1 + O(q^5), its own inverse
-        s = TruncatedSeries({(0,): c, (1,): qs({0: 1, 1: 1}, 4)}, 4)
+    def test_laurent_constant_inverts(self):
+        c = LaurentPoly({0: -1})  # its own inverse
+        s = TruncatedSeries({(0,): c, (1,): LaurentPoly({0: 1, 1: 1})}, 4)
         inv = 1 / s
-        assert inv.coefficient(0) == c
-        assert inv.coefficient(0).prec == 5
-        assert s * inv == TruncatedSeries.constant(QSeries.one(), 4)
-        # only +-1 + O(q^N) is taken for a unit constant term
-        for c0 in (qs({1: 1, 2: 1}, 5), qs({0: 1, 1: 1}, 5), qs({0: 2}, 5)):
+        assert exact_terms(inv.truncate(0)) == [((0,), LaurentPoly, [(0, -1)])]
+        assert s * inv == TruncatedSeries.constant(LaurentPoly.one(), 4)
+        # only +-L^e is taken for a unit constant term
+        for c0 in (LaurentPoly({1: 1, 2: 1}), LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 2})):
             with pytest.raises(ExactnessError):
                 1 / TruncatedSeries({(0,): c0}, 2)
 
@@ -174,38 +166,52 @@ class TestDivide:
     def test_quotient_times_divisor_laurent(self, a, b):
         assert (a / b) * b == a
 
-    @given(univariate_q(), unit_series(qseries, unit_qseries))
-    def test_quotient_times_divisor_qseries(self, a, b):
-        assert (a / b) * b == a
-
-    @given(univariate_q(), unit_series(qseries, unit_qseries))
-    @example(RECORDED_A, RECORDED_DRAWS[0])
-    @example(RECORDED_A, RECORDED_DRAWS[1])
-    @example(RECORDED_A, RECORDED_DRAWS[2])
-    @example(RECORDED_A, RECORDED_DRAWS[3])
+    @given(univariate(), unit_series(laurents, st.sampled_from(
+        (1, -1, LaurentPoly({0: 1}), LaurentPoly({0: -1}), LaurentPoly({-2: 1})))))
     def test_matches_multiplying_by_the_inverse(self, a, b):
         got, expect = a / b, a * (1 / b)
         assert got == expect
-        assert precisions(got) == precisions(expect)
+        assert exact_terms(got) == exact_terms(expect)
 
-    @pytest.mark.parametrize("b", RECORDED_DRAWS, ids=RECORDED_IDS)
-    def test_recorded_draws_agree_below_the_common_precision(self, b):
-        assert RECORDED_A / b == RECORDED_A * (1 / b)
+    @pytest.mark.parametrize("b, stop", RECORDED_DRAWS, ids=RECORDED_IDS)
+    def test_recorded_draws_agree_below_the_common_precision(self, b, stop):
+        one = TruncatedSeries.constant(LaurentPoly.one(), 5)
+        got = RECORDED_A._divide(b, stop)
+        assert exact_terms(got) == exact_terms(cut(RECORDED_A * one._divide(b, stop), stop))
+
+    @given(stopped_operands())
+    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[0]))
+    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[1]))
+    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[2]))
+    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[3]))
+    def test_stopped_quotient_is_the_cut_exact_quotient(self, operands):
+        a, b, stop = operands
+        got = a._divide(b, stop)
+        assert exact_terms(got) == exact_terms(cut(a / b, stop))
+        assert exact_terms(cut(got * b, stop)) == exact_terms(a)
+        # every stored coefficient is a LaurentPoly below q^stop, and nonzero
+        assert all(type(c) is LaurentPoly and c and all(c._terms.values())
+                   and max(c._terms) < stop for _, c in got.coefficients())
 
     def test_nonunit_constant_term(self):
         a = TruncatedSeries({(0,): 1, (2,): 3}, 4)
-        for c in (2, LaurentPoly({0: 1, 1: 1}), qs({0: 2}, 5)):
+        for c in (2, LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 2})):
             with pytest.raises(ExactnessError):
                 a / TruncatedSeries({(0,): c, (1,): 1}, 4)
         with pytest.raises(ZeroDivisionError):
             a / TruncatedSeries({(1,): 1}, 4)
 
-    @given(unit_qseries, st.one_of(qseries, st.integers(-3, 3)))
+    @given(st.sampled_from((1, -1, LaurentPoly({0: 1}), LaurentPoly({0: -1}), LaurentPoly({2: -1}))),
+           st.one_of(laurents, st.integers(-3, 3)))
     def test_unit_map_is_the_product(self, u, c):
-        # a QSeries unit, exact or not, multiplies: the product's terms and
-        # precision
+        # the map's value is the product, type and terms; the 1 of int or
+        # LaurentPoly returns a LaurentPoly c itself
         got, expect = _unit_times(u)(c), u * c
-        assert (got.terms(), got.prec) == (expect.terms(), expect.prec)
+        assert type(got) is type(expect)
+        assert (got.terms() if isinstance(got, LaurentPoly) else got) == \
+            (expect.terms() if isinstance(expect, LaurentPoly) else expect)
+        if type(c) is LaurentPoly and u in (1, LaurentPoly({0: 1})):
+            assert got is c
 
     @given(univariate(), unit_series(laurents, st.just(LaurentPoly.one())))
     def test_unit_one_makes_no_coefficient_product(self, a, b):
@@ -282,12 +288,6 @@ class TestZeroCoefficients:
         s = TruncatedSeries(coeffs, 3)
         assert built == []
         assert s.coefficients() == [((1,), LaurentPoly.lefschetz())]
-
-    def test_inexact_zero_is_kept(self):
-        unknown = qs({}, 3)          # O(q^3): not known to vanish
-        s = TruncatedSeries({(0,): qs({}, math.inf), (1,): unknown}, 2)
-        assert s.coefficients() == [((1,), unknown)]
-        assert s.coefficient(1).prec == 3
 
 
 class TestMultivariate:

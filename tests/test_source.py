@@ -67,16 +67,18 @@ def test_log_names_no_exp_only_helper():
     assert named == dict.fromkeys(log_side, [])
 
 
-def test_plethystic_names_no_qseries():
-    # Exp, Log and the power structure take int and LaurentPoly
-    # coefficients only; a QSeries name in their module would start a
-    # second coefficient-ring branch
-    path = SOURCES[0].parent / "plethystic.py"
-    found = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+def test_no_package_module_names_qseries():
+    # classes use one integer-only coefficient ring, LaurentPoly; the quiver
+    # ratio divides on it modulo q^N, so a QSeries name in any module would
+    # start a second coefficient-ring branch
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Name) and node.id == "QSeries"
              or isinstance(node, ast.Attribute) and node.attr == "QSeries"
-             or isinstance(node, ast.alias) and "QSeries" in (node.name, node.asname)]
-    assert not found, f"QSeries named in plethystic.py at lines {found}"
+             or isinstance(node, ast.alias) and "QSeries" in (node.name, node.asname)
+             or isinstance(node, ast.ClassDef) and node.name == "QSeries"]
+    assert SOURCES and not found, f"QSeries named at {found}"
 
 
 def test_no_package_module_imports_the_test_reference():
