@@ -370,3 +370,97 @@ class TestSumOfProducts:
         moved = _rewiden(sum(c << w * i for i, c in enumerate(digits)), w, v, len(digits))
         assert moved == sum(c << v * i for i, c in enumerate(digits))
         assert _decode(moved, v, len(digits)) == digits
+
+
+def _below(f: LaurentPoly, n) -> LaurentPoly:
+    """The terms of f below q^n."""
+    return LaurentPoly({e: c for e, c in f.terms() if e < n})
+
+
+def _dict_product(a: LaurentPoly, b: LaurentPoly, n) -> LaurentPoly:
+    """The reference: the dict double loop, each term product kept only
+    below q^n."""
+    right = b.terms()
+    out = {}
+    for e1, c1 in a.terms():
+        for e2, c2 in right:
+            e = e1 + e2
+            if e >= n:
+                break
+            out[e] = out.get(e, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+# power series in q: exponents >= 0, coefficients past 2^64, and stops
+# that leave nothing below them
+q_polys = st.dictionaries(
+    st.integers(0, 16), st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)),
+    max_size=8).map(LaurentPoly)
+stops = st.one_of(st.integers(0, 18), st.just(math.inf))
+
+
+class TestQSeries:
+    """Power series in q known modulo q^N, the coefficients of the quiver
+    ratio: LaurentPoly operands with exponents in [0, N), multiplied and
+    summed by the kernel with the stop N.  Reduction modulo q^N is a ring
+    map, so a product of a known modulo q^m and b known modulo q^n is
+    known modulo q^min(m, n)."""
+
+    EDGE_CASES = [({}, math.inf), ({}, 3), ({5: 1}, 3), ({0: 2 ** 70, 1: -1}, 2),
+                  ({0: 1}, math.inf), ({1: -1, 4: 2 ** 65}, math.inf), ({2: 7}, 0)]
+
+    @staticmethod
+    def _product(a, m, b, n):
+        """(a mod q^m) * (b mod q^n), on the kernel and by the reference."""
+        a, b, stop = _below(a, m), _below(b, n), min(m, n)
+        return _packed_sum([(a, b)], stop).terms(), _dict_product(a, b, stop).terms()
+
+    @given(q_polys, stops, q_polys, stops)
+    def test_product_matches_dict_product(self, a, m, b, n):
+        kernel, reference = self._product(a, m, b, n)
+        assert kernel == reference
+
+    @pytest.mark.parametrize("a", EDGE_CASES)
+    @pytest.mark.parametrize("b", EDGE_CASES)
+    def test_product_edge_cases(self, a, b):
+        kernel, reference = self._product(LaurentPoly(a[0]), a[1], LaurentPoly(b[0]), b[1])
+        assert kernel == reference
+
+    @given(q_polys, stops, st.integers(-2 ** 70, 2 ** 70))
+    def test_int_operands(self, a, n, k):
+        # an int is an exact constant: known modulo every power of q
+        a = _below(a, n)
+        expected = _dict_product(a, LaurentPoly({0: k}), n)
+        assert _packed_sum([(a, LaurentPoly({0: k}))], n) == expected == _below(a * k, n)
+
+    def test_operands_cut_to_the_precision(self):
+        # (q + O(q^3)) (1 + q + ... + q^9 + O(q^10)): the terms of b at q^3
+        # and above land at or above the stop 3, undecoded
+        a, b = LaurentPoly({1: 1}), LaurentPoly({e: 1 for e in range(10)})
+        assert _packed_sum([(a, b)], 3).terms() == [(1, 1), (2, 1)]
+        assert _dict_product(a, b, 3).terms() == [(1, 1), (2, 1)]
+
+    @given(q_polys, q_polys, q_polys, st.integers(0, 18))
+    def test_ring_axioms(self, a, b, c, n):
+        a, b, c = _below(a, n), _below(b, n), _below(c, n)
+
+        def mul(x, y):
+            return _packed_sum([(x, y)], n)
+
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, b + c) == _packed_sum([(a, b), (a, c)], n) == mul(a, b) + mul(a, c)
+
+    @given(q_polys, q_polys, stops, stops)
+    def test_truncation_is_homomorphism(self, f, g, m, n):
+        # every coefficient a result claims to know is the true one
+        stop = min(m, n)
+        a, b = _below(f, m), _below(g, n)
+        assert _below(a + b, stop) == _below(f + g, stop)
+        assert _below(a - b, stop) == _below(f - g, stop)
+        assert _packed_sum([(a, b)], stop) == _below(f * g, stop)
+
+    def test_empty_group_is_exact_zero(self):
+        for stop in (0, 3, math.inf):
+            assert _packed_sum([], stop).terms() == []
+            assert _sum_products([], stop) == 0
