@@ -11,10 +11,9 @@ that is derived from the inputs and large enough to make them exact.
 from .rings import ExactnessError, LaurentPoly, affine_class, projective_class
 from .series import TruncatedSeries, geometric_series
 from .plethystic import (exp_pleth, exp_pleth_product, log_pleth,
-                         power_structure, symmetric_power, verify_power_axioms)
+                         power_structure, verify_power_axioms)
 from .quiver import (Quiver, euler_form, nakajima_dim, nakajima_motive_series,
-                     nakajima_partition_sum, nilpotent_motive_series,
-                     partitions_of, q_pochhammer, verify_heine)
+                     nilpotent_motive_series, partitions_of, verify_heine)
 from .quot import (UnsupportedDimensionError, jordan_product_series,
                    nakajima_framed_series, punctual_quot_series, quot_series,
                    verify_class1_closed, verify_duality, verify_product_vs_exp)
@@ -31,10 +30,10 @@ __all__ = [
     "affine_class", "euler_form", "exp_pleth", "exp_pleth_product",
     "geometric_series", "gl_order", "jordan_product_series", "log_pleth",
     "nakajima_dim", "nakajima_framed_series", "nakajima_motive_series",
-    "nakajima_partition_sum", "nilpotent_motive_series", "orbit_count",
-    "partitions_of", "point_count_series", "power_structure",
-    "projective_class", "punctual_quot_series", "q_pochhammer", "quot_series",
-    "raw_stable_count", "symmetric_power", "verify_class1_closed",
-    "verify_duality", "verify_heine", "verify_power_axioms",
-    "verify_product_vs_exp", "verify_zeta_product", "zeta_series",
+    "nilpotent_motive_series", "orbit_count", "partitions_of",
+    "point_count_series", "power_structure", "projective_class",
+    "punctual_quot_series", "quot_series", "raw_stable_count",
+    "verify_class1_closed", "verify_duality", "verify_heine",
+    "verify_power_axioms", "verify_product_vs_exp", "verify_zeta_product",
+    "zeta_series",
 ]

@@ -105,6 +105,9 @@ IDENTITIES = {
 
 
 def _cmd_series(args) -> int:
+    if args.target != "nakajima-general" and (
+            args.quiver is not None or args.framing is not None or args.nilpotent):
+        _parser().error("--quiver, --framing and --nilpotent need --target nakajima-general")
     _emit_series(TARGETS[args.target](args), sys.stdout)
     return 0
 
@@ -140,6 +143,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_counts(args) -> int:
     specialize.require_prime_power(args.q)
     space = _parse_space(args.space)
+    specialize._require_polynomial(space)
     s = quot.quot_series(space, args.dim, args.rank, args.order)
     counts = specialize.point_count_series(s, args.q)
     writer = csv.writer(sys.stdout)

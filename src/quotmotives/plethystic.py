@@ -447,15 +447,6 @@ def power_structure(f: TruncatedSeries, a) -> TruncatedSeries:
     return exp_pleth(log_pleth(f) * a)
 
 
-def symmetric_power(x: LaurentPoly, k: int) -> LaurentPoly:
-    """k-th symmetric power of a class: the t^k coefficient of Exp(x t)."""
-    if k < 0:
-        raise ValueError("symmetric powers are indexed by non-negative integers")
-    s = exp_pleth(TruncatedSeries.variable(k, coeff=x))
-    c = s.coefficient(k)
-    return c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
-
-
 # ---------------------------------------------------------------------------
 # Randomized verification of the power-structure axioms
 # ---------------------------------------------------------------------------

@@ -149,18 +149,7 @@ def nakajima_dim(quiver: Quiver, v, w) -> int:
 # q-Pochhammer symbols
 # ---------------------------------------------------------------------------
 
-def q_pochhammer(n: int) -> LaurentPoly:
-    """(q; q)_n = prod_{k=1}^{n} (1 - q^k), a polynomial in q held as a
-    LaurentPoly in the symbol q."""
-    if n < 0:
-        raise ValueError("Pochhammer index must be >= 0")
-    out = LaurentPoly.one()
-    for k in range(1, n + 1):
-        out = out * (1 - LaurentPoly.lefschetz(k))
-    return out
-
-
-def _inverse_q_pochhammers(m_max: int, prec: int) -> list:
+def _inverse_pochhammers(m_max: int, prec: int) -> list:
     """[1/(q; q)_m for m = 0..m_max], each modulo q^prec (prec >= 1) as a
     LaurentPoly in q.  1/(q; q)_m counts partitions into parts <= m, so
     one counting sweep gives them all."""
@@ -224,7 +213,7 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
         raise ValueError("framing vector size does not match the quiver")
     if min(w, default=0) < 0:
         raise ValueError(f"framing vector entries must be >= 0, got {tuple(w)}")
-    inverse = _inverse_q_pochhammers(order, prec)
+    inverse = _inverse_pochhammers(order, prec)
     one = LaurentPoly.one()
     factors = {}  # d -> prod_i 1/(q; q)_{d_i}, for d != 0
 
@@ -272,23 +261,6 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
         table[v] = row
         sw[v], s0[v] = LaurentPoly(tw), LaurentPoly(t0)
     return sw, s0
-
-
-def nakajima_partition_sum(quiver: Quiver, w, order: int, prec: int) -> TruncatedSeries:
-    """The partition sum S(w, q, z) truncated at total z-degree `order`.
-
-    The z^v coefficient is a LaurentPoly in q, exact below q^prec: the
-    terms of the Laurent series S(w)_v with exponent < prec; v records
-    the partition sizes per vertex.  It is q^(-c.v) S'(w)_v, from the
-    rescaled sum modulo q^(prec + order max_i c_i).
-    """
-    c, _ = _rescale(quiver, w, order)
-    sw, _ = _partition_sums(quiver, w, order, c, prec + order * max(c, default=0))
-    out = {}
-    for v, p in sw.items():
-        cv = _dot(c, v)
-        out[v] = LaurentPoly({e - cv: x for e, x in p._terms.items() if e - cv < prec})
-    return TruncatedSeries(out, order, quiver.vertices)
 
 
 def nakajima_motive_series(quiver: Quiver, w, order: int) -> TruncatedSeries:
@@ -364,7 +336,7 @@ def verify_heine(order: int) -> CheckReport:
         # both sides are 1 + O(t); there is no t^1 coefficient to read 1/(1-q) from
         return CheckReport("heine", True, "order 0")
     prec = order * (order + 1) // 2 + 1
-    inverse = _inverse_q_pochhammers(order, prec)
+    inverse = _inverse_pochhammers(order, prec)
     lhs = TruncatedSeries({(n,): c for n, c in enumerate(inverse)}, order)
     rhs = _exp_exact(TruncatedSeries.variable(order, coeff=inverse[1]), stop=prec)
     return CheckReport.compare("heine", lhs, rhs, f"order {order}")

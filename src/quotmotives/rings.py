@@ -12,8 +12,8 @@ in a symbol q of the quiver partition sums, whose ratio is taken modulo
 a power q^N through the kernel's stop (below).
 
 Sums of products.  A series convolution needs sum_i a_i b_i for many
-pairs of Laurent polynomials; :meth:`LaurentPoly.sum_of_products` does
-it with one packed big-int kernel (Kronecker substitution).  Each operand
+pairs of Laurent polynomials; the kernel :func:`_packed_sum` does it
+with one packed big-int sum (Kronecker substitution).  Each operand
 p is packed as the integer p L^(-min exp) at L = 2^w, the packed
 products are shifted by w times their exponent offset and added as
 Python ints, and the total is unpacked once.  The slot width w comes from
@@ -84,7 +84,7 @@ class LaurentPoly:
     def __init__(self, terms=None):
         self._terms = {e: c for e, c in terms.items() if c} if terms else {}
         # (min exponent, max exponent, l1 norm, max norm, slot width, packed
-        # int), filled lazily by sum_of_products (see the module docstring)
+        # int), filled lazily by the kernel _packed_sum (see the module docstring)
         self._pack = None
 
     # -- constructors -------------------------------------------------
@@ -182,13 +182,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    @classmethod
-    def sum_of_products(cls, pairs) -> "LaurentPoly":
-        """sum of a * b over the (a, b) pairs of Laurent polynomials, by one
-        packed big-int kernel (Kronecker substitution, see the module
-        docstring).  Equals the sum of the ``*`` products exactly."""
-        return _packed_sum(pairs, math.inf)
 
     def _measure(self) -> tuple:
         """Cache and return (min exp, max exp, l1 norm, max norm, 0, 0)."""
@@ -326,8 +319,9 @@ _SIGNED_WORDS = {w: f for w, f in ((32, "i"), (64, "q"))
 
 def _packed_sum(pairs, stop) -> LaurentPoly:
     """sum of a * b over the (a, b) pairs of Laurent polynomials, with
-    only the exponents below ``stop`` decoded: the kernel of
-    :meth:`LaurentPoly.sum_of_products` (see the module docstring)."""
+    only the exponents below ``stop`` decoded, by one packed big-int sum
+    (see the module docstring).  With ``stop = math.inf`` it equals the
+    sum of the ``*`` products exactly."""
     ops = []
     bound = 0
     base, top = math.inf, -math.inf

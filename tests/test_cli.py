@@ -185,6 +185,20 @@ class TestSeries:
         assert err.endswith("quotmotives: error: nakajima-general needs --quiver "
                             "and --framing\n")
 
+    @pytest.mark.parametrize("target", [t for t in cli.TARGETS if t != "nakajima-general"])
+    @pytest.mark.parametrize("flag", [("--quiver", "missing.json"), ("--framing", "1"),
+                                      ("--nilpotent",)], ids=lambda flag: flag[0])
+    def test_quiver_flags_need_the_quiver_target(self, capsys, target, flag):
+        # another target would ignore the flag: --nilpotent would print the
+        # smooth series, and --quiver would not open its file
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--target", target, "--rank", "1", "--order", "3", *flag])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: quotmotives ")
+        assert err.endswith("quotmotives: error: --quiver, --framing and --nilpotent need "
+                            "--target nakajima-general\n")
+
     def test_bad_dimension_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--target", "quot", "--space", "A2",
@@ -551,6 +565,17 @@ class TestCounts:
                                  "--order", "2")
         assert (code, out) == (2, "")
         assert err == f"error: field size q must be a prime power, got {q}\n"
+
+    @pytest.mark.parametrize("rank", ["0", "2"])
+    def test_space_class_is_checked_before_the_series(self, capsys, monkeypatch, rank):
+        # the class the user gave is named, not a coefficient of its series,
+        # and no series is solved for it
+        monkeypatch.setattr(quot, "quot_series",
+                            lambda *args: pytest.fail("counts solved the series of a bad class"))
+        code, out, err = run_cli(capsys, "counts", "--space", '{"terms": [[-1, "1"]]}',
+                                 "--rank", rank, "--q", "2", "--order", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: L^-1 has negative exponents; point counting needs a polynomial in L\n"
 
     def test_prime_power_table(self, capsys):
         # #P1(F_4) = 5, #Sym^2 P1(F_4) = #P2(F_4) = 21

@@ -14,10 +14,9 @@ from quotmotives.series import TruncatedSeries
 from quotmotives.plethystic import _exp_exact
 from quotmotives.quot import quot_series
 from quotmotives.report import CheckReport
-from quotmotives.quiver import (Quiver, _inverse_q_pochhammers, euler_form,
-                                nakajima_dim, nakajima_motive_series,
-                                nakajima_partition_sum, nilpotent_motive_series,
-                                partitions_of, q_pochhammer, verify_heine)
+from quotmotives.quiver import (Quiver, _inverse_pochhammers, _partition_sums, _rescale,
+                                euler_form, nakajima_dim, nakajima_motive_series,
+                                nilpotent_motive_series, partitions_of, verify_heine)
 
 L = LaurentPoly.lefschetz()
 JORDAN = Quiver.jordan()
@@ -56,7 +55,7 @@ def _enumerated_partition_sum(quiver, w, order, prec):
         a += sum(euler_form(quiver, p, p) for p in parts[:-1])
         if a >= prec:
             continue
-        inverse = _inverse_q_pochhammers(order, prec - a)
+        inverse = _inverse_pochhammers(order, prec - a)
         term = LaurentPoly.lefschetz(a)
         for k in range(len(parts) - 1):
             for m in (x - y for x, y in zip(parts[k], parts[k + 1])):
@@ -65,6 +64,27 @@ def _enumerated_partition_sum(quiver, w, order, prec):
         v = tuple(sum(p) for p in collection)
         coeffs[v] = coeffs.get(v, 0) + LaurentPoly({e: c for e, c in term.terms() if e < prec})
     return TruncatedSeries(coeffs, order, quiver.vertices)
+
+
+def _q_pochhammer(n):
+    """(q; q)_n = prod_{k=1}^{n} (1 - q^k), a LaurentPoly in the symbol q."""
+    out = LaurentPoly.one()
+    for k in range(1, n + 1):
+        out = out * (1 - LaurentPoly.lefschetz(k))
+    return out
+
+
+def _partition_sum(quiver, w, order, prec):
+    """The package's S(w, q, z) truncated at total z-degree ``order``, each
+    z^v coefficient exact below q^prec: q^(-c.v) S'(w)_v, read off the
+    chain table of the rescaled sums modulo q^(prec + order max_i c_i)."""
+    c, _ = _rescale(quiver, w, order)
+    sw, _ = _partition_sums(quiver, w, order, c, prec + order * max(c, default=0))
+    out = {}
+    for v, p in sw.items():
+        cv = sum(a * b for a, b in zip(c, v))
+        out[v] = LaurentPoly({e - cv: x for e, x in p.terms() if e - cv < prec})
+    return TruncatedSeries(out, order, quiver.vertices)
 
 
 class TestQuiver:
@@ -156,23 +176,19 @@ class TestDim:
 class TestPochhammer:
     # polynomials in q are held as LaurentPoly in the symbol q
     def test_empty_product(self):
-        assert q_pochhammer(0) == LaurentPoly.one()
+        assert _q_pochhammer(0) == LaurentPoly.one()
 
     def test_two(self):
         q = LaurentPoly.lefschetz()
-        assert q_pochhammer(2) == (1 - q) * (1 - q * q)
+        assert _q_pochhammer(2) == (1 - q) * (1 - q * q)
 
     def test_inverses_by_partition_counting(self):
         # each 1/(q; q)_m modulo q^prec: (q; q)_m times it is 1 below q^prec
         for prec in (1, 2, 7, 12):
-            inverse = _inverse_q_pochhammers(5, prec)
+            inverse = _inverse_pochhammers(5, prec)
             for m, inv in enumerate(inverse):
                 assert inv.terms()[-1][0] < prec
-                assert [t for t in (q_pochhammer(m) * inv).terms() if t[0] < prec] == [(0, 1)]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            q_pochhammer(-1)
+                assert [t for t in (_q_pochhammer(m) * inv).terms() if t[0] < prec] == [(0, 1)]
 
 
 class TestPartitions:
@@ -194,12 +210,12 @@ class TestPartitions:
 class TestPartitionSum:
     def test_constant_term_is_one(self):
         for w in [(0,), (1,), (3,)]:
-            s = nakajima_partition_sum(JORDAN, w, 3, 4)
+            s = _partition_sum(JORDAN, w, 3, 4)
             assert type(s.coefficient(0)) is LaurentPoly
             assert s.coefficient(0) == LaurentPoly.one()
 
     def test_degree_one_unframed(self):
-        s = nakajima_partition_sum(JORDAN, (0,), 3, 6)
+        s = _partition_sum(JORDAN, (0,), 3, 6)
         assert s.coefficient(1) == LaurentPoly({e: 1 for e in range(6)})
 
     def test_jordan_closed_form(self):
@@ -210,7 +226,7 @@ class TestPartitionSum:
         order, prec = 5, 12
         for r in (0, 1, 2):
             exact = prec - order * r
-            lhs = nakajima_partition_sum(JORDAN, (r,), order, exact)
+            lhs = _partition_sum(JORDAN, (r,), order, exact)
             arg = TruncatedSeries({(m,): LaurentPoly({e: 1 for e in range(r * (m - 1), prec)})
                                    for m in range(1, order + 1)}, order)
             h = _exp_exact(arg, stop=prec)
@@ -235,13 +251,13 @@ class TestPartitionSum:
     def test_recursion_matches_enumeration(self, quiver, w, order):
         for prec in (1, 3, 12):
             for framing in (w, (0,) * len(w)):
-                got = nakajima_partition_sum(quiver, framing, order, prec)
+                got = _partition_sum(quiver, framing, order, prec)
                 expect = _enumerated_partition_sum(quiver, framing, order, prec)
                 assert got == expect
                 assert all(type(c) is LaurentPoly for _, c in got.coefficients())
 
     def test_two_vertex_quiver_runs(self):
-        s = nakajima_partition_sum(A2_QUIVER, (1, 0), 2, 3)
+        s = _partition_sum(A2_QUIVER, (1, 0), 2, 3)
         assert s.coefficient((0, 0)) == 1
         assert s.arity == 2
 

@@ -120,8 +120,8 @@ class TestNoZeroCoefficient:
         total = _packed_sum([(x, y), (-x, y)], math.inf)
         assert not total and total == LaurentPoly()
         one_plus, one_minus = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1})
-        _stores_no_zero(total, LaurentPoly.sum_of_products([(x, y), (y, -x), (x, x)]),
-                        LaurentPoly.sum_of_products([(one_plus, one_minus), (L, L)]),
+        _stores_no_zero(total, _packed_sum([(x, y), (y, -x), (x, x)], math.inf),
+                        _packed_sum([(one_plus, one_minus), (L, L)], math.inf),
                         _packed_sum([(x, y), (y, y)], 2))
 
     @pytest.mark.parametrize("f", [
@@ -177,11 +177,12 @@ IMAGE = LaurentPoly({0: 1, 1: 2, 2: -1}).adams(5)
 
 
 class TestSumOfProducts:
-    """``LaurentPoly.sum_of_products`` against the sum of dict products."""
+    """The kernel ``_packed_sum``, decoding every exponent, against the sum
+    of dict products."""
 
     @given(st.lists(st.tuples(laurents, laurents), max_size=8))
     def test_random_pairs(self, pairs):
-        assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
+        assert _packed_sum(pairs, math.inf) == _summed_products(pairs)
 
     @pytest.mark.parametrize("bits", [8, 63, 64, 65, 130, 201, 260])
     def test_large_coefficients(self, bits):
@@ -190,25 +191,25 @@ class TestSumOfProducts:
             pairs = [(_random_poly(rng, bits, rng.randint(1, 6)),
                       _random_poly(rng, rng.randint(1, bits), rng.randint(1, 6)))
                      for _ in range(rng.randint(1, 6))]
-            assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
+            assert _packed_sum(pairs, math.inf) == _summed_products(pairs)
 
     def test_cancellation(self):
         a = LaurentPoly({-3: 2 ** 200, 0: -5, 4: 7})
         b = LaurentPoly({-1: -(2 ** 70), 2: 3})
-        total = LaurentPoly.sum_of_products([(a, b), (-a, b)])
+        total = _packed_sum([(a, b), (-a, b)], math.inf)
         assert total == 0 and total.terms() == []
-        assert LaurentPoly.sum_of_products([(a, b), (b, -a)]) == 0
+        assert _packed_sum([(a, b), (b, -a)], math.inf) == 0
         # (1 + L)(1 - L) + L^2 = 1: the cancellation is inside the sum
         one_plus, one_minus = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1})
-        total = LaurentPoly.sum_of_products([(one_plus, one_minus), (L, L)])
+        total = _packed_sum([(one_plus, one_minus), (L, L)], math.inf)
         assert total.terms() == [(0, 1)]
 
     def test_empty_and_one_term(self):
-        assert LaurentPoly.sum_of_products([]) == 0
-        assert LaurentPoly.sum_of_products([(LaurentPoly(), L)]) == 0
+        assert _packed_sum([], math.inf) == 0
+        assert _packed_sum([(LaurentPoly(), L)], math.inf) == 0
         a, b = LaurentPoly({-3: 5}), LaurentPoly({7: -2})
-        assert LaurentPoly.sum_of_products([(a, b)]).terms() == [(4, -10)]
-        assert LaurentPoly.sum_of_products([(a, b), (b, b)]).terms() == [(4, -10), (14, 4)]
+        assert _packed_sum([(a, b)], math.inf).terms() == [(4, -10)]
+        assert _packed_sum([(a, b), (b, b)], math.inf).terms() == [(4, -10), (14, 4)]
 
     @pytest.mark.parametrize("bound", [2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63,
                                        2 ** 64 - 1, 2 ** 64, 2 ** 127, 2 ** 128 - 1,
@@ -220,7 +221,7 @@ class TestSumOfProducts:
         split = bound // 3
         pairs = [(LaurentPoly({-1: sign * split}), ones),
                  (LaurentPoly({-1: sign * (bound - split)}), ones)]
-        total = LaurentPoly.sum_of_products(pairs)
+        total = _packed_sum(pairs, math.inf)
         assert total.terms() == [(e, sign * bound) for e in range(-3, 4)]
         assert total == _summed_products(pairs)
 
@@ -240,7 +241,7 @@ class TestSumOfProducts:
         pairs = [(x * scale, y) for x, y in zip(a, b)]
         # one more term on a constant operand makes B exactly the bound
         pairs.append((LaurentPoly({0: extra}), LaurentPoly({0: 1})))
-        total = LaurentPoly.sum_of_products(pairs)
+        total = _packed_sum(pairs, math.inf)
         assert total == sum((x * y for x, y in pairs), LaurentPoly())
         assert any(c < 0 for _, c in total.terms()) and any(c > 0 for _, c in total.terms())
         assert pairs[0][0]._pack[4] == width
@@ -260,7 +261,7 @@ class TestSumOfProducts:
         small, large = LaurentPoly({1: 2 ** 31}), LaurentPoly({-4: 2 ** 100, 3: -1})
         for _ in range(3):
             for other, width in ((small, 64), (large, 128)):
-                assert LaurentPoly.sum_of_products([(shared, other)]) == shared * other
+                assert _packed_sum([(shared, other)], math.inf) == shared * other
                 assert shared._pack[4] == width
 
     @pytest.mark.parametrize("width", sorted(SLOT_BITS))
@@ -274,7 +275,7 @@ class TestSumOfProducts:
         # 2^SLOT_BITS[width] to reach that width (128-bit slots are
         # unpacked slot by slot)
         pairs = [(a * (1 << SLOT_BITS[width]), b) for a, b in drawn]
-        assert LaurentPoly.sum_of_products(pairs) == _summed_products(pairs)
+        assert _packed_sum(pairs, math.inf) == _summed_products(pairs)
         assert all(a._pack[4] == b._pack[4] == width for a, b in pairs)
 
     @given(st.lists(st.tuples(wide_laurents, st.one_of(laurents, st.integers(-9, 9))),
@@ -301,16 +302,17 @@ class TestSumOfProducts:
         # 32-bit slots cannot hold the coefficient 2^31 of the product
         monkeypatch.setattr(rings, "_slot_width", lambda bound: 32)
         with pytest.raises(AssertionError, match="slot width 32 does not hold the bound 2147483648"):
-            LaurentPoly.sum_of_products([(LaurentPoly({0: 2 ** 31}), LaurentPoly({0: 1, 1: 1}))])
+            _packed_sum([(LaurentPoly({0: 2 ** 31}), LaurentPoly({0: 1, 1: 1}))], math.inf)
 
     def test_bound_check_survives_optimized_mode(self):
         # the check raises explicitly, so python -O keeps it
         script = (
+            "import math\n"
             "from quotmotives import rings\n"
             "from quotmotives.rings import LaurentPoly\n"
             "rings._slot_width = lambda bound: 32\n"
             "try:\n"
-            "    LaurentPoly.sum_of_products([(LaurentPoly({0: 2 ** 31}), LaurentPoly({0: 1, 1: 1}))])\n"
+            "    rings._packed_sum([(LaurentPoly({0: 2 ** 31}), LaurentPoly({0: 1, 1: 1}))], math.inf)\n"
             "except AssertionError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -323,7 +325,7 @@ class TestSumOfProducts:
 
     def test_cache_is_invisible(self):
         f, twin = LaurentPoly({-2: 3, 0: -1, 5: 7}), LaurentPoly({-2: 3, 0: -1, 5: 7})
-        LaurentPoly.sum_of_products([(f, f)])
+        _packed_sum([(f, f)], math.inf)
         assert f._pack is not None and twin._pack is None
         assert f == twin
         assert repr(f) == repr(twin) and str(f) == str(twin)
@@ -342,7 +344,7 @@ class TestSumOfProducts:
             try:
                 for k in range(2000):
                     j = (i + k) % 2
-                    if LaurentPoly.sum_of_products([(shared, partners[j])]) != expected[j]:
+                    if _packed_sum([(shared, partners[j])], math.inf) != expected[j]:
                         errors.append((i, k))
             except Exception as exc:  # a thread's exception must fail the test
                 errors.append((i, repr(exc)))
@@ -404,7 +406,8 @@ class TestQSeries:
     ratio: LaurentPoly operands with exponents in [0, N), multiplied and
     summed by the kernel with the stop N.  Reduction modulo q^N is a ring
     map, so a product of a known modulo q^m and b known modulo q^n is
-    known modulo q^min(m, n)."""
+    known modulo q^min(m, n).  The class keeps the name of the retired
+    QSeries ring, whose product tests these were."""
 
     EDGE_CASES = [({}, math.inf), ({}, 3), ({5: 1}, 3), ({0: 2 ** 70, 1: -1}, 2),
                   ({0: 1}, math.inf), ({1: -1, 4: 2 ** 65}, math.inf), ({2: 7}, 0)]

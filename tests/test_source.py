@@ -137,17 +137,54 @@ def test_cli_import_loads_a_fixed_set_of_package_modules():
     assert top_level == sorted({m.split(".")[0] for m in stdlib})
 
 
+def _init_tree():
+    init = SOURCES[0].parent / "__init__.py"
+    return ast.parse(init.read_text(), str(init))
+
+
+def _exported(tree) -> set:
+    """The names listed in the ``__all__`` of the module ``tree``."""
+    return set(ast.literal_eval(next(
+        node.value for node in tree.body if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets] == ["__all__"])))
+
+
 def test_public_api_imports_equal_all():
     # __init__ names each public symbol twice, in its imports and in
     # __all__; the two lists must stay the same set
-    init = SOURCES[0].parent / "__init__.py"
-    tree = ast.parse(init.read_text(), str(init))
+    tree = _init_tree()
     imported = {alias.asname or alias.name
                 for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    exported = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                    and [t.id for t in node.targets] == ["__all__"])
-    assert imported == set(ast.literal_eval(exported))
+    assert imported == _exported(tree)
+
+
+def _uses(node, owners=frozenset()):
+    """(name, owners) for each name read under ``node``, a Name id or an
+    attribute name, with the names of the defs and classes around it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        owners |= {node.name}
+    if isinstance(node, ast.Name):
+        yield node.id, owners
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, owners
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, owners)
+
+
+def test_every_public_name_is_used():
+    # a public name serves the system only when a package path, an
+    # acceptance criterion or the README's library sketch uses it, outside
+    # its own def or class; anything else is surface that nothing runs
+    root = SOURCES[0].parent.parent.parent
+    readme = (root / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    users = [path for path in SOURCES if path.name != "__init__.py"]
+    users.append(root / "tests" / "test_acceptance.py")
+    trees = [ast.parse(path.read_text(), str(path)) for path in users] + [ast.parse(sketch)]
+    used = {name for tree in trees for name, owners in _uses(tree) if name not in owners}
+    unused = sorted(_exported(_init_tree()) - used)
+    assert not unused, f"public names that nothing uses: {unused}"
 
 
 def test_every_annotation_resolves():
