@@ -2,7 +2,8 @@
 """Benchmark the class-sum oracle kernel against the brute-force reference.
 
 Runs a fixed grid of raw stable counts through `oracle.raw_stable_count`
-(conjugacy classes and the submodule DP) and through the reference
+(conjugacy classes; the closed framing count for one matrix, the
+submodule DP for commuting pairs) and through the reference
 `tests/brute_force.py` (every matrix tuple and framing), checks that they
 agree exactly, and prints a timing table.  Exits with status 1 on a
 mismatch.

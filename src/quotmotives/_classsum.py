@@ -20,10 +20,22 @@ of degree e, Q = q^e.  `conjugacy_classes` checks the class equation
 (the class sizes add up to q^(n^2), or to q^(n^2 - n) nilpotent
 matrices) on every call and raises AssertionError otherwise.
 
-The generating r-tuples are counted with P. Hall's idea of counting over
-the lattice of submodules ("The Eulerian functions of a group", 1936):
-a dynamic program over the submodule spanned so far, each a reduced
-echelon basis, with one transition per line of F_q^n modulo it.
+For one matrix x (every d = 1 class, and the scalar-x_1 sum of d = 2)
+the generating r-tuples are counted in closed form.  F_q^n is a module
+over the PID F_q[x], a sum of F_q[x]/p^k, one per part k of the
+partition attached to each irreducible p in x's rational canonical
+form.  By Nakayama's lemma a tuple generates it exactly when its image
+spans the top, the sum over p of (F_q[x]/p)^(l_p), l_p the number of
+parts; this is an F_Q-vector space of dimension l_p for Q = q^deg p,
+and the kernel of the projection is free.  So the count is
+q^(r (n - s)) prod_p prod_{i < l_p} (Q^r - Q^i), s = sum deg p * l_p,
+read off the block data that `conjugacy_classes` keeps with each class.
+
+For a pair (x_1, x_2), x_2 in C(x_1), the generating r-tuples are
+counted with P. Hall's idea of counting over the lattice of submodules
+("The Eulerian functions of a group", 1936): a dynamic program over the
+submodule spanned so far, each a reduced echelon basis, with one
+transition per line of F_q^n modulo it.  Only pairs run it.
 
 This is the package's only enumeration kernel.  It shares no code with
 its test reference, the brute-force enumeration in `tests/brute_force.py`.
@@ -40,16 +52,17 @@ from .quiver import partitions_of
 def class_sum(classes: list, n: int, r: int, q: int, d: int, punctual: bool) -> int:
     """Raw number of stable instances, from the `conjugacy_classes` list:
     the class size of each x_1 times the generating framings of x_1
-    (d = 1) or of every pair (x_1, x_2), x_2 in the commutant (d = 2)."""
+    (d = 1, in closed form) or of every pair (x_1, x_2), x_2 in the
+    commutant (d = 2, by the submodule DP)."""
     single = None  # d = 1 count of the second matrix, for scalar x_1
     total = 0
-    for rep, size, basis in classes:
+    for rep, size, basis, blocks in classes:
         if d == 1:
-            total += size * _generating_tuples((rep,), n, r, q)
+            total += size * _framing_count(blocks, n, r, q)
         elif len(basis) == n * n:
             if single is None:
-                single = sum(s * _generating_tuples((x,), n, r, q)
-                             for x, s, _ in classes)
+                single = sum(s * _framing_count(b, n, r, q)
+                             for _, s, _, b in classes)
             total += size * single
         else:
             inner = 0
@@ -75,9 +88,10 @@ def _is_nilpotent(x, n: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def conjugacy_classes(n: int, q: int, punctual: bool) -> list:
-    """One (representative, class size, commutant basis) per conjugacy
-    class of n x n matrices over F_q (nilpotent ones if punctual),
-    checked against the class equation."""
+    """One (representative, class size, commutant basis, blocks) per
+    conjugacy class of n x n matrices over F_q (nilpotent ones if
+    punctual), checked against the class equation; `blocks` are the
+    representative's (p, partition) pairs from `_block_data`."""
     irreducibles = [(0, 1)] if punctual else _irreducibles(n, q)
     g = gl_order(n, q)
     out = []
@@ -89,7 +103,7 @@ def conjugacy_classes(n: int, q: int, punctual: bool) -> list:
         if g % z:
             raise AssertionError(
                 f"centralizer order {z} does not divide |GL_{n}(F_{q})| = {g}")
-        out.append((rep, g // z, basis))
+        out.append((rep, g // z, basis, tuple(blocks)))
         total += g // z
     expected = q ** (n * n - n) if punctual else q ** (n * n)
     if total != expected:
@@ -239,8 +253,23 @@ def _span(basis: list, q: int):
 
 
 # ---------------------------------------------------------------------------
-# Generating framings (Hall's submodule DP)
+# Generating framings: closed form for one matrix, Hall's DP for pairs
 # ---------------------------------------------------------------------------
+
+def _framing_count(blocks, n: int, r: int, q: int) -> int:
+    """Number of r-tuples of vectors generating F_q^n under one matrix
+    with rational canonical form `blocks`: those whose images span the
+    top, q^(r (n - s)) prod_p prod_{i < l_p} (Q^r - Q^i) with Q = q^deg p,
+    l_p the number of parts of p's partition and s = sum deg p * l_p."""
+    count, s = 1, 0
+    for p, part in blocks:
+        e = len(p) - 1
+        big = q ** e
+        for i in range(len(part)):
+            count *= big ** r - big ** i
+        s += e * len(part)
+    return count * q ** (r * (n - s))
+
 
 def _generating_tuples(mats, n: int, r: int, q: int) -> int:
     """Number of r-tuples of vectors generating F_q^n as a module over
@@ -325,12 +354,15 @@ def _subspace_count(n: int, q: int) -> int:
 def work_estimate(classes: list, n: int, r: int, q: int, d: int) -> int:
     """Framing-DP work of the class sum, before any of it runs: per
     class, the number of second matrices times the DP's size bound
-    min(q^(n r), subspaces * q^n)."""
+    min(q^(n r), subspaces * q^n).  The DP runs only for pairs; for
+    d = 1, and for the scalar-x_1 sum of d = 2, the framings are counted
+    in closed form, but the estimate still charges one DP per class, so
+    it over-counts those cases and the admitted ones stay the same."""
     per_dp = min(q ** (n * r), _subspace_count(n, q) * q ** n)
     if d == 1:
         return len(classes) * per_dp
-    dp_runs = sum(q ** len(basis) for _, _, basis in classes
+    dp_runs = sum(q ** len(basis) for _, _, basis, _ in classes
                   if len(basis) < n * n)
-    if any(len(basis) == n * n for _, _, basis in classes):
+    if any(len(basis) == n * n for _, _, basis, _ in classes):
         dp_runs += len(classes)
     return dp_runs * per_dp

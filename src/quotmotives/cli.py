@@ -80,40 +80,65 @@ def _quiver_series(args) -> TruncatedSeries:
     return fn(quiver, w, args.order)
 
 
-# The series targets and identities, in the order of the parser's choices.
-# Each callable looks its function up when it runs, so a function patched
-# on its module (by a test or a tracer) is the one called.
+# The series targets and identities, in the order of the parser's choices,
+# each with the options besides --order that it reads.  Each callable
+# looks its function up when it runs, so a function patched on its module
+# (by a test or a tracer) is the one called.
 TARGETS = {
-    "punctual": lambda a: quot.punctual_quot_series(a.rank, a.dim, a.order),
-    "quot": lambda a: quot.quot_series(_parse_space(a.space), a.dim, a.rank, a.order),
-    "nakajima-M": lambda a: quot.nakajima_framed_series(a.rank, a.order),
-    "nakajima-L": lambda a: quot.punctual_quot_series(a.rank, 2, a.order),
-    "nakajima-general": _quiver_series,
+    "punctual": (("rank", "dim"),
+                 lambda a: quot.punctual_quot_series(a.rank, a.dim, a.order)),
+    "quot": (("rank", "dim", "space"),
+             lambda a: quot.quot_series(_parse_space(a.space), a.dim, a.rank, a.order)),
+    "nakajima-M": (("rank",), lambda a: quot.nakajima_framed_series(a.rank, a.order)),
+    "nakajima-L": (("rank",), lambda a: quot.punctual_quot_series(a.rank, 2, a.order)),
+    "nakajima-general": ((), _quiver_series),
 }
 
 IDENTITIES = {
-    "heine": lambda a: verify_heine(a.order),
-    "product-vs-exp": lambda a: quot.verify_product_vs_exp(a.rank, a.order),
-    "class1-vs-closed": lambda a: quot.verify_class1_closed(a.rank, a.order),
-    "duality": lambda a: quot.verify_duality(a.rank, a.order),
-    "zeta-curve": lambda a: specialize.verify_zeta_product(
-        _parse_space(a.space), 1, a.rank, a.q, a.order),
-    "zeta-surface": lambda a: specialize.verify_zeta_product(
-        _parse_space(a.space), 2, a.rank, a.q, a.order),
-    "power-axioms": lambda a: verify_power_axioms(samples=a.samples, order=a.order),
+    "heine": ((), lambda a: verify_heine(a.order)),
+    "product-vs-exp": (("rank",), lambda a: quot.verify_product_vs_exp(a.rank, a.order)),
+    "class1-vs-closed": (("rank",), lambda a: quot.verify_class1_closed(a.rank, a.order)),
+    "duality": (("rank",), lambda a: quot.verify_duality(a.rank, a.order)),
+    "zeta-curve": (("space", "rank", "q"), lambda a: specialize.verify_zeta_product(
+        _parse_space(a.space), 1, a.rank, a.q, a.order)),
+    "zeta-surface": (("space", "rank", "q"), lambda a: specialize.verify_zeta_product(
+        _parse_space(a.space), 2, a.rank, a.q, a.order)),
+    "power-axioms": (("samples",),
+                     lambda a: verify_power_axioms(samples=a.samples, order=a.order)),
 }
+
+# Defaults of the options that only some entries read; the parser leaves
+# them None, so that an option given to an entry that never reads it is
+# seen, and rejected, instead of dropped.
+SERIES_DEFAULTS = {"rank": 1, "dim": 2, "space": "point"}
+VERIFY_DEFAULTS = {"rank": 1, "q": 2, "space": "P1", "samples": 50}
+
+
+def _read_options(args, name: str, reads, defaults: dict) -> None:
+    """Fill in the defaults of the options that `name` reads; any other
+    option of `defaults` given on the command line is a usage error."""
+    for option, default in defaults.items():
+        if option not in reads:
+            if getattr(args, option) is not None:
+                _parser().error(f"{name} does not read --{option}")
+        elif getattr(args, option) is None:
+            setattr(args, option, default)
 
 
 def _cmd_series(args) -> int:
     if args.target != "nakajima-general" and (
             args.quiver is not None or args.framing is not None or args.nilpotent):
         _parser().error("--quiver, --framing and --nilpotent need --target nakajima-general")
-    _emit_series(TARGETS[args.target](args), sys.stdout)
+    reads, fn = TARGETS[args.target]
+    _read_options(args, args.target, reads, SERIES_DEFAULTS)
+    _emit_series(fn(args), sys.stdout)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = IDENTITIES[args.identity](args)
+    reads, fn = IDENTITIES[args.identity]
+    _read_options(args, args.identity, reads, VERIFY_DEFAULTS)
+    report = fn(args)
     print(report)
     return 0 if report.passed else 1
 
@@ -165,11 +190,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="emit a generating series as JSON")
     p.add_argument("--target", required=True, choices=list(TARGETS))
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--dim", type=int, default=2, choices=[1, 2])
+    p.add_argument("--rank", type=int)
+    p.add_argument("--dim", type=int, choices=[1, 2])
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--space", default="point",
-                   help="named space (point, A1, A2, P1, P2) or JSON terms")
+    p.add_argument("--space", help="named space (point, A1, A2, P1, P2) or JSON terms")
     p.add_argument("--quiver", help="path to a quiver JSON file "
                                     '({"vertices": k, "arrows": [[s, t], ...]})')
     p.add_argument("--framing", help="comma-separated framing vector, one entry "
@@ -181,10 +205,10 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an identity check")
     p.add_argument("identity", choices=list(IDENTITIES))
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--space", default="P1")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--rank", type=int)
+    p.add_argument("--q", type=int)
+    p.add_argument("--space")
+    p.add_argument("--samples", type=int)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oracle", help="compare an exact F_q point count with the formula")

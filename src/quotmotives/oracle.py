@@ -10,9 +10,10 @@ stable instances divided by |GL_n(F_q)| -- the division is checked to
 be exact.
 
 The raw number comes from `_classsum`, the one enumeration kernel, which
-sums over conjugacy classes and counts generating framings over the
-submodule lattice, after an up-front work estimate from the class list
-has passed the budget.  `_classsum` is imported on the first count, so
+sums over conjugacy classes and counts generating framings, in closed
+form for one matrix and over the submodule lattice for commuting pairs,
+after an up-front work estimate from the class list has passed the
+budget.  `_classsum` is imported on the first count, so
 importing the package does not load it.  The brute-force enumeration
 over all matrices and framings is not part of the package: it lives in
 `tests/brute_force.py` as the independent test reference for the kernel.
@@ -33,13 +34,17 @@ class BudgetError(ValueError):
 _MAX_N = {1: 4, 2: 3}
 _PRIMES = (2, 3, 5)
 _MAX_R = 8
-# Work units of the class sum (see _classsum.work_estimate).  A unit costs
-# 0.06-9 us in CPython 3.11 (the most for r = 1, where each unit is a
-# whole cyclic-submodule closure).  Every case the caps above and this
-# budget admit ran in under 5 s on a 2-vCPU x86-64 VM.  Of the rejected
-# ones, global (3, 1, 5, 2) took 90 s and global (4, 2, 5, 1) 7.5 s, but
-# punctual (3, 2, 5, 2) takes 0.3 s: the estimate counts every member of
-# the commutant, not only the nilpotent ones.
+# Work units of the class sum (see _classsum.work_estimate).  The units
+# are those of the submodule DP, which runs only for commuting pairs; a
+# DP unit costs 0.06-9 us in CPython 3.11 (the most for r = 1, where each
+# unit is a whole cyclic-submodule closure).  One matrix's framings are
+# counted in closed form, so for d = 1 the estimate charges DP work that
+# never runs: the budget admits the same cases as before.  Every case the
+# caps above and this budget admit ran in under 5 s on a 2-vCPU x86-64
+# VM.  Of the rejected ones, global (3, 1, 5, 2) took 90 s, but punctual
+# (3, 2, 5, 2) takes 0.3 s: the estimate counts every member of the
+# commutant, not only the nilpotent ones.  Global (4, 2, 5, 1) and
+# (4, 8, 5, 1) take 0.09 s to list the classes and 1 ms to sum them.
 _MAX_WORK = 4_000_000
 
 

@@ -60,7 +60,7 @@ def check_feit_fine(n, q):
     """Sum over the classes of |class| * |C(x)| counts the commuting pairs,
     sum_n |C_n| / |GL_n| u^n = prod_{i>=1} prod_{j>=0} (1 - q^(1-j) u^i)^-1."""
     classes = _classsum.conjugacy_classes(n, q, False)
-    pairs = sum(size * q ** len(basis) for _, size, basis in classes)
+    pairs = sum(size * q ** len(basis) for _, size, basis, _ in classes)
     assert pairs == pair_count(n, q, Fraction(q)), (n, q, pairs)
     assert pairs == KNOWN_PAIRS.get((n, q), pairs), (n, q, pairs)
 
@@ -71,7 +71,7 @@ def check_nilpotent_pairs(n, q):
     sum_n |N_n| / |GL_n| u^n = prod_{i>=1} prod_{j>=1} (1 - q^(-j) u^i)^-1."""
     pairs = sum(size * sum(1 for x in _classsum._span(basis, q)
                            if _classsum._is_nilpotent(x, n, q))
-                for _, size, basis in _classsum.conjugacy_classes(n, q, True))
+                for _, size, basis, _ in _classsum.conjugacy_classes(n, q, True))
     assert pairs == pair_count(n, q, Fraction(1, q)), (n, q, pairs)
 
 

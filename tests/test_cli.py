@@ -206,6 +206,12 @@ class TestSeries:
         assert exc.value.code == 2
 
 
+def _entry_and_option(argv):
+    """The target or identity of a series/verify argv, and its first option."""
+    at = 2 if argv[0] == "series" else 1
+    return argv[at], argv[at + 1]
+
+
 class TestCommandTables:
     """Every entry of the ``series`` and ``verify`` tables runs."""
 
@@ -236,6 +242,31 @@ class TestCommandTables:
         code, out, err = run_cli(capsys, *argv, *extra)
         assert (code, err) == (0, "")
         assert out
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "--target", "punctual", "--space", "P2", "--order", "2"),
+        ("series", "--target", "nakajima-M", "--dim", "1", "--order", "1"),
+        # the value of the default is rejected too: the target never reads it
+        ("series", "--target", "nakajima-L", "--dim", "2", "--order", "1"),
+        ("series", "--target", "nakajima-M", "--space", "point", "--order", "1"),
+        ("series", "--target", "nakajima-general", "--rank", "1", "--order", "1"),
+        ("verify", "heine", "--space", "nonsense", "--order", "3"),
+        ("verify", "heine", "--rank", "2"),
+        ("verify", "duality", "--q", "3"),
+        ("verify", "product-vs-exp", "--samples", "3"),
+        ("verify", "power-axioms", "--rank", "1"),
+        ("verify", "class1-vs-closed", "--space", "P1"),
+        ("verify", "zeta-curve", "--samples", "2"),
+    ], ids=lambda argv: "".join(_entry_and_option(argv)))
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        # these used to exit 0 and drop the option without a word
+        name, option = _entry_and_option(argv)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: quotmotives ")
+        assert err.endswith(f"quotmotives: error: {name} does not read {option}\n")
 
     def test_nakajima_l_is_the_punctual_surface_series(self, capsys):
         nilpotent = run_cli(capsys, "series", "--target", "nakajima-L", "--rank", "2",

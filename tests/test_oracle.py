@@ -114,9 +114,10 @@ class TestBudget:
     def test_work_estimate_rejects_before_counting(self, monkeypatch):
         # within the n/r/q caps, but minutes of work
         def never(*args):
-            raise AssertionError("the framing DP ran")
+            raise AssertionError("a framing count ran")
 
         monkeypatch.setattr(_classsum, "_generating_tuples", never)
+        monkeypatch.setattr(_classsum, "_framing_count", never)
         with pytest.raises(BudgetError, match="563500000 work units"):
             orbit_count(4, 8, 5, 1, False)
         with pytest.raises(BudgetError, match="work units"):
@@ -158,6 +159,35 @@ class TestClassSum:
     def test_matches_brute_force(self, n, r, q, d, punctual):
         assert (raw_stable_count(n, r, q, d, punctual)
                 == brute_force.count_stable(n, r, q, d, punctual))
+
+    def test_closed_framing_count_matches_the_dp(self):
+        # Nakayama's closed count against Hall's DP on the representative
+        # itself, so the block labels are those of the matrix the DP reads
+        # (n = 4 over F_5 is left out: its DP runs for seconds)
+        for n in (1, 2, 3, 4):
+            for q in (2, 3, 5) if n < 4 else (2, 3):
+                for punctual in (True, False):
+                    for rep, _, _, blocks in _classsum.conjugacy_classes(n, q, punctual):
+                        for r in range(4):
+                            assert (_classsum._framing_count(blocks, n, r, q)
+                                    == _classsum._generating_tuples((rep,), n, r, q)), \
+                                (n, q, blocks, r)
+
+    def test_dp_runs_only_for_pairs(self, monkeypatch):
+        calls = []
+        dp = _classsum._generating_tuples
+
+        def spy(mats, n, r, q):
+            calls.append(len(mats))
+            return dp(mats, n, r, q)
+
+        monkeypatch.setattr(_classsum, "_generating_tuples", spy)
+        for punctual in (True, False):
+            raw_stable_count(3, 2, 3, 1, punctual)
+        assert calls == []
+        for punctual in (True, False):
+            raw_stable_count(2, 2, 3, 2, punctual)
+        assert calls and set(calls) == {2}
 
     def test_commuting_pairs_feit_fine(self):
         for n, q in classical.FEIT_FINE_CASES:
