@@ -33,7 +33,11 @@ F(theta) is a geometric series in q^{chi(theta, theta)} z^theta) and
 theta' = 0 ends it.  The z^v coefficients of every F(theta) fill one
 table in order of increasing |v|, and both sums come from it:
 S(w) = 1 + sum_{theta != 0} q^{-w.theta} F(theta) and
-S(0) = 1 + sum_{theta != 0} F(theta).  The ratio is one layered
+S(0) = 1 + sum_{theta != 0} F(theta).  The table runs on packed ints
+modulo q^N (below): an entry, each factor prod_i 1/(q; q)_(d_i) and the
+running z^v coefficients of both sums are each one int with a w-bit slot
+per power of q, as in the kernel of :mod:`quotmotives.rings`, and an
+entry that is zero modulo q^N is not stored.  The ratio is one layered
 division of power series in z.
 
 Exactness.  Substituting z^v -> q^(c.v) z^v, with c = w + k(1, ..., 1)
@@ -58,11 +62,17 @@ constant term 1, so the whole ratio runs modulo one power q^N, read off
 the inputs: N = 2 + max_v (c.v + d_v/2) over 0 < |v| <= order gives
 every R'_v exactly, with one spare exponent, in one pass.  Each table
 entry's sum is shifted up twice, by chi(theta, theta) + c.theta for the
-table and S'(0) and by chi(theta, theta) + k|theta| for S'(w); shifting
-the table's entry down by w.theta instead would lose the top w.theta
-exponents below q^N.  The division is the layered solve of
-:class:`~quotmotives.series.TruncatedSeries` on the LaurentPoly sums,
-with every coefficient cut below q^N.
+table and S'(0) and by chi(theta, theta) + k|theta| for S'(w), each a
+shift of the packed int cut below q^N by one mask; shifting the table's
+entry down by w.theta instead would lose the top w.theta exponents
+below q^N.  Since both shifts are >= 0 and the factors lie in Z[[q]],
+an entry that is zero modulo q^N adds nothing modulo q^N to any later
+entry or sum, so the table drops it, and a theta whose S'(w) shift
+already reaches N is skipped.  Both shifts are checked to be >= 0 by an
+explicit AssertionError.  S'(0)_v and S'(w)_v are decoded into
+LaurentPoly once per v, and the division is the layered solve of
+:class:`~quotmotives.series.TruncatedSeries` on them, with every
+coefficient cut below q^N.
 
 Each R'_v is checked: N >= c.v + d/2 + 2, no exponent lies outside
 [c.v - d/2, c.v + d/2] (so the spare coefficient is zero), and its
@@ -70,10 +80,9 @@ motive is effective.  A failure raises AssertionError explicitly, which
 survives ``python -O``.
 """
 
-import itertools
 from collections import namedtuple
 
-from .rings import LaurentPoly, _packed_sum
+from .rings import LaurentPoly, _bias, _decode, _rewiden, _slot_width
 from .report import CheckReport
 from .series import TruncatedSeries
 from .plethystic import _exp_exact
@@ -179,9 +188,14 @@ def partitions_of(n: int, max_part: int | None = None):
 
 
 def _vectors(quiver: Quiver, order: int) -> list:
-    """The dimension vectors v with 0 < |v| <= order, by increasing |v|."""
-    return sorted((v for v in itertools.product(range(order + 1), repeat=quiver.vertices)
-                   if 0 < sum(v) <= order), key=sum)
+    """The dimension vectors v with 0 < |v| <= order, by increasing |v|
+    and, within one |v|, in the order of itertools.product: built degree
+    by degree, a first entry before the vectors of the rest."""
+    by_sum = [[(n,)] for n in range(order + 1)]  # by_sum[n]: vectors of sum n
+    for _ in range(quiver.vertices - 1):
+        by_sum = [[(first,) + rest for first in range(n + 1) for rest in by_sum[n - first]]
+                  for n in range(order + 1)]
+    return [v for n in range(1, order + 1) for v in by_sum[n]]
 
 
 def _dot(a, b) -> int:
@@ -196,70 +210,159 @@ def _rescale(quiver: Quiver, w, order: int) -> tuple:
     return c, 2 + max([0] + [_dot(c, v) + nakajima_dim(quiver, v, w) // 2 for v in vectors])
 
 
+def _pack(digits, w: int) -> int:
+    """sum_i d_i 2^(w i) of signed digits |d_i| < 2^(w-1), by one
+    int.from_bytes: biased by 2^(w-1), each digit fills its slot."""
+    half = 1 << (w - 1)
+    data = b"".join([(d + half).to_bytes(w >> 3, "little") for d in digits])
+    return int.from_bytes(data, "little") - _bias(w, len(digits))
+
+
+def _width(bound: int) -> int:
+    """The kernel's slot width for the digit bound ``bound``, checked
+    explicitly (it survives ``python -O``)."""
+    w = _slot_width(bound)
+    if bound >> (w - 1):
+        raise AssertionError(f"slot width {w} does not hold the bound {bound}")
+    return w
+
+
+def _cut(x: int, w: int, slots: int) -> int:
+    """The int of the signed w-bit digits of x below slot ``slots`` (0 if
+    slots <= 0), by the centred cut of plethystic._shifted_sum."""
+    if slots <= 0:
+        return 0
+    half = 1 << (w * slots - 1)
+    return ((x + half) & ((half << 1) - 1)) - half
+
+
 def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
     """({v: S'(w)_v}, {v: S'(0)_v}) for 0 <= |v| <= order, each a
     LaurentPoly in q modulo q^prec: the partition sums rescaled by
     z^v -> q^(c.v) z^v (module docstring), from one chain table.
 
-    The table holds the z^v coefficient of every F'(theta); the
-    recursion fills it in order of increasing |v|.  An entry is one
-    kernel call, :func:`~quotmotives.rings._packed_sum` decoded below
-    q^prec, on the pairs (F'(theta'), 1/(q; q)_(theta - theta')), with
-    (F'(theta), 1) for theta' = theta.  Its sum goes to S'(0) and the
-    table shifted by chi(theta, theta) + c.theta, and to S'(w) shifted
-    by chi(theta, theta) + k|theta|, each cut below q^prec.
+    The table runs on packed ints modulo q^prec, one w-bit slot per power
+    of q with the signed digits of :mod:`quotmotives.rings`, and stores
+    no entry that is zero there.  Row u holds the z^u coefficient of
+    every F'(theta) that is nonzero modulo q^prec, each one pack with its
+    width and its l1 norm, read off its decoded digits, and row 0 holds
+    F'(0) = 1.  The recursion fills the rows one total degree |v| at a
+    time: entry (v, theta) pairs theta with the row u = v - theta.  Its
+    sum is the int sum of the packs of F'(theta') times those of
+    prod_i 1/(q; q)_(theta_i - theta'_i) (1 for theta' = theta), over
+    the stored theta' <= theta of row u, at the width that
+    :func:`~quotmotives.rings._slot_width` gives for the bound
+    sum ||F'(theta')||_1 ||factor||_inf; a pack of another width is
+    moved to it by :func:`~quotmotives.rings._rewiden`.  The sum goes
+    to the table and S'(0)_v shifted up by a0 = chi(theta, theta) +
+    c.theta, and to S'(w)_v shifted up by aw = a0 - w.theta, each cut
+    below q^prec by one mask.  Both shifts must be >= 0 (an explicit
+    AssertionError otherwise): the stored F'(theta') of a row have
+    exponents >= the row's least one, and the factors lie in Z[[q]],
+    so a theta with aw plus that exponent >= prec adds nothing and is
+    skipped.  S'(0)_v and S'(w)_v are decoded once per v.
     """
     if len(w) != quiver.vertices:
         raise ValueError("framing vector size does not match the quiver")
     if min(w, default=0) < 0:
         raise ValueError(f"framing vector entries must be >= 0, got {tuple(w)}")
-    inverse = _inverse_pochhammers(order, prec)
-    one = LaurentPoly.one()
-    factors = {}  # d -> prod_i 1/(q; q)_{d_i}, for d != 0
+    vectors = _vectors(quiver, order)
+    shifts = {}  # theta -> (a0, aw)
+    for theta in vectors:
+        a0 = euler_form(quiver, theta, theta) + _dot(c, theta)
+        aw = a0 - _dot(w, theta)
+        if min(a0, aw) < 0:
+            raise AssertionError(f"chain table shifts ({a0}, {aw}) at {theta} are not >= 0 "
+                                 f"for c = {tuple(c)}")
+        shifts[theta] = a0, aw
+
+    # d -> [l1 norm, sup norm, {width: pack}] of prod_i 1/(q; q)_(d_i) modulo q^prec
+    zero = (0,) * quiver.vertices
+    factors = {zero: [1, 1, {32: 1}]}
+    inverse = []
+    for p in _inverse_pochhammers(order, prec):
+        digits = [p[e] for e in range(prec)]
+        width = _width(max(digits))
+        inverse.append([sum(digits), max(digits), {width: _pack(digits, width)}])
+
+    def at(f, width):
+        x = f[2].get(width)
+        if x is None:
+            old, y = next(iter(f[2].items()))
+            x = f[2][width] = _rewiden(y, old, width, prec)
+        return x
 
     def factor(d):
         f = factors.get(d)
         if f is None:
-            f = one
-            for m in d:
-                if m:
-                    f = _packed_sum([(f, inverse[m])], prec)
+            i = max(j for j, m in enumerate(d) if m)
+            rest = d[:i] + (0,) + d[i + 1:]
+            b = inverse[d[i]]
+            if any(rest):
+                a = factor(rest)
+                width = _width(a[0] * b[1])
+                x = _cut(at(a, width) * at(b, width), width, prec)
+                sizes = list(map(abs, _decode(x, width, prec)))
+                f = [sum(sizes), max(sizes), {width: x}]
+            else:
+                f = b
             factors[d] = f
         return f
 
-    zero = (0,) * quiver.vertices
-    sw, s0 = {zero: one}, {zero: one}
-    table = {}
-    for v in _vectors(quiver, order):
-        row, tw, t0 = {}, {}, {}
-        for theta in itertools.product(*(range(x + 1) for x in v)):
-            if not any(theta):
-                continue
-            u = tuple(a - b for a, b in zip(v, theta))
-            if any(u):
-                # the chain goes on with theta' <= theta; theta' = theta needs no factor
-                pairs = [(g, one if prev == theta
-                          else factor(tuple(a - b for a, b in zip(theta, prev))))
-                         for prev, g in table[u].items()
-                         if all(a <= b for a, b in zip(prev, theta))]
-                if not pairs:
+    # (theta, |theta|, a0, aw) by increasing |theta|, for the theta with aw < prec
+    live = [(theta, sum(theta)) + shifts[theta] for theta in vectors if shifts[theta][1] < prec]
+    # rows[n]: (u, entries, least exponent) of the stored rows with |u| = n, an
+    # entry [theta', pack, width, l1 norm] nonzero modulo q^prec; row 0 holds F'(0) = 1
+    rows = [[(zero, [[zero, 1, 32, 1]], 0)]] + [[] for _ in range(order)]
+    one = LaurentPoly.one()
+    sw = {zero: one, **dict.fromkeys(vectors, LaurentPoly())}
+    s0 = dict(sw)
+    for n in range(1, order + 1):
+        pending = {}  # v -> [entries, parts, least exponent] of row v
+        for theta, m, a0, aw in live:
+            if m > n:
+                break
+            for u, entries, low in rows[n - m]:
+                if aw + low >= prec:
                     continue
-                g = _packed_sum(pairs, prec)
-            else:
-                g = factor(theta)
-            chi = euler_form(quiver, theta, theta)
-            a0 = chi + _dot(c, theta)
-            aw = a0 - _dot(w, theta)
-            entry = {}
-            for e, x in g._terms.items():
-                if e + a0 < prec:
-                    entry[e + a0] = x
-                    t0[e + a0] = t0.get(e + a0, 0) + x
-                if e + aw < prec:
-                    tw[e + aw] = tw.get(e + aw, 0) + x
-            row[theta] = LaurentPoly(entry)
-        table[v] = row
-        sw[v], s0[v] = LaurentPoly(tw), LaurentPoly(t0)
+                # the chain goes on with theta' <= theta (theta' = theta: the
+                # factor 1) or ends (theta' = 0, in row 0)
+                ops = [(e, factor(tuple(a - b for a, b in zip(theta, e[0]))))
+                       for e in entries if all(a <= b for a, b in zip(e[0], theta))]
+                if not ops:
+                    continue
+                bound = sum([e[3] * f[1] for e, f in ops])
+                width = _width(bound)
+                g = 0
+                for e, f in ops:
+                    if e[2] != width:
+                        e[1], e[2] = _rewiden(e[1], e[2], width, prec), width
+                    g += e[1] * at(f, width)
+                g = _cut(g, width, prec - aw)
+                entry = _cut(g, width, prec - a0)
+                v = tuple(a + b for a, b in zip(theta, u))
+                row = pending.get(v)
+                if row is None:
+                    row = pending[v] = [[], [], prec]
+                if entry:
+                    # the lowest set bit of a nonzero pack lies in its lowest nonzero slot
+                    row[2] = min(row[2], a0 + ((entry & -entry).bit_length() - 1) // width)
+                    norm = sum(map(abs, _decode(entry, width, prec - a0)))
+                    entry <<= width * a0
+                    row[0].append([theta, entry, width, norm])
+                row[1].append((entry, g << width * aw, width, bound))
+        for v, (entries, parts, low) in pending.items():
+            if entries:
+                rows[n].append((v, entries, low))
+            width = _width(sum([p[3] for p in parts]))
+            t0 = tw = 0
+            for x0, xw, wd, _ in parts:
+                if wd != width:
+                    x0, xw = _rewiden(x0, wd, width, prec), _rewiden(xw, wd, width, prec)
+                t0 += x0
+                tw += xw
+            s0[v], sw[v] = [LaurentPoly(dict(enumerate(_decode(t, width, prec))))
+                            for t in (t0, tw)]
     return sw, s0
 
 

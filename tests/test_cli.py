@@ -416,6 +416,36 @@ class TestWindowSelfCheck:
         assert runs["short"].stderr.startswith("internal error:")
 
 
+    def test_negative_shift_is_internal_error(self, capsys, monkeypatch, tmp_path):
+        # with k one too small, theta = 3 of the two-loop quiver gets the
+        # S'(w) shift chi + k|theta| = -9 + 2 * 3 = -3, which the chain
+        # table refuses explicitly, also under python -O
+        rescale = quiver._rescale
+        monkeypatch.setattr(quiver, "_rescale", lambda q, w, order: (lambda c, n: (
+            tuple(x - 1 for x in c), n))(*rescale(q, w, order)))
+        code, out, err = run_cli(capsys, *self.ARGV, self._quiver_file(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:") and "(0, -3)" in err
+
+        script = (
+            "import sys\n"
+            "from quotmotives import cli, quiver\n"
+            "rescale = quiver._rescale\n"
+            "quiver._rescale = lambda q, w, order: (lambda c, n: (\n"
+            "    tuple(x - 1 for x in c), n))(*rescale(q, w, order))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-O", "-c", script, *self.ARGV,
+                              self._quiver_file(tmp_path)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 3
+        assert run.stdout == ""
+        assert run.stderr.startswith("internal error:")
+
+
 class TestOracle:
     def test_punctual_match(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--rank", "1",

@@ -4,18 +4,20 @@ import itertools
 import json
 import pathlib
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import classical
-from quotmotives.rings import LaurentPoly
+from quotmotives import quiver as quiver_module
+from quotmotives.rings import LaurentPoly, _decode
 from quotmotives.series import TruncatedSeries
 from quotmotives.plethystic import _exp_exact
 from quotmotives.quot import quot_series
 from quotmotives.report import CheckReport
 from quotmotives.quiver import (Quiver, _inverse_pochhammers, _partition_sums, _rescale,
-                                euler_form, nakajima_dim, nakajima_motive_series,
+                                _vectors, euler_form, nakajima_dim, nakajima_motive_series,
                                 nilpotent_motive_series, partitions_of, verify_heine)
 
 L = LaurentPoly.lefschetz()
@@ -255,6 +257,60 @@ class TestPartitionSum:
                 expect = _enumerated_partition_sum(quiver, framing, order, prec)
                 assert got == expect
                 assert all(type(c) is LaurentPoly for _, c in got.coefficients())
+
+    @pytest.mark.parametrize("widths", ["kernel", "64-bit", "alternating"])
+    def test_packed_table_matches_enumeration(self, widths, monkeypatch):
+        # seeded random quivers: <= 3 vertices, <= 4 arrows (loops and
+        # parallel arrows allowed), framings 0-2, order <= 4; both sums,
+        # each unshifted by q^(-c.v), against the collection-by-collection
+        # reference.  The forced widths move packs between widths.
+        kernel, rewiden = quiver_module._slot_width, quiver_module._rewiden
+        calls = []
+        if widths == "64-bit":
+            monkeypatch.setattr(quiver_module, "_slot_width", lambda b: max(64, kernel(b)))
+        elif widths == "alternating":
+            flip = itertools.count()
+            monkeypatch.setattr(quiver_module, "_slot_width",
+                                lambda b: max(64 * (next(flip) % 2), kernel(b)))
+        monkeypatch.setattr(quiver_module, "_rewiden",
+                            lambda *args: calls.append(args) or rewiden(*args))
+        rng = random.Random(34)
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            quiver = Quiver(n, [(rng.randrange(n), rng.randrange(n))
+                                for _ in range(rng.randint(0, 4))])
+            w = tuple(rng.randint(0, 2) for _ in range(n))
+            order = rng.randint(0, 4)
+            c, _ = _rescale(quiver, w, order)
+            for prec in (1, 2, 3, 12):
+                sums = _partition_sums(quiver, w, order, c, prec + order * max(c))
+                for got, framing in zip(sums, (w, (0,) * n)):
+                    expect = _enumerated_partition_sum(quiver, framing, order, prec)
+                    got = {v: LaurentPoly({e - sum(a * b for a, b in zip(c, v)): x
+                                           for e, x in p.terms()}) for v, p in got.items()}
+                    got = TruncatedSeries({v: LaurentPoly({e: x for e, x in p.terms() if e < prec})
+                                           for v, p in got.items()}, order, n)
+                    assert got == expect, (quiver, w, order, prec)
+        assert bool(calls) == (widths != "kernel")
+
+    def test_cut_keeps_the_signed_digits_below_the_slot(self):
+        # the table's packs keep the kernel's signed digits: a negative
+        # digit borrows from the slot above it, which the centred cut undoes
+        digits = [3, -2, -(2 ** 30), 0, 7, -1, 2 ** 30]
+        for width in (32, 64):
+            packed = quiver_module._pack(digits, width)
+            assert _decode(packed, width, len(digits)) == digits
+            for slots in range(len(digits) + 1):
+                cut = quiver_module._cut(packed << width * 2, width, slots + 2)
+                assert cut == quiver_module._pack(digits[:slots], width) << width * 2
+            assert quiver_module._cut(packed, width, 0) == 0
+
+    def test_vectors_are_the_filtered_box_in_its_order(self):
+        for k in range(1, 5):
+            for order in range(7):
+                box = sorted((v for v in itertools.product(range(order + 1), repeat=k)
+                              if 0 < sum(v) <= order), key=sum)
+                assert _vectors(Quiver(k, ()), order) == box
 
     def test_two_vertex_quiver_runs(self):
         s = _partition_sum(A2_QUIVER, (1, 0), 2, 3)
