@@ -38,7 +38,9 @@ modulo q^N (below): an entry, each factor prod_i 1/(q; q)_(d_i) and the
 running z^v coefficients of both sums are each one int with a w-bit slot
 per power of q, as in the kernel of :mod:`quotmotives.rings`, and an
 entry that is zero modulo q^N is not stored.  The ratio is one layered
-division of power series in z.
+division of power series in z on the same packs: the z^v coefficient of
+S(w)/S(0) is that of S(w) minus the products of the S(0) and ratio
+coefficients of lower degree that reach z^v, one int sum per v.
 
 Exactness.  Substituting z^v -> q^(c.v) z^v, with c = w + k(1, ..., 1)
 and k = max(0, max over 0 < |theta| <= order of ceil(-chi(theta, theta)
@@ -69,10 +71,10 @@ below q^N.  Since both shifts are >= 0 and the factors lie in Z[[q]],
 an entry that is zero modulo q^N adds nothing modulo q^N to any later
 entry or sum, so the table drops it, and a theta whose S'(w) shift
 already reaches N is skipped.  Both shifts are checked to be >= 0 by an
-explicit AssertionError.  S'(0)_v and S'(w)_v are decoded into
-LaurentPoly once per v, and the division is the layered solve of
-:class:`~quotmotives.series.TruncatedSeries` on them, with every
-coefficient cut below q^N.
+explicit AssertionError.  S'(0)_v and S'(w)_v stay packs, and the
+division runs on them (:func:`_packed_ratio`): each R'_v is one int sum
+of packed products cut below q^N by one mask, at a slot width checked
+against a bound on its coefficients, and decoded once for the checks.
 
 Each R'_v is checked: N >= c.v + d/2 + 2, no exponent lies outside
 [c.v - d/2, c.v + d/2] (so the spare coefficient is zero), and its
@@ -81,6 +83,7 @@ survives ``python -O``.
 """
 
 from collections import namedtuple
+from operator import add
 
 from .rings import LaurentPoly, _bias, _decode, _rewiden, _slot_width
 from .report import CheckReport
@@ -158,17 +161,23 @@ def nakajima_dim(quiver: Quiver, v, w) -> int:
 # q-Pochhammer symbols
 # ---------------------------------------------------------------------------
 
-def _inverse_pochhammers(m_max: int, prec: int) -> list:
-    """[1/(q; q)_m for m = 0..m_max], each modulo q^prec (prec >= 1) as a
-    LaurentPoly in q.  1/(q; q)_m counts partitions into parts <= m, so
-    one counting sweep gives them all."""
+def _partition_counts(m_max: int, prec: int) -> list:
+    """[the digits of 1/(q; q)_m modulo q^prec for m = 0..m_max], each a
+    list of prec >= 1 ints.  1/(q; q)_m counts partitions into parts <= m,
+    so one counting sweep gives them all."""
     counts = [1] + [0] * (prec - 1)
-    out = [LaurentPoly(dict(enumerate(counts)))]
+    out = [counts[:]]
     for part in range(1, m_max + 1):
         for n in range(part, prec):
             counts[n] += counts[n - part]
-        out.append(LaurentPoly(dict(enumerate(counts))))
+        out.append(counts[:])
     return out
+
+
+def _inverse_pochhammers(m_max: int, prec: int) -> list:
+    """[1/(q; q)_m for m = 0..m_max], each modulo q^prec (prec >= 1) as a
+    LaurentPoly in q (:func:`_partition_counts`)."""
+    return [LaurentPoly(dict(enumerate(c))) for c in _partition_counts(m_max, prec)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +212,14 @@ def _dot(a, b) -> int:
 
 
 def _rescale(quiver: Quiver, w, order: int) -> tuple:
-    """(c, N) of the module docstring, read off the inputs alone."""
+    """(c, N) of the module docstring, read off the inputs alone, with
+    chi(v, v) evaluated once per vector."""
     vectors = _vectors(quiver, order)
-    k = max([0] + [-(euler_form(quiver, v, v) // sum(v)) for v in vectors])
+    chis = [euler_form(quiver, v, v) for v in vectors]
+    k = max([0] + [-(chi // sum(v)) for v, chi in zip(vectors, chis)])
     c = tuple(x + k for x in w)
-    return c, 2 + max([0] + [_dot(c, v) + nakajima_dim(quiver, v, w) // 2 for v in vectors])
+    # c.v + d/2 with d/2 = w.v - chi(v, v)
+    return c, 2 + max([0] + [_dot(c, v) + _dot(w, v) - chi for v, chi in zip(vectors, chis)])
 
 
 def _pack(digits, w: int) -> int:
@@ -236,10 +248,23 @@ def _cut(x: int, w: int, slots: int) -> int:
     return ((x + half) & ((half << 1) - 1)) - half
 
 
-def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
-    """({v: S'(w)_v}, {v: S'(0)_v}) for 0 <= |v| <= order, each a
-    LaurentPoly in q modulo q^prec: the partition sums rescaled by
-    z^v -> q^(c.v) z^v (module docstring), from one chain table.
+def _at(packs: dict, width: int, slots: int) -> int:
+    """The pack at ``width`` from {width: pack} of one value of ``slots``
+    slots, moved there once by :func:`~quotmotives.rings._rewiden` from
+    the first pack and kept."""
+    x = packs.get(width)
+    if x is None:
+        old, y = next(iter(packs.items()))
+        x = packs[width] = _rewiden(y, old, width, slots)
+    return x
+
+
+def _partition_sums(quiver: Quiver, w, c, prec: int, squares: dict) -> tuple:
+    """({v: S'(w)_v}, {v: S'(0)_v}) for 0 <= |v| <= order, each a pair
+    (pack, width) of one packed int modulo q^prec and its slot width: the
+    partition sums rescaled by z^v -> q^(c.v) z^v (module docstring), from
+    one chain table.  ``squares`` maps the vectors of :func:`_vectors`,
+    in their order, to chi(v, v); the largest |v| is the order.
 
     The table runs on packed ints modulo q^prec, one w-bit slot per power
     of q with the signed digits of :mod:`quotmotives.rings`, and stores
@@ -260,16 +285,17 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
     AssertionError otherwise): the stored F'(theta') of a row have
     exponents >= the row's least one, and the factors lie in Z[[q]],
     so a theta with aw plus that exponent >= prec adds nothing and is
-    skipped.  S'(0)_v and S'(w)_v are decoded once per v.
+    skipped.  S'(0)_v and S'(w)_v are each the int sum of their parts,
+    at one width for both, and are not decoded here.
     """
     if len(w) != quiver.vertices:
         raise ValueError("framing vector size does not match the quiver")
     if min(w, default=0) < 0:
         raise ValueError(f"framing vector entries must be >= 0, got {tuple(w)}")
-    vectors = _vectors(quiver, order)
+    order = max(map(sum, squares), default=0)
     shifts = {}  # theta -> (a0, aw)
-    for theta in vectors:
-        a0 = euler_form(quiver, theta, theta) + _dot(c, theta)
+    for theta, chi in squares.items():
+        a0 = chi + _dot(c, theta)
         aw = a0 - _dot(w, theta)
         if min(a0, aw) < 0:
             raise AssertionError(f"chain table shifts ({a0}, {aw}) at {theta} are not >= 0 "
@@ -280,17 +306,10 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
     zero = (0,) * quiver.vertices
     factors = {zero: [1, 1, {32: 1}]}
     inverse = []
-    for p in _inverse_pochhammers(order, prec):
-        digits = [p[e] for e in range(prec)]
-        width = _width(max(digits))
-        inverse.append([sum(digits), max(digits), {width: _pack(digits, width)}])
-
-    def at(f, width):
-        x = f[2].get(width)
-        if x is None:
-            old, y = next(iter(f[2].items()))
-            x = f[2][width] = _rewiden(y, old, width, prec)
-        return x
+    for digits in _partition_counts(order, prec):
+        top = max(digits)  # partition counts: every digit is >= 0
+        width = _width(top)
+        inverse.append([sum(digits), top, {width: _pack(digits, width)}])
 
     def factor(d):
         f = factors.get(d)
@@ -301,7 +320,7 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
             if any(rest):
                 a = factor(rest)
                 width = _width(a[0] * b[1])
-                x = _cut(at(a, width) * at(b, width), width, prec)
+                x = _cut(_at(a[2], width, prec) * _at(b[2], width, prec), width, prec)
                 sizes = list(map(abs, _decode(x, width, prec)))
                 f = [sum(sizes), max(sizes), {width: x}]
             else:
@@ -310,12 +329,11 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
         return f
 
     # (theta, |theta|, a0, aw) by increasing |theta|, for the theta with aw < prec
-    live = [(theta, sum(theta)) + shifts[theta] for theta in vectors if shifts[theta][1] < prec]
+    live = [(theta, sum(theta)) + a for theta, a in shifts.items() if a[1] < prec]
     # rows[n]: (u, entries, least exponent) of the stored rows with |u| = n, an
     # entry [theta', pack, width, l1 norm] nonzero modulo q^prec; row 0 holds F'(0) = 1
     rows = [[(zero, [[zero, 1, 32, 1]], 0)]] + [[] for _ in range(order)]
-    one = LaurentPoly.one()
-    sw = {zero: one, **dict.fromkeys(vectors, LaurentPoly())}
+    sw = {zero: (1, 32), **dict.fromkeys(squares, (0, 32))}
     s0 = dict(sw)
     for n in range(1, order + 1):
         pending = {}  # v -> [entries, parts, least exponent] of row v
@@ -337,7 +355,7 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
                 for e, f in ops:
                     if e[2] != width:
                         e[1], e[2] = _rewiden(e[1], e[2], width, prec), width
-                    g += e[1] * at(f, width)
+                    g += e[1] * _at(f[2], width, prec)
                 g = _cut(g, width, prec - aw)
                 entry = _cut(g, width, prec - a0)
                 v = tuple(a + b for a, b in zip(theta, u))
@@ -361,9 +379,64 @@ def _partition_sums(quiver: Quiver, w, order: int, c, prec: int) -> tuple:
                     x0, xw = _rewiden(x0, wd, width, prec), _rewiden(xw, wd, width, prec)
                 t0 += x0
                 tw += xw
-            s0[v], sw[v] = [LaurentPoly(dict(enumerate(_decode(t, width, prec))))
-                            for t in (t0, tw)]
+            s0[v], sw[v] = (t0, width), (tw, width)
     return sw, s0
+
+
+def _packed_ratio(sw: dict, s0: dict, prec: int) -> dict:
+    """{v: digits} of the nonzero z^v coefficients R'_v of S'(w)/S'(0)
+    modulo q^prec, each the list of its prec signed digits, from the
+    (pack, width) pairs of :func:`_partition_sums`: both sums hold every
+    0 <= |v| <= order, and each pack lies below q^prec.
+
+    Since S'(0)_0 = 1, R'_v = S'(w)_v - sum S'(0)_u R'_r over u + r = v
+    with u != 0, solved one total degree at a time, like the division
+    of :class:`~quotmotives.series.TruncatedSeries`: for n = 1..order the
+    stored nonzero S'(0)_u of degree d meet the stored nonzero R'_r of
+    degree n - d, and the products are grouped by their target u + r.
+    Each R'_v is one int sum of packed products at the width that
+    :func:`_width` gives for the bound
+    ||S'(w)_v||_inf + sum ||S'(0)_u||_1 ||R'_r||_inf on every coefficient
+    of the sum (a pack of another width is moved by
+    :func:`~quotmotives.rings._rewiden`), cut below q^prec by one mask
+    and decoded once.  Reduction modulo q^prec is a ring map of Z[[q]],
+    so R'_v is the exact quotient's coefficient cut below q^prec.
+    """
+    layers = [[] for _ in range(max(map(sum, sw), default=0) + 1)]
+    for v in sw:
+        layers[sum(v)].append(v)
+    # den[d]: (u, {width: pack}, l1 norm) of the nonzero S'(0)_u with |u| = d >= 1
+    den = [[] for _ in layers]
+    for u, (x, width) in s0.items():
+        if x and any(u):
+            den[sum(u)].append((u, {width: x}, sum(map(abs, _decode(x, width, prec)))))
+    # got[n]: (r, {width: pack}, sup norm) of the nonzero R'_r with |r| = n
+    got = [[] for _ in layers]
+    out = {}
+    for n, targets in enumerate(layers):
+        groups = {}  # v -> [(S'(0)_u, l1 norm, R'_r, sup norm)]
+        for d in range(1, n + 1):
+            for r, fr, sup in got[n - d]:
+                for u, fu, l1 in den[d]:
+                    v = tuple(map(add, u, r))
+                    pairs = groups.get(v)
+                    if pairs is None:
+                        groups[v] = [(fu, l1, fr, sup)]
+                    else:
+                        pairs.append((fu, l1, fr, sup))
+        for v in targets:
+            x, wx = sw[v]
+            pairs = groups.get(v, ())
+            bound = max(map(abs, _decode(x, wx, prec))) if x else 0
+            width = _width(bound + sum([l1 * sup for _, l1, _, sup in pairs]))
+            total = x if wx == width else _rewiden(x, wx, width, prec)
+            for fu, _, fr, _ in pairs:
+                total -= _at(fu, width, prec) * _at(fr, width, prec)
+            total = _cut(total, width, prec)
+            if total:
+                digits = out[v] = _decode(total, width, prec)
+                got[n].append((v, {width: total}, max(map(abs, digits))))
+    return out
 
 
 def nakajima_motive_series(quiver: Quiver, w, order: int) -> TruncatedSeries:
@@ -372,23 +445,24 @@ def nakajima_motive_series(quiver: Quiver, w, order: int) -> TruncatedSeries:
     The z^v coefficient R'_v of the rescaled ratio S'(w)/S'(0) is computed
     modulo the q^N of the module docstring in one pass, checked as
     described there, and cleared to [M(v, w)] = L^(d/2) R_v(L^-1) with
-    R_v = q^(-c.v) R'_v and d = dim M(v, w).
+    R_v = q^(-c.v) R'_v and d = dim M(v, w).  chi(v, v) is evaluated
+    once per vector for the chain table and the checks (and once more by
+    :func:`_rescale`).
     """
     c, prec = _rescale(quiver, w, order)
-    sw, s0 = _partition_sums(quiver, w, order, c, prec)
-    ratio = TruncatedSeries(sw, order, quiver.vertices)._divide(
-        TruncatedSeries(s0, order, quiver.vertices), prec)
+    squares = {v: euler_form(quiver, v, v) for v in _vectors(quiver, order)}
+    sw, s0 = _partition_sums(quiver, w, c, prec, squares)
+    ratio = _packed_ratio(sw, s0, prec)
     out = {}
     for v in sw:  # every v, also one whose R'_v is zero and so not stored
-        r = ratio.coefficient(v)
-        cv, half = _dot(c, v), nakajima_dim(quiver, v, w) // 2
-        terms = r.terms() if r else []
+        terms = [(e, a) for e, a in enumerate(ratio.get(v, ())) if a]
+        cv, half = _dot(c, v), _dot(w, v) - squares.get(v, 0)  # half = dim M(v, w) / 2
         if prec < cv + half + 2 or terms and (terms[0][0] < cv - half
                                               or terms[-1][0] > cv + half):
             raise AssertionError(
                 f"z^{v} coefficient of the rescaled S(w)/S(0) is not known modulo "
                 f"q^{cv + half + 2} with exponents in [{cv - half}, {cv + half}]: "
-                f"{r!r} modulo q^{prec}")
+                f"{LaurentPoly(dict(terms))!r} modulo q^{prec}")
         motive = LaurentPoly({cv + half - e: a for e, a in terms})
         if not motive.is_effective:
             raise AssertionError(

@@ -7,9 +7,10 @@ and projective spaces, their products, all series coefficients) lives in
 this subring of the Grothendieck ring, which keeps arithmetic exact and
 equality decidable.  Coefficients are ints only: division by an integer
 either divides exactly or raises :class:`ExactnessError`, so no rational
-number is ever stored in a class.  The same class holds the polynomials
-in a symbol q of the quiver partition sums, whose ratio is taken modulo
-a power q^N through the kernel's stop (below).
+number is ever stored in a class.  The same class holds polynomials in
+a symbol q, such as the 1/(q; q)_n of Heine's identity; the quiver
+partition sums and their ratio modulo a power q^N run on packed ints
+with the kernel's digits instead (:mod:`quotmotives.quiver`).
 
 Sums of products.  A series convolution needs sum_i a_i b_i for many
 pairs of Laurent polynomials; the kernel :func:`_packed_sum` does it
@@ -30,7 +31,9 @@ bytes of the XOR read as signed w-bit words (``memoryview.cast``, on
 little-endian hosts; other hosts and wider slots slice the bytes slot
 by slot).  The kernel can stop decoding at an exponent N: the low slots
 of the biased total do not depend on the slots above them, so it keeps
-the total modulo 2^(w (N - min exp)) and biases only those slots.
+the total modulo 2^(w (N - min exp)) and biases only those slots.  No
+package caller passes a finite stop; the quiver's packs are cut below
+q^N by one mask of their own.
 Widths are 32 bits or whole 64-bit words, few enough that the cached
 pack of an operand used in many sums is mostly reused, while the 32-bit
 slots of the many sums with small coefficients halve the size of what

@@ -16,9 +16,9 @@ sum each group with one packed big-int kernel (:func:`_sum_products`):
 LaurentPoly pairs go to :func:`~quotmotives.rings._packed_sum`, and int
 groups sum product by product.  Division needs a unit constant term in
 the denominator and solves a recurrence layered by total degree
-(:meth:`TruncatedSeries._divide`), which can stop every coefficient at
-q^N: so the quiver ratio S(w)/S(0), rescaled into Z[[q]], runs modulo
-q^N.  Inversion is division of 1, and a product of factors
+(:meth:`TruncatedSeries.__truediv__`); the quiver ratio S(w)/S(0) runs
+on the packs of :mod:`quotmotives.quiver`'s chain table instead.
+Inversion is division of 1, and a product of factors
 (1 - c x^m)^(-a) (:func:`euler_product`) multiplies its binomials out,
 each one as s_k - c s_(k-m), and divides once.  The plethystic
 exponential of :mod:`quotmotives.plethystic` solves its own recurrence
@@ -187,22 +187,11 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Quotient by a series whose constant term is a unit (:meth:`_divide`)."""
+        """Quotient by a series whose constant term is a unit, by one
+        layered solve: b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}, where a is
+        ``self`` and b is ``other``."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._divide(other, math.inf)
-
-    def _divide(self, other, stop=math.inf):
-        """self / other by one layered solve:
-        b_0 u_n = a_n - sum_{d>=1} b_d u_{n-d}, where a is ``self`` and b
-        is ``other``.
-
-        Every group of products is decoded below q^stop.  With a finite
-        stop every coefficient must be a LaurentPoly with exponents in
-        [0, stop), and b_0 = +-1; reduction modulo q^stop is then a ring
-        map of Z[[q]], so the result is the exact quotient with every
-        coefficient cut below q^stop.
-        """
         order = self._compat(other)
         c0 = other.constant_term()
         if c0 == 0:
@@ -223,7 +212,7 @@ class TruncatedSeries:
                             pairs.append((c1, c2))
             layer = dict(num[n])
             for m, pairs in groups.items():
-                c = _sum_products(pairs, stop)
+                c = _sum_products(pairs)
                 layer[m] = layer[m] - c if m in layer else -c
             u.append({m: times_i0(c) for m, c in layer.items() if c})
         return TruncatedSeries({m: c for layer in u for m, c in layer.items()}, order, self.arity)
@@ -319,13 +308,13 @@ class TruncatedSeries:
 # Sums of coefficient products
 # ---------------------------------------------------------------------------
 
-def _sum_products(pairs, stop=math.inf):
+def _sum_products(pairs):
     """sum of c1 * c2 over the (c1, c2) pairs.  Pairs of LaurentPoly go
-    through the packed kernel :func:`~quotmotives.rings._packed_sum`,
-    decoded below q^stop; any other group (ints, as in zeta functions,
-    possibly mixed with LaurentPoly) keeps the product-by-product sum."""
+    through the packed kernel :func:`~quotmotives.rings._packed_sum`; any
+    other group (ints, as in zeta functions, possibly mixed with
+    LaurentPoly) keeps the product-by-product sum."""
     if all(type(c1) is LaurentPoly and type(c2) is LaurentPoly for c1, c2 in pairs):
-        return _packed_sum(pairs, stop)
+        return _packed_sum(pairs, math.inf)
     return sum(c1 * c2 for c1, c2 in pairs)
 
 

@@ -445,6 +445,41 @@ class TestWindowSelfCheck:
         assert run.stdout == ""
         assert run.stderr.startswith("internal error:")
 
+    def test_narrow_ratio_width_is_internal_error(self, capsys, monkeypatch, tmp_path):
+        # a slot width one bit short of the ratio's bound, patched in for
+        # the ratio alone: the explicit width check refuses it, also under
+        # python -O
+        ratio = quiver._packed_ratio
+
+        def narrow(*args):
+            monkeypatch.setattr(quiver, "_slot_width", lambda bound: bound.bit_length() or 1)
+            return ratio(*args)
+
+        monkeypatch.setattr(quiver, "_packed_ratio", narrow)
+        code, out, err = run_cli(capsys, *self.ARGV, self._quiver_file(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: slot width") and "does not hold the bound" in err
+
+        script = (
+            "import sys\n"
+            "from quotmotives import cli, quiver\n"
+            "ratio = quiver._packed_ratio\n"
+            "def narrow(*args):\n"
+            "    quiver._slot_width = lambda bound: bound.bit_length() or 1\n"
+            "    return ratio(*args)\n"
+            "quiver._packed_ratio = narrow\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-O", "-c", script, *self.ARGV,
+                              self._quiver_file(tmp_path)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 3
+        assert run.stdout == ""
+        assert run.stderr.startswith("internal error: slot width")
+
 
 class TestOracle:
     def test_punctual_match(self, capsys):

@@ -76,12 +76,22 @@ def _q_pochhammer(n):
     return out
 
 
+def _decoded_sums(quiver, w, order, c, prec):
+    """The two rescaled sums (S'(w), S'(0)) of the chain table modulo
+    q^prec, each {v: LaurentPoly in q}: the packs that _partition_sums
+    returns, decoded."""
+    squares = {v: euler_form(quiver, v, v) for v in _vectors(quiver, order)}
+    return tuple({v: LaurentPoly(dict(enumerate(_decode(x, width, prec))))
+                  for v, (x, width) in packs.items()}
+                 for packs in _partition_sums(quiver, w, c, prec, squares))
+
+
 def _partition_sum(quiver, w, order, prec):
     """The package's S(w, q, z) truncated at total z-degree ``order``, each
     z^v coefficient exact below q^prec: q^(-c.v) S'(w)_v, read off the
     chain table of the rescaled sums modulo q^(prec + order max_i c_i)."""
     c, _ = _rescale(quiver, w, order)
-    sw, _ = _partition_sums(quiver, w, order, c, prec + order * max(c, default=0))
+    sw, _ = _decoded_sums(quiver, w, order, c, prec + order * max(c, default=0))
     out = {}
     for v, p in sw.items():
         cv = sum(a * b for a, b in zip(c, v))
@@ -283,7 +293,7 @@ class TestPartitionSum:
             order = rng.randint(0, 4)
             c, _ = _rescale(quiver, w, order)
             for prec in (1, 2, 3, 12):
-                sums = _partition_sums(quiver, w, order, c, prec + order * max(c))
+                sums = _decoded_sums(quiver, w, order, c, prec + order * max(c))
                 for got, framing in zip(sums, (w, (0,) * n)):
                     expect = _enumerated_partition_sum(quiver, framing, order, prec)
                     got = {v: LaurentPoly({e - sum(a * b for a, b in zip(c, v)): x
@@ -360,6 +370,16 @@ class TestMotiveSeries:
         s = nakajima_motive_series(A2_QUIVER, (1, 0), 2)
         assert s.coefficient((1, 0)) == LaurentPoly.one()
 
+    @pytest.mark.parametrize("quiver, w, order", [
+        (JORDAN, (1,), 6), (CYCLE3, (1, 0, 0), 4), (A2_QUIVER, (1, 2), 3)])
+    def test_euler_form_is_evaluated_twice_per_vector(self, quiver, w, order, monkeypatch):
+        # once by _rescale and once for the chain table and the checks;
+        # nakajima_dim's calls count too
+        form, calls = quiver_module.euler_form, []
+        monkeypatch.setattr(quiver_module, "euler_form",
+                            lambda *args: calls.append(args[1]) or form(*args))
+        nakajima_motive_series(quiver, w, order)
+        assert sorted(calls) == sorted(_vectors(quiver, order) * 2)
 
     @pytest.mark.parametrize("m, n_max", [(2, 4), (3, 2), (4, 2)])
     def test_cycle_quiver_gives_hilbert_schemes_of_the_ale_space(self, m, n_max):

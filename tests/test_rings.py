@@ -248,9 +248,8 @@ class TestSumOfProducts:
 
     @given(st.lists(st.tuples(wide_laurents, laurents), max_size=6), st.integers(-14, 14))
     def test_decoded_below_a_stop(self, pairs, stop):
-        # the kernel decodes only the exponents below the stop, as the
-        # quiver ratio's division asks; the dropped slots may hold any sign
-        # or size
+        # the kernel decodes only the exponents below the stop; the dropped
+        # slots may hold any sign or size
         expected = [(e, c) for e, c in _summed_products(pairs).terms() if e < stop]
         assert _packed_sum(pairs, stop).terms() == expected
 
@@ -279,20 +278,19 @@ class TestSumOfProducts:
         assert all(a._pack[4] == b._pack[4] == width for a, b in pairs)
 
     @given(st.lists(st.tuples(wide_laurents, st.one_of(laurents, st.integers(-9, 9))),
-                    min_size=1, max_size=6), st.integers(0, 12))
-    def test_group_matches_pairwise_sum(self, pairs, stop):
-        # the series' group sum: LaurentPoly groups on the kernel, decoded
-        # below q^stop, and groups with an int product by product
+                    min_size=1, max_size=6))
+    def test_group_matches_pairwise_sum(self, pairs):
+        # the series' group sum: LaurentPoly groups on the kernel, and
+        # groups with an int product by product
         exact = [(a, b) for a, b in pairs if type(b) is LaurentPoly]
-        assert _sum_products(exact, stop).terms() == \
-            [(e, c) for e, c in _summed_products(exact).terms() if e < stop]
+        assert _sum_products(exact).terms() == _summed_products(exact).terms()
         assert _sum_products(pairs) == _summed_products(pairs)
 
     @pytest.mark.parametrize("width", sorted(SLOT_BITS))
     @given(st.lists(adams_and_dense(0), min_size=1, max_size=4), st.integers(0, 18))
     def test_adams_images_decoded_below_a_stop(self, width, drawn, stop):
-        # Adams images and dense operands, moved to exponents >= 0 as in
-        # the quiver ratio: the sum is decoded below q^stop
+        # Adams images and dense operands, moved to exponents >= 0: the
+        # sum is decoded below q^stop
         pairs = [(a * (1 << SLOT_BITS[width]) * LaurentPoly.lefschetz(-a.min_exp()),
                   b * LaurentPoly.lefschetz(-b.min_exp())) for a, b in drawn]
         expected = [(e, c) for e, c in _summed_products(pairs).terms() if e < stop]
@@ -402,12 +400,12 @@ stops = st.one_of(st.integers(0, 18), st.just(math.inf))
 
 
 class TestQSeries:
-    """Power series in q known modulo q^N, the coefficients of the quiver
-    ratio: LaurentPoly operands with exponents in [0, N), multiplied and
-    summed by the kernel with the stop N.  Reduction modulo q^N is a ring
-    map, so a product of a known modulo q^m and b known modulo q^n is
-    known modulo q^min(m, n).  The class keeps the name of the retired
-    QSeries ring, whose product tests these were."""
+    """Power series in q known modulo q^N, as LaurentPoly operands with
+    exponents in [0, N), multiplied and summed by the kernel with the
+    stop N.  Reduction modulo q^N is a ring map, so a product of a known
+    modulo q^m and b known modulo q^n is known modulo q^min(m, n).  The
+    class keeps the name of the retired QSeries ring, whose product tests
+    these were."""
 
     EDGE_CASES = [({}, math.inf), ({}, 3), ({5: 1}, 3), ({0: 2 ** 70, 1: -1}, 2),
                   ({0: 1}, math.inf), ({1: -1, 4: 2 ** 65}, math.inf), ({2: 7}, 0)]
@@ -466,4 +464,4 @@ class TestQSeries:
     def test_empty_group_is_exact_zero(self):
         for stop in (0, 3, math.inf):
             assert _packed_sum([], stop).terms() == []
-            assert _sum_products([], stop) == 0
+        assert _sum_products([]) == 0

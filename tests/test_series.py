@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
+from quotmotives import quiver as quiver_module
+from quotmotives.quiver import _pack, _packed_ratio, _width
 from quotmotives.rings import ExactnessError, LaurentPoly
 from quotmotives.series import TruncatedSeries, _unit_times, geometric_series
 
@@ -27,7 +29,7 @@ def unit_series(coeffs, units, order=5):
 @st.composite
 def stopped_operands(draw):
     """(a, b, stop): series in one or two variables whose coefficients are
-    LaurentPoly in q with exponents in [0, stop), and b_0 = +-1."""
+    LaurentPoly in q with exponents in [0, stop), and b_0 = 1."""
     stop = draw(st.integers(1, 8))
     arity = draw(st.sampled_from((1, 2)))
     order = draw(st.integers(0, (6, 4)[arity - 1]))
@@ -37,7 +39,7 @@ def stopped_operands(draw):
     a = draw(st.dictionaries(st.sampled_from(vectors), coeffs, max_size=6))
     b = draw(st.dictionaries(st.sampled_from(vectors[1:]), coeffs, max_size=6)
              if order else st.just({}))
-    b[vectors[0]] = LaurentPoly({0: draw(st.sampled_from((1, -1)))})
+    b[vectors[0]] = LaurentPoly.one()
     return TruncatedSeries(a, order, arity), TruncatedSeries(b, order, arity), stop
 
 
@@ -53,6 +55,36 @@ def exact_terms(s: TruncatedSeries):
             for m, c in s.coefficients()]
 
 
+def packed(s: TruncatedSeries, stop) -> dict:
+    """{v: (pack, width)} for every v of total degree <= s.order, as the
+    quiver's chain table returns its sums: the coefficient's digits below
+    q^stop packed at the width of their largest size."""
+    out = {}
+    for v in itertools.product(range(s.order + 1), repeat=s.arity):
+        if sum(v) <= s.order:
+            c = LaurentPoly._coerce(s.coefficient(v))
+            digits = [c[e] for e in range(stop)]
+            width = _width(max(map(abs, digits)))
+            out[v] = _pack(digits, width), width
+    return out
+
+
+def packed_quotient(a: TruncatedSeries, b: TruncatedSeries, stop):
+    """a / b modulo q^stop by the quiver ratio's division on packs
+    (b_0 = 1), with each returned digit list checked and read back as
+    a LaurentPoly."""
+    ratio = _packed_ratio(packed(a, stop), packed(b, stop), stop)
+    assert all(len(d) == stop and any(d) for d in ratio.values())
+    return TruncatedSeries({v: LaurentPoly(dict(enumerate(d))) for v, d in ratio.items()},
+                           min(a.order, b.order), a.arity)
+
+
+def with_unit_constant(a: TruncatedSeries, b: TruncatedSeries, stop):
+    """(a b_0, b b_0, stop) for b_0 = +-1: the same quotient, with b_0 = 1."""
+    b0 = b.constant_term()
+    return a * b0, b * b0, stop
+
+
 # draws of the divisor b on which a / b once tracked less precision than
 # a * (1 / b), when q-series known modulo q^N were a coefficient ring of
 # their own and a product was known to min(v_a + N_b, v_b + N_a) (ids: the
@@ -65,6 +97,7 @@ RECORDED_DRAWS = [(TruncatedSeries({(e,): LaurentPoly({0: c}) for e, c in enumer
                                   ((-1, 2, -2), 5))]
 RECORDED_IDS = ["t3-4-vs-8", "t2-t5-5-vs-10", "t2-t5-4-vs-8", "t3-5-vs-10"]
 RECORDED_A = TruncatedSeries({(0,): LaurentPoly({0: 1}), (2,): LaurentPoly({1: 3})}, 5)
+ONE = TruncatedSeries.constant(LaurentPoly.one(), 5)
 
 
 def geom(order=6):
@@ -173,25 +206,45 @@ class TestDivide:
         assert got == expect
         assert exact_terms(got) == exact_terms(expect)
 
+    # the stop tests below run the quiver ratio's division on packs
+    # (quiver._packed_ratio), the one quotient that is cut below q^stop
     @pytest.mark.parametrize("b, stop", RECORDED_DRAWS, ids=RECORDED_IDS)
     def test_recorded_draws_agree_below_the_common_precision(self, b, stop):
-        one = TruncatedSeries.constant(LaurentPoly.one(), 5)
-        got = RECORDED_A._divide(b, stop)
-        assert exact_terms(got) == exact_terms(cut(RECORDED_A * one._divide(b, stop), stop))
+        got = packed_quotient(*with_unit_constant(RECORDED_A, b, stop))
+        assert exact_terms(got) == exact_terms(cut(RECORDED_A / b, stop))
+        assert exact_terms(got) == exact_terms(cut(RECORDED_A * (ONE / b), stop))
 
     @given(stopped_operands())
-    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[0]))
-    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[1]))
-    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[2]))
-    @example((TruncatedSeries.constant(LaurentPoly.one(), 5), *RECORDED_DRAWS[3]))
+    @example(with_unit_constant(ONE, *RECORDED_DRAWS[0]))
+    @example(with_unit_constant(ONE, *RECORDED_DRAWS[1]))
+    @example(with_unit_constant(ONE, *RECORDED_DRAWS[2]))
+    @example(with_unit_constant(ONE, *RECORDED_DRAWS[3]))
     def test_stopped_quotient_is_the_cut_exact_quotient(self, operands):
         a, b, stop = operands
-        got = a._divide(b, stop)
+        got = packed_quotient(a, b, stop)
         assert exact_terms(got) == exact_terms(cut(a / b, stop))
         assert exact_terms(cut(got * b, stop)) == exact_terms(a)
-        # every stored coefficient is a LaurentPoly below q^stop, and nonzero
-        assert all(type(c) is LaurentPoly and c and all(c._terms.values())
-                   and max(c._terms) < stop for _, c in got.coefficients())
+
+    @pytest.mark.parametrize("widths", ["64-bit", "alternating"])
+    @given(stopped_operands())
+    @example(with_unit_constant(ONE, *RECORDED_DRAWS[0]))
+    def test_stopped_quotient_at_forced_widths(self, widths, operands):
+        # the forced widths of the chain table's test move the operands'
+        # packs, made at the kernel width, between widths
+        a, b, stop = operands
+        packs = packed(a, stop), packed(b, stop)
+        kernel = quiver_module._slot_width
+        with pytest.MonkeyPatch.context() as patch:
+            if widths == "64-bit":
+                patch.setattr(quiver_module, "_slot_width", lambda b: max(64, kernel(b)))
+            else:
+                flip = itertools.count()
+                patch.setattr(quiver_module, "_slot_width",
+                              lambda b: max(64 * (next(flip) % 2), kernel(b)))
+            ratio = _packed_ratio(*packs, stop)
+        got = TruncatedSeries({v: LaurentPoly(dict(enumerate(d))) for v, d in ratio.items()},
+                              a.order, a.arity)
+        assert exact_terms(got) == exact_terms(cut(a / b, stop))
 
     def test_nonunit_constant_term(self):
         a = TruncatedSeries({(0,): 1, (2,): 3}, 4)
