@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from quotmotives import quiver as quiver_module
-from quotmotives.quiver import _pack, _packed_ratio, _width
-from quotmotives.rings import ExactnessError, LaurentPoly
+from quotmotives.quiver import _pack, _packed_ratio
+from quotmotives.rings import ExactnessError, LaurentPoly, _slot_width
 from quotmotives.series import TruncatedSeries, _unit_times, geometric_series
 
 
@@ -58,13 +58,13 @@ def exact_terms(s: TruncatedSeries):
 def packed(s: TruncatedSeries, stop) -> dict:
     """{v: (pack, width)} for every v of total degree <= s.order, as the
     quiver's chain table returns its sums: the coefficient's digits below
-    q^stop packed at the width of their largest size."""
+    q^stop packed at the kernel's width for their largest size."""
     out = {}
     for v in itertools.product(range(s.order + 1), repeat=s.arity):
         if sum(v) <= s.order:
             c = LaurentPoly._coerce(s.coefficient(v))
             digits = [c[e] for e in range(stop)]
-            width = _width(max(map(abs, digits)))
+            width = _slot_width(max(map(abs, digits)))
             out[v] = _pack(digits, width), width
     return out
 
@@ -232,7 +232,6 @@ class TestDivide:
         # the forced widths of the chain table's test move the operands'
         # packs, made at the kernel width, between widths
         a, b, stop = operands
-        packs = packed(a, stop), packed(b, stop)
         kernel = quiver_module._slot_width
         with pytest.MonkeyPatch.context() as patch:
             if widths == "64-bit":
@@ -241,9 +240,7 @@ class TestDivide:
                 flip = itertools.count()
                 patch.setattr(quiver_module, "_slot_width",
                               lambda b: max(64 * (next(flip) % 2), kernel(b)))
-            ratio = _packed_ratio(*packs, stop)
-        got = TruncatedSeries({v: LaurentPoly(dict(enumerate(d))) for v, d in ratio.items()},
-                              a.order, a.arity)
+            got = packed_quotient(a, b, stop)
         assert exact_terms(got) == exact_terms(cut(a / b, stop))
 
     def test_nonunit_constant_term(self):
